@@ -10,9 +10,9 @@ from .network import (
     loss_f,
     loss_g,
     partial_product,
-    product_all,
     rescale_f_to_g,
     rescale_g_to_f,
+    value_and_grad,
 )
 from .spectrum import RootValueSet, TargetSpectrum, analyze_target, build_root_value_set
 from .critical import (
@@ -64,7 +64,6 @@ from .training import (
     estimate_linear_rate,
     reproduce_section4,
     train,
-    value_and_grad,
 )
 
 __version__ = "0.1.0"

@@ -21,6 +21,8 @@ import numpy as np
 from .constants import check_assumptions, compute_ledger
 from .critical import (
     AssumptionError,
+    InternalConsistencyError,
+    SolverError,
     construct_critical_point,
     enumerate_sigma_profiles,
     optimal_profile,
@@ -32,6 +34,7 @@ from .critical import (
 from .network import DimChain, RegParams
 from .spectrum import analyze_target
 from .training import (
+    DivergenceError,
     ModelSpec,
     TrainConfig,
     estimate_linear_rate,
@@ -42,6 +45,7 @@ from .training import (
 )
 from .util import named_seed, named_stream
 from .verify import (
+    CenterNotCriticalError,
     RadiusSweepConfig,
     fit_counterexample_scaling,
     verify_error_bound,
@@ -103,19 +107,22 @@ def build_instance(cfg: dict, seed: int) -> Instance:
         {"dims", "lambdas", "lambda_uniform", "target", "grouping_tol"},
         "instance",
     )
-    dims = DimChain(tuple(int(d) for d in _require(block, "dims", "instance")))
-    depth = dims.depth
     if "lambdas" in block and "lambda_uniform" in block:
         raise ConfigError("give either 'lambdas' or 'lambda_uniform', not both")
-    if "lambdas" in block:
-        lams = tuple(float(x) for x in block["lambdas"])
-        if len(lams) != depth:
-            raise ConfigError(f"need {depth} lambdas, got {len(lams)}")
-        reg = RegParams(lams)
-    elif "lambda_uniform" in block:
-        reg = RegParams.uniform(float(block["lambda_uniform"]), depth)
-    else:
-        raise ConfigError("instance needs 'lambdas' or 'lambda_uniform'")
+    try:
+        dims = DimChain(tuple(int(d) for d in _require(block, "dims", "instance")))
+        depth = dims.depth
+        if "lambdas" in block:
+            lams = tuple(float(x) for x in block["lambdas"])
+            if len(lams) != depth:
+                raise ConfigError(f"need {depth} lambdas, got {len(lams)}")
+            reg = RegParams(lams)
+        elif "lambda_uniform" in block:
+            reg = RegParams.uniform(float(block["lambda_uniform"]), depth)
+        else:
+            raise ConfigError("instance needs 'lambdas' or 'lambda_uniform'")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
     tblock = _require(block, "target", "instance")
     _check_keys(tblock, {"kind", "scale", "values", "path", "seed"}, "instance.target")
@@ -142,6 +149,8 @@ def build_instance(cfg: dict, seed: int) -> Instance:
             )
     else:
         raise ConfigError(f"unknown target kind {kind!r}")
+    if not np.all(np.isfinite(target)):
+        raise ConfigError("target has non-finite entries")
     return Instance(dims, reg, target)
 
 
@@ -220,8 +229,10 @@ def _resolve_center(inst: Instance, center_spec: str, seed: int, target: str):
 
 
 def cmd_roots(args) -> int:
-    roots = solve_scalar_equation(args.y, getattr(args, "lam"), args.L)
-    lam, y, L = getattr(args, "lam"), args.y, args.L
+    lam, y, L = args.lam, args.y, args.L
+    if not (y >= 0 and lam > 0 and L >= 2):
+        raise ConfigError(f"need --y >= 0, --lambda > 0 and --L >= 2; got {y}, {lam}, {L}")
+    roots = solve_scalar_equation(y, lam, L)
     rows = []
     for r, deg, res in zip(roots.roots, roots.degenerate, roots.residuals):
         rows.append({"root": r, "residual": res, "degenerate": deg})
@@ -316,6 +327,8 @@ def cmd_verify_plqg(args) -> int:
 
 def cmd_counterexample(args) -> int:
     kind = {"l2": "l2-lambda-eq-y2", "lge3": "lge3-phi-prime-zero"}[args.kind]
+    if not (args.y > 0 and args.t > 0):
+        raise ConfigError(f"need --y > 0 and --t > 0; got {args.y}, {args.t}")
     out = Path(os.environ.get(OUTPUT_DIR_ENV, "deeplinear-out"))
     out.mkdir(parents=True, exist_ok=True)
     if args.fit:
@@ -386,7 +399,9 @@ def cmd_train(args) -> int:
     else:
         target = inst.target
 
-    traj = train(model, target, inst.reg, tcfg, inst.dims, center=center)
+    # Overflow on the way to a divergence is reported once, by DivergenceError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = train(model, target, inst.reg, tcfg, inst.dims, center=center)
     out = _output_dir(cfg)
     (out / "trajectory.csv").write_text(traj.to_csv())
     summary = traj.summary()
@@ -413,7 +428,12 @@ def cmd_reproduce_s4(args) -> int:
     seed = int(cfg.get("seed", 0))
     depths = cfg.get("depths", (2, 4, 6))
     if args.depths:
-        depths = tuple(int(d) for d in args.depths.split(","))
+        try:
+            depths = tuple(int(d) for d in args.depths.split(","))
+        except ValueError as exc:
+            raise ConfigError(f"--depths must be comma-separated integers: {exc}") from exc
+    if not all(isinstance(d, int) and d >= 2 for d in depths):
+        raise ConfigError(f"every depth must be an integer >= 2; got {list(depths)}")
     rows = reproduce_section4(depths=depths, seed=seed)
     out = _output_dir(cfg)
     (out / "section4.csv").write_text(section4_rows_to_csv(rows))
@@ -487,6 +507,10 @@ def main(argv=None) -> int:
         return 2
     except AssumptionError as exc:
         print(f"assumption violated: {exc}", file=sys.stderr)
+        return 1
+    except (DivergenceError, SolverError, InternalConsistencyError,
+            CenterNotCriticalError) as exc:
+        print(f"{args.command} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

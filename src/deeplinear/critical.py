@@ -33,8 +33,8 @@ from .network import (
     RegParams,
     ShapeError,
     WeightStack,
-    grad_norm_f,
-    grad_norm_g,
+    grad_f,
+    grad_g,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -799,11 +799,7 @@ def distance_to_component(
     dist = (stack - nearest).norm()
     if check_nearest:
         y = spectrum.target
-        gnorm = (
-            grad_norm_f(nearest, y, reg)
-            if target == "F"
-            else grad_norm_g(nearest, y, reg)
-        )
+        gnorm = (grad_f if target == "F" else grad_g)(nearest, y, reg).norm()
         if gnorm > 1e-9 * (1.0 + float(np.linalg.norm(y))):
             raise InternalConsistencyError(
                 f"projected point is not critical: gradient norm {gnorm}"

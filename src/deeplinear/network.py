@@ -1,4 +1,4 @@
-"""Regularized deep linear networks: losses, exact gradients, and rescalings.
+"""Regularized deep linear networks: losses, the gradient kernel, and rescalings.
 
 The two objectives handled here are the per-layer regularized squared loss
 
@@ -10,7 +10,9 @@ and its uniform-regularizer companion
 
 where lam is the product of the per-layer regularization weights.  The two
 problems share critical points up to the per-layer rescaling implemented by
-:func:`rescale_f_to_g`.
+:func:`rescale_f_to_g`.  Both, and the extended objectives of gradient descent
+(input matrix, biases, activations), are evaluated by one kernel,
+:func:`value_and_grad`.
 """
 
 from __future__ import annotations
@@ -191,71 +193,114 @@ def partial_product(stack: WeightStack, i: int, j: int) -> np.ndarray:
     return out
 
 
-def product_all(stack: WeightStack) -> np.ndarray:
-    """End-to-end map W_L ... W_1."""
-    return partial_product(stack, stack.depth, 1)
+ACTIVATIONS = ("identity", "relu", "leaky-relu", "tanh")
+LEAKY_SLOPE = 0.01
+
+
+def _act(z: np.ndarray, name: str) -> np.ndarray:
+    if name == "identity":
+        return z
+    if name == "relu":
+        return np.maximum(z, 0.0)
+    if name == "leaky-relu":
+        return np.where(z > 0.0, z, LEAKY_SLOPE * z)
+    return np.tanh(z)
+
+
+def _act_deriv(z: np.ndarray, name: str) -> np.ndarray:
+    """Derivative of a non-identity activation."""
+    if name == "relu":
+        # subgradient 0 at the kink
+        return (z > 0.0).astype(float)
+    if name == "leaky-relu":
+        return np.where(z > 0.0, 1.0, LEAKY_SLOPE)
+    t = np.tanh(z)
+    return 1.0 - t * t
+
+
+def _forward(layers, biases, x, target, reg, activation):
+    """Objective value, residual, pre-activations and activations of every layer."""
+    L = len(layers)
+    acts: list[np.ndarray | None] = [x]
+    pre: list[np.ndarray] = []
+    a = x
+    for l in range(L):
+        z = layers[l] @ a if a is not None else layers[l]
+        if biases is not None:
+            z = z + biases[l][:, None]
+        pre.append(z)
+        a = _act(z, activation) if l < L - 1 else z
+        acts.append(a)
+    resid = a - target
+    value = float(np.sum(resid * resid))
+    for lam, w in zip(reg.lambdas, layers):
+        value += lam * float(np.sum(w * w))
+    if biases is not None:
+        for lam, b in zip(reg.lambdas, biases):
+            value += lam * float(np.sum(b * b))
+    return value, resid, pre, acts
+
+
+def value_and_grad(
+    layers: list[np.ndarray],
+    biases: list[np.ndarray] | None,
+    x: np.ndarray | None,
+    target: np.ndarray,
+    reg: RegParams,
+    activation: str = "identity",
+) -> tuple[float, list[np.ndarray], list[np.ndarray] | None]:
+    """Objective value and exact layerwise gradients of the extended loss.
+
+    The one gradient kernel: a forward pass, then backpropagation.  ``x is
+    None`` means the identity input, which makes the objective ``loss_f``.
+    Activations apply after every layer except the last; biases (when
+    present) are regularized with the same per-layer weights as the matrices.
+    """
+    value, resid, pre, acts = _forward(layers, biases, x, target, reg, activation)
+    L = len(layers)
+    grads: list[np.ndarray | None] = [None] * L
+    gbias: list[np.ndarray | None] | None = [None] * L if biases is not None else None
+    dz = 2.0 * resid
+    for l in range(L - 1, -1, -1):
+        gw = dz @ acts[l].T if acts[l] is not None else dz.copy()
+        gw += 2.0 * reg.lambdas[l] * layers[l]
+        grads[l] = gw
+        if biases is not None:
+            gbias[l] = dz.sum(axis=1) + 2.0 * reg.lambdas[l] * biases[l]
+        if l > 0:
+            dz = layers[l].T @ dz
+            if activation != "identity":
+                dz *= _act_deriv(pre[l - 1], activation)
+    return value, grads, gbias
 
 
 def loss_f(stack: WeightStack, target: np.ndarray, reg: RegParams) -> float:
     """Squared residual of the end-to-end map plus per-layer Tikhonov terms."""
     target = _check_target(stack, target)
     _check_reg(stack, reg)
-    resid = product_all(stack) - target
-    value = float(np.sum(resid * resid))
-    for lam, w in zip(reg.lambdas, stack.layers):
-        value += lam * float(np.sum(w * w))
-    return value
+    return _forward(stack.layers, None, None, target, reg, "identity")[0]
 
 
 def grad_f(stack: WeightStack, target: np.ndarray, reg: RegParams) -> WeightStack:
-    """Exact gradient of :func:`loss_f` with respect to every layer.
-
-    Prefix products W_{l-1:1} and suffix products W_{L:l+1} are accumulated in
-    one forward and one backward sweep so the total cost stays linear in the
-    number of layers.
-    """
+    """Exact gradient of :func:`loss_f` with respect to every layer."""
     target = _check_target(stack, target)
     _check_reg(stack, reg)
-    L = stack.depth
-    prefix = [None] * (L + 1)  # prefix[l] = W_{l:1}, prefix[0] = I
-    prefix[0] = np.eye(stack.layers[0].shape[1])
-    for l in range(1, L + 1):
-        prefix[l] = stack.layers[l - 1] @ prefix[l - 1]
-    suffix = [None] * (L + 2)  # suffix[l] = W_{L:l}, suffix[L+1] = I
-    suffix[L + 1] = np.eye(stack.layers[-1].shape[0])
-    for l in range(L, 0, -1):
-        suffix[l] = suffix[l + 1] @ stack.layers[l - 1]
-    resid = prefix[L] - target
-    grads = []
-    for l in range(1, L + 1):
-        g = 2.0 * (suffix[l + 1].T @ resid @ prefix[l - 1].T)
-        g += 2.0 * reg.lambdas[l - 1] * stack.layers[l - 1]
-        grads.append(g)
-    return WeightStack(grads)
+    return WeightStack(value_and_grad(stack.layers, None, None, target, reg)[1])
 
 
-def grad_norm_f(stack: WeightStack, target: np.ndarray, reg: RegParams) -> float:
-    return grad_f(stack, target, reg).norm()
-
-
-def _uniform_companion(reg: RegParams) -> tuple[float, RegParams, float]:
+def uniform_companion(target: np.ndarray, reg: RegParams) -> tuple[np.ndarray, RegParams]:
+    """Target and weights of the F problem whose loss is G: sqrt(lam) Y and lam."""
     lam = reg.lambda_prod
-    return lam, RegParams.uniform(lam, reg.depth), math.sqrt(lam)
+    return math.sqrt(lam) * np.asarray(target, dtype=float), RegParams.uniform(lam, reg.depth)
 
 
 def loss_g(stack: WeightStack, target: np.ndarray, reg: RegParams) -> float:
     """Uniform-regularizer loss with target scaled by sqrt of the product weight."""
-    _, uni, root = _uniform_companion(reg)
-    return loss_f(stack, root * np.asarray(target, dtype=float), uni)
+    return loss_f(stack, *uniform_companion(target, reg))
 
 
 def grad_g(stack: WeightStack, target: np.ndarray, reg: RegParams) -> WeightStack:
-    _, uni, root = _uniform_companion(reg)
-    return grad_f(stack, root * np.asarray(target, dtype=float), uni)
-
-
-def grad_norm_g(stack: WeightStack, target: np.ndarray, reg: RegParams) -> float:
-    return grad_g(stack, target, reg).norm()
+    return grad_f(stack, *uniform_companion(target, reg))
 
 
 def rescale_f_to_g(stack: WeightStack, reg: RegParams) -> WeightStack:

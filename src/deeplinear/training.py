@@ -4,8 +4,8 @@ Plain full-batch gradient descent with the joint stopping rule
 ``grad_sq <= tol`` and ``|F change| <= tol`` reproduces the convergence
 experiments: linear rates near critical points, escape from two-layer
 saddles, trapping at deeper non-optimal components.  The extended objectives
-add an input matrix, per-layer biases, and elementwise activations, with
-gradients by explicit layerwise backpropagation.
+add an input matrix, per-layer biases, and elementwise activations; every
+objective is evaluated by the one gradient kernel, :func:`network.value_and_grad`.
 """
 
 from __future__ import annotations
@@ -18,14 +18,20 @@ import numpy as np
 
 from .critical import optimal_profile, profile_from_choices, sample_random_params, \
     construct_critical_point
-from .network import DimChain, RegParams, ShapeError, WeightStack, grad_f, loss_f
+from .network import (
+    ACTIVATIONS,
+    DimChain,
+    RegParams,
+    ShapeError,
+    WeightStack,
+    loss_f,
+    value_and_grad,
+)
 from .spectrum import analyze_target
-from .util import named_seed, named_stream
+from .util import fit_line, named_seed, named_stream
 
-ACTIVATIONS = ("identity", "relu", "leaky-relu", "tanh")
 MODEL_KINDS = ("linear", "linear-with-bias", "nonlinear")
 INIT_SCHEMES = ("near-critical", "uniform-fan-based", "gaussian")
-LEAKY_SLOPE = 0.01
 
 
 class DivergenceError(RuntimeError):
@@ -124,83 +130,13 @@ class Trajectory:
         }
 
 
-def _act(z: np.ndarray, name: str) -> np.ndarray:
-    if name == "identity":
-        return z
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "leaky-relu":
-        return np.where(z > 0.0, z, LEAKY_SLOPE * z)
-    return np.tanh(z)
-
-
-def _act_deriv(z: np.ndarray, name: str) -> np.ndarray:
-    if name == "identity":
-        return np.ones_like(z)
-    if name == "relu":
-        # subgradient 0 at the kink
-        return (z > 0.0).astype(float)
-    if name == "leaky-relu":
-        return np.where(z > 0.0, 1.0, LEAKY_SLOPE)
-    t = np.tanh(z)
-    return 1.0 - t * t
-
-
-def value_and_grad(
-    layers: list[np.ndarray],
-    biases: list[np.ndarray] | None,
-    x: np.ndarray | None,
-    target: np.ndarray,
-    reg: RegParams,
-    activation: str = "identity",
-) -> tuple[float, list[np.ndarray], list[np.ndarray] | None]:
-    """Objective value and exact layerwise gradients of the extended loss.
-
-    ``x is None`` means the identity input.  Activations apply after every
-    layer except the last; biases (when present) are regularized with the
-    same per-layer weights as the matrices.
-    """
-    L = len(layers)
-    acts: list[np.ndarray | None] = [x]
-    pre: list[np.ndarray] = []
-    a = x
-    for l in range(L):
-        z = layers[l] @ a if a is not None else layers[l].copy()
-        if biases is not None:
-            z = z + biases[l][:, None]
-        pre.append(z)
-        a = _act(z, activation) if l < L - 1 else z
-        acts.append(a)
-    resid = a - target
-    value = float(np.sum(resid * resid))
-    for lam, w in zip(reg.lambdas, layers):
-        value += lam * float(np.sum(w * w))
-    if biases is not None:
-        for lam, b in zip(reg.lambdas, biases):
-            value += lam * float(np.sum(b * b))
-
-    grads: list[np.ndarray | None] = [None] * L
-    gbias: list[np.ndarray | None] | None = [None] * L if biases is not None else None
-    dz = 2.0 * resid
-    for l in range(L - 1, -1, -1):
-        gw = dz @ acts[l].T if acts[l] is not None else dz.copy()
-        gw += 2.0 * reg.lambdas[l] * layers[l]
-        grads[l] = gw
-        if biases is not None:
-            gbias[l] = dz.sum(axis=1) + 2.0 * reg.lambdas[l] * biases[l]
-        if l > 0:
-            da = layers[l].T @ dz
-            dz = da * _act_deriv(pre[l - 1], activation)
-    return value, grads, gbias
-
-
 def _init_state(model, dims: DimChain, cfg: TrainConfig, center):
     rng = named_stream(cfg.seed, "init")
     d = dims.dims
     if cfg.init == "near-critical":
         if center is None:
             raise ValueError("near-critical initialization needs a center stack")
-        stack = center.copy() if isinstance(center, WeightStack) else center.stack.copy()
+        stack = center if isinstance(center, WeightStack) else center.stack
         layers = [
             w + cfg.init_scale * rng.standard_normal(w.shape) for w in stack.layers
         ]
@@ -257,25 +193,18 @@ def train(
     s_hist: list[float] = []
     snapshots: list[tuple[int, WeightStack]] = []
     snap_stride = max(1, cfg.log_stride)
-    last_finite = WeightStack([w.copy() for w in layers])
+    last_finite = layers
 
     t0 = time.perf_counter()
     termination = "max-iters"
     k = 0
-    fast_linear = model.kind == "linear" and x is None
     while k < cfg.max_iters:
-        if fast_linear:
-            stack = WeightStack(layers)
-            f_val = loss_f(stack, target, reg)
-            gstack = grad_f(stack, target, reg)
-            grads, gbias = gstack.layers, None
-        else:
-            f_val, grads, gbias = value_and_grad(
-                layers, biases, x, target, reg, model.activation
-            )
+        f_val, grads, gbias = value_and_grad(
+            layers, biases, x, target, reg, model.activation
+        )
         if not math.isfinite(f_val):
             raise DivergenceError(
-                f"objective became non-finite at iteration {k}", last_finite
+                f"objective became non-finite at iteration {k}", WeightStack(last_finite)
             )
         gsq = sum(float(np.sum(g * g)) for g in grads)
         if gbias is not None:
@@ -285,40 +214,34 @@ def train(
             termination = "converged"
             break
         if k % snap_stride == 0:
-            snapshots.append((k, WeightStack([w.copy() for w in layers])))
+            snapshots.append((k, WeightStack(layers)))
             if len(snapshots) > 128:
                 snapshots = snapshots[::2]
                 snap_stride *= 2
-        last_finite = WeightStack([w.copy() for w in layers])
+        # Updates are out of place, so the previous iterate stays intact.
+        last_finite = layers
         f_hist.append(f_val)
         g_hist.append(gsq)
-        step_sq = 0.0
-        for l in range(len(layers)):
-            delta = lr * grads[l]
-            step_sq += float(np.sum(delta * delta))
-            layers[l] -= delta
+        deltas = [lr * g for g in grads]
+        layers = [w - d for w, d in zip(layers, deltas)]
         if gbias is not None:
-            for l in range(len(biases)):
-                delta = lr * gbias[l]
-                step_sq += float(np.sum(delta * delta))
-                biases[l] -= delta
-        s_hist.append(step_sq)
+            bias_deltas = [lr * g for g in gbias]
+            biases = [b - d for b, d in zip(biases, bias_deltas)]
+            deltas += bias_deltas
+        s_hist.append(sum(float(np.sum(d * d)) for d in deltas))
         k += 1
     else:
         # ran out of iterations: record the final value for a complete series
-        if fast_linear:
-            f_hist.append(loss_f(WeightStack(layers), target, reg))
-        else:
-            f_val, _, _ = value_and_grad(layers, biases, x, target, reg, model.activation)
-            f_hist.append(f_val)
+        f_val, _, _ = value_and_grad(layers, biases, x, target, reg, model.activation)
+        f_hist.append(f_val)
 
     return Trajectory(
         f_values=np.asarray(f_hist),
         grad_sq=np.asarray(g_hist),
         step_norm_sq=np.asarray(s_hist),
         snapshots=snapshots,
-        final=WeightStack([w.copy() for w in layers]),
-        final_biases=[b.copy() for b in biases] if biases is not None else None,
+        final=WeightStack(layers),
+        final_biases=biases,
         termination=termination,
         wall_time=time.perf_counter() - t0,
     )
@@ -330,15 +253,6 @@ class RateFit:
     r_squared: float
     slope: float
     n_points: int
-
-
-def _fit_log_gap(ks: np.ndarray, logs: np.ndarray) -> tuple[float, float]:
-    slope, intercept = np.polyfit(ks, logs, 1)
-    pred = slope * ks + intercept
-    ss_res = float(np.sum((logs - pred) ** 2))
-    ss_tot = float(np.sum((logs - np.mean(logs)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), r2
 
 
 def estimate_linear_rate(traj: Trajectory, tail_fraction: float = 0.5) -> RateFit:
@@ -364,7 +278,7 @@ def estimate_linear_rate(traj: Trajectory, tail_fraction: float = 0.5) -> RateFi
             raise InsufficientDataError(
                 f"only {len(window)} usable tail points, need at least 20"
             )
-        slope, r2 = _fit_log_gap(window.astype(float), np.log(gaps[window]))
+        slope, r2 = fit_line(window.astype(float), np.log(gaps[window]))
         return slope, r2, window
 
     slope, r2, window = window_fit(valid)

@@ -22,3 +22,13 @@ def named_seed(seed: int, name: str) -> int:
     """Integer seed variant of :func:`named_stream` for APIs that take ints."""
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     return (int(seed) * 0x9E3779B9 + int.from_bytes(digest[:4], "little")) % (2**63)
+
+
+def fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope of y against x, and the fit's R^2 (1 for constant y)."""
+    slope, intercept = np.polyfit(x, y, 1)
+    pred = slope * x + intercept
+    ss_res = float(np.sum((y - pred) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return float(slope), r2

@@ -32,8 +32,18 @@ from .critical import (
     singular_direction,
     tangent_basis,
 )
-from .network import DimChain, RegParams, WeightStack, grad_f, grad_g, loss_f, loss_g
+from .network import (
+    DimChain,
+    RegParams,
+    WeightStack,
+    grad_g,
+    loss_f,
+    loss_g,
+    uniform_companion,
+    value_and_grad,
+)
 from .spectrum import TargetSpectrum, analyze_target, build_root_value_set
+from .util import fit_line
 
 PERTURBATION_MODES = ("gaussian-all-layers", "singular-direction", "tangent-removed")
 
@@ -123,22 +133,16 @@ class VerificationReport:
 
 def ols_loglog(x, y) -> tuple[float, float]:
     """Least-squares slope and R^2 of log(y) against log(x)."""
-    lx = np.log(np.asarray(x, dtype=float))
-    ly = np.log(np.asarray(y, dtype=float))
-    if len(lx) < 2:
+    if len(x) < 2:
         return math.nan, math.nan
-    slope, intercept = np.polyfit(lx, ly, 1)
-    pred = slope * lx + intercept
-    ss_res = float(np.sum((ly - pred) ** 2))
-    ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), r2
+    return fit_line(np.log(np.asarray(x, dtype=float)), np.log(np.asarray(y, dtype=float)))
 
 
 def _grad_and_loss(stack, target_matrix, reg, target):
-    if target == "F":
-        return grad_f(stack, target_matrix, reg).norm(), loss_f(stack, target_matrix, reg)
-    return grad_g(stack, target_matrix, reg).norm(), loss_g(stack, target_matrix, reg)
+    if target != "F":
+        target_matrix, reg = uniform_companion(target_matrix, reg)
+    value, grads, _ = value_and_grad(stack.layers, None, None, target_matrix, reg)
+    return WeightStack(grads).norm(), value
 
 
 def _unit_gaussian(rng, dims) -> WeightStack:
@@ -362,11 +366,8 @@ def verify_pl_qg(
         center, spectrum, reg, depth, profiles, ledger, target
     )
     cutoff, regime_source = _regime_cutoff(cfg, root_set.delta_sigma, ledger, target)
-    f_center = (
-        loss_f(center.stack, spectrum.target, reg)
-        if target == "F"
-        else loss_g(center.stack, spectrum.target, reg)
-    )
+    loss = loss_f if target == "F" else loss_g
+    f_center = loss(center.stack, spectrum.target, reg)
     samples = _run_sweep(center, spectrum, reg, cfg, profiles, depth, target, None)
     for s in samples:
         s.in_regime = s.radius <= cutoff
@@ -381,8 +382,7 @@ def verify_pl_qg(
         e = singular_direction(center, i)
         for sgn in (1.0, -1.0):
             w = center.stack + e.scale(sgn * r_probe)
-            _, lval = _grad_and_loss(w, spectrum.target, reg, target)
-            min_gap = min(min_gap, lval - f_center)
+            min_gap = min(min_gap, loss(w, spectrum.target, reg) - f_center)
     is_minimizer = min_gap >= -1e-10
 
     per_radius = []

@@ -4,7 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from deeplinear import cli
 from deeplinear.cli import main
+from deeplinear.critical import InternalConsistencyError, SolverError
+from deeplinear.verify import CenterNotCriticalError
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -174,3 +177,56 @@ def test_reproduce_s4_command(tmp_path, monkeypatch, capsys):
     csv_lines = (tmp_path / "s4" / "section4.csv").read_text().splitlines()
     assert csv_lines[0].startswith("depth,init,f_center,f_end,rate")
     assert len(csv_lines) == 3  # header + optimal + saddle
+
+
+def _failing_call(tmp_path, case):
+    if case == "divergent-train":
+        cfg = _base_config(
+            tmp_path, train={"learning_rate": 10, "max_iters": 500, "init": "gaussian"}
+        )
+        return ["train", _write_config(tmp_path, cfg)]
+    if case == "nan-target-file":
+        target = np.diag([2.0, 1.3])
+        target[0, 1] = np.nan
+        np.save(tmp_path / "target.npy", target)
+        cfg = _base_config(tmp_path)
+        cfg["instance"]["target"] = {"kind": "file", "path": str(tmp_path / "target.npy")}
+        return ["check-assumptions", _write_config(tmp_path, cfg)]
+    return {
+        "negative-root-target": ["roots", "--y", "-1", "--lambda", "1", "--L", "2"],
+        "one-layer-roots": ["roots", "--y", "2", "--lambda", "1", "--L", "1"],
+        "zero-counterexample-target": ["counterexample", "--kind", "l2", "--y", "0"],
+        "one-layer-s4": ["reproduce-s4", "--depths", "1"],
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [
+        ("divergent-train", 1),
+        ("nan-target-file", 2),
+        ("negative-root-target", 2),
+        ("one-layer-roots", 2),
+        ("zero-counterexample-target", 2),
+        ("one-layer-s4", 2),
+    ],
+)
+def test_error_paths_exit_with_one_line(case, code, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DEEPLINEAR_OUT", str(tmp_path / "out"))
+    assert main(_failing_call(tmp_path, case)) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "error", [SolverError, InternalConsistencyError, CenterNotCriticalError]
+)
+def test_numerical_failures_exit_one(error, monkeypatch, capsys):
+    def fail(*args):
+        raise error("synthetic failure")
+
+    monkeypatch.setattr(cli, "solve_scalar_equation", fail)
+    assert main(["roots", "--y", "2", "--lambda", "1", "--L", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == [f"roots failed: {error.__name__}: synthetic failure"]

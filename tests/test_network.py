@@ -19,6 +19,7 @@ from deeplinear import (
     rescale_f_to_g,
     rescale_g_to_f,
     sample_random_params,
+    value_and_grad,
 )
 from conftest import finite_difference_grad, random_instance
 
@@ -74,6 +75,24 @@ def test_gradient_matches_central_differences(rng):
         numeric = finite_difference_grad(lambda s: loss_f(s, target, reg), stack)
         err = (analytic - numeric).norm() / max(1.0, numeric.norm())
         assert err <= 1e-6
+
+
+def test_kernel_agrees_exactly_with_f_and_g_views(rng):
+    for _ in range(8):
+        depth = int(rng.integers(2, 6))
+        dims, reg, target = random_instance(rng, depth=depth, max_dim=6)
+        stack = WeightStack.gaussian(dims, rng)
+        lam = reg.lambda_prod
+        problems = [
+            (target, reg, loss_f, grad_f),
+            (math.sqrt(lam) * target, RegParams.uniform(lam, depth), loss_g, grad_g),
+        ]
+        for y, kernel_reg, loss, grad in problems:
+            value, grads, gbias = value_and_grad(stack.layers, None, None, y, kernel_reg)
+            assert gbias is None
+            assert value == loss(stack, target, reg)
+            for a, b in zip(grads, grad(stack, target, reg).layers):
+                assert np.array_equal(a, b)
 
 
 def test_gradient_vanishes_at_constructed_critical_point(rng):

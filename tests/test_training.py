@@ -129,8 +129,17 @@ def test_divergence_raises_with_last_finite(rng):
     cfg = TrainConfig(learning_rate=10.0, max_iters=500, seed=1, init="gaussian")
     with pytest.raises(DivergenceError) as err, np.errstate(over="ignore", invalid="ignore"):
         train(ModelSpec(), target, reg, cfg, dims)
-    assert err.value.last_finite is not None
-    assert all(np.all(np.isfinite(w)) for w in err.value.last_finite.layers)
+    last = err.value.last_finite
+    assert last is not None
+    assert all(np.all(np.isfinite(w)) for w in last.layers)
+    # last_finite is the final iterate with a finite objective: one more step
+    # from it, at the same learning rate, diverges.
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, grads, _ = value_and_grad(last.layers, None, None, target, reg)
+        assert math.isfinite(value)
+        step = [w - cfg.learning_rate * g for w, g in zip(last.layers, grads)]
+        value, _, _ = value_and_grad(step, None, None, target, reg)
+    assert not math.isfinite(value)
 
 
 def test_near_critical_init_converges_close_to_center(rng):
