@@ -14,7 +14,13 @@ from .network import (
     rescale_g_to_f,
     value_and_grad,
 )
-from .spectrum import RootValueSet, TargetSpectrum, analyze_target, build_root_value_set
+from .spectrum import (
+    Instance,
+    RootValueSet,
+    TargetSpectrum,
+    analyze_target,
+    build_root_value_set,
+)
 from .critical import (
     AssumptionError,
     ComponentDistance,

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,15 +23,14 @@ from .critical import (
     InternalConsistencyError,
     SolverError,
     construct_critical_point,
-    enumerate_sigma_profiles,
     optimal_profile,
     profile_from_choices,
     sample_random_params,
     solve_scalar_equation,
     zero_profile,
 )
-from .network import DimChain, RegParams
-from .spectrum import analyze_target
+from .network import DimChain, RegParams, ShapeError
+from .spectrum import Instance
 from .training import (
     DivergenceError,
     ModelSpec,
@@ -90,21 +88,11 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-@dataclass
-class Instance:
-    dims: DimChain
-    reg: RegParams
-    target: np.ndarray
-
-    def spectrum(self, grouping_tol: float = 1e-8):
-        return analyze_target(self.target, grouping_tol)
-
-
 def build_instance(cfg: dict, seed: int) -> Instance:
     block = _require(cfg, "instance", "config")
     _check_keys(
         block,
-        {"dims", "lambdas", "lambda_uniform", "target", "grouping_tol"},
+        {"dims", "lambdas", "lambda_uniform", "target"},
         "instance",
     )
     if "lambdas" in block and "lambda_uniform" in block:
@@ -142,16 +130,14 @@ def build_instance(cfg: dict, seed: int) -> Instance:
             raise ConfigError(f"target file not found: {path}")
         target = np.load(path) if path.suffix == ".npy" else np.loadtxt(path)
         target = np.atleast_2d(np.asarray(target, dtype=float))
-        if target.shape != (dims.d_out, dims.d_in):
-            raise ConfigError(
-                f"target file has shape {target.shape}, dims need "
-                f"({dims.d_out}, {dims.d_in})"
-            )
     else:
         raise ConfigError(f"unknown target kind {kind!r}")
     if not np.all(np.isfinite(target)):
         raise ConfigError("target has non-finite entries")
-    return Instance(dims, reg, target)
+    try:
+        return Instance(dims, reg, target)
+    except ShapeError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _output_dir(cfg: dict) -> Path:
@@ -199,33 +185,26 @@ def _sweep_config(cfg: dict, seed: int) -> tuple[RadiusSweepConfig, str, str]:
 
 
 def _resolve_center(inst: Instance, center_spec: str, seed: int, target: str):
-    spectrum = inst.spectrum()
-    depth = inst.dims.depth
+    rank = inst.spectrum.rank
     if center_spec == "zero":
-        profile = zero_profile(spectrum, inst.reg, depth)
+        profile = zero_profile(inst)
     elif center_spec == "optimal":
-        profile = optimal_profile(spectrum, inst.reg, depth)
+        profile = optimal_profile(inst)
     elif center_spec == "saddle":
-        choices = [-1] * spectrum.rank
-        if spectrum.rank:
+        choices = [-1] * rank
+        if rank:
             choices[-1] = 0
-        profile = profile_from_choices(spectrum, inst.reg, depth, choices)
+        profile = profile_from_choices(inst, choices)
     else:
-        enum = enumerate_sigma_profiles(spectrum, inst.reg, depth)
         try:
-            profile = enum.profiles[int(center_spec)]
+            profile = inst.profiles.profiles[int(center_spec)]
         except (ValueError, IndexError) as exc:
             raise ConfigError(
                 f"sweep.center must be 'zero', 'optimal', 'saddle', or a valid "
                 f"profile index; got {center_spec!r}"
             ) from exc
-    params = sample_random_params(
-        inst.dims, spectrum, seed=named_seed(seed, "center-params")
-    )
-    point = construct_critical_point(
-        profile, params, spectrum, inst.reg, depth, target=target, dims=inst.dims
-    )
-    return spectrum, point
+    params = sample_random_params(inst, seed=named_seed(seed, "center-params"))
+    return construct_critical_point(profile, params, inst, target=target)
 
 
 def cmd_roots(args) -> int:
@@ -251,7 +230,7 @@ def cmd_check_assumptions(args) -> int:
     cfg = load_config(args.config)
     seed = int(cfg.get("seed", 0))
     inst = build_instance(cfg, seed)
-    report = check_assumptions(inst.dims, inst.spectrum(), inst.reg)
+    report = check_assumptions(inst)
     payload = report.to_dict()
     out = _output_dir(cfg)
     dump_json(payload, out / "assumptions.json")
@@ -263,24 +242,20 @@ def cmd_constants(args) -> int:
     cfg = load_config(args.config)
     seed = int(cfg.get("seed", 0))
     inst = build_instance(cfg, seed)
-    spectrum = inst.spectrum()
-    depth = inst.dims.depth
-    enum = enumerate_sigma_profiles(spectrum, inst.reg, depth)
     if args.profile is None:
-        profile = optimal_profile(spectrum, inst.reg, depth)
+        profile = optimal_profile(inst)
     else:
-        if not 0 <= args.profile < len(enum.profiles):
+        profiles = inst.profiles.profiles
+        if not 0 <= args.profile < len(profiles):
             print(
                 f"profile index {args.profile} out of range "
-                f"(0..{len(enum.profiles) - 1})",
+                f"(0..{len(profiles) - 1})",
                 file=sys.stderr,
             )
             return 2
-        profile = enum.profiles[args.profile]
+        profile = profiles[args.profile]
     try:
-        ledger = compute_ledger(
-            spectrum, inst.reg, depth, profile, inst.dims, all_profiles=enum
-        )
+        ledger = compute_ledger(inst, profile)
     except AssumptionError as exc:
         print(f"constants: refused: {exc}", file=sys.stderr)
         return 1
@@ -310,8 +285,8 @@ def cmd_verify_eb(args) -> int:
     seed = int(cfg.get("seed", 0))
     inst = build_instance(cfg, seed)
     sweep, center_spec, target = _sweep_config(cfg, seed)
-    spectrum, point = _resolve_center(inst, center_spec, seed, target)
-    report = verify_error_bound(point, spectrum, inst.reg, sweep, target=target)
+    point = _resolve_center(inst, center_spec, seed, target)
+    report = verify_error_bound(point, inst, sweep, target=target)
     return _finish_report(report, _output_dir(cfg), "verify-eb")
 
 
@@ -320,8 +295,8 @@ def cmd_verify_plqg(args) -> int:
     seed = int(cfg.get("seed", 0))
     inst = build_instance(cfg, seed)
     sweep, center_spec, target = _sweep_config(cfg, seed)
-    spectrum, point = _resolve_center(inst, center_spec, seed, target)
-    report = verify_pl_qg(point, spectrum, inst.reg, sweep, target=target)
+    point = _resolve_center(inst, center_spec, seed, target)
+    report = verify_pl_qg(point, inst, sweep, target=target)
     return _finish_report(report, _output_dir(cfg), "verify-plqg")
 
 
@@ -390,8 +365,7 @@ def cmd_train(args) -> int:
 
     center = None
     if tcfg.init == "near-critical":
-        _, point = _resolve_center(inst, str(tblock.get("center", "optimal")), seed, "F")
-        center = point.stack
+        center = _resolve_center(inst, str(tblock.get("center", "optimal")), seed, "F").stack
     if model.input_matrix is not None and inst.target.shape[1] != model.input_matrix.shape[1]:
         # regenerate a target matching the sample count for general inputs
         rng = named_stream(seed, "instance-target")

@@ -13,14 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critical import (
-    AssumptionError,
-    ProfileEnumeration,
-    SigmaProfile,
-    enumerate_sigma_profiles,
-)
-from .network import DimChain, RegParams
-from .spectrum import RootValueSet, TargetSpectrum, build_root_value_set
+from .critical import AssumptionError, SigmaProfile
+from .spectrum import Instance, build_root_value_set
 
 ASSUMPTION_REL_TOL = 1e-9
 
@@ -88,14 +82,10 @@ class AssumptionReport:
         }
 
 
-def check_assumptions(
-    dims: DimChain, spectrum: TargetSpectrum, reg: RegParams, depth: int | None = None
-) -> AssumptionReport:
+def check_assumptions(inst: Instance) -> AssumptionReport:
     """Width condition plus the non-degeneracy of lam against every y_i."""
-    L = dims.depth if depth is None else depth
-    if dims.depth != L or reg.depth != L:
-        raise ValueError("depth mismatch between dims and reg")
-    lam = reg.lambda_prod
+    spectrum, L = inst.spectrum, inst.depth
+    lam = inst.reg.lambda_prod
     violated = []
     margins = []
     excluded = []
@@ -107,7 +97,7 @@ def check_assumptions(
         if rel <= ASSUMPTION_REL_TOL:
             violated.append(i)
     return AssumptionReport(
-        assumption1=dims.assumption1,
+        assumption1=inst.dims.assumption1,
         assumption2=not violated,
         violated_indices=violated,
         margins=margins,
@@ -209,10 +199,9 @@ class EbConstantsLedger:
         return ",".join(repr(getattr(self, name)) for name in LEDGER_COLUMNS)
 
 
-def _zero_profile_constants(
-    spectrum: TargetSpectrum, reg: RegParams, L: int
-) -> tuple[float, float]:
-    lam = reg.lambda_prod
+def _zero_profile_constants(inst: Instance) -> tuple[float, float]:
+    spectrum, L = inst.spectrum, inst.depth
+    lam = inst.reg.lambda_prod
     rl = math.sqrt(lam)
     y1 = spectrum.y_top
     if L == 2:
@@ -229,14 +218,10 @@ def _zero_profile_constants(
 
 
 def _profile_constants(
-    spectrum: TargetSpectrum,
-    reg: RegParams,
-    L: int,
-    profile: SigmaProfile,
-    d_max: int,
-    delta_sigma: float,
+    inst: Instance, profile: SigmaProfile, d_max: int, delta_sigma: float
 ) -> dict:
-    lam = reg.lambda_prod
+    spectrum, L = inst.spectrum, inst.depth
+    lam = inst.reg.lambda_prod
     rl = math.sqrt(lam)
     smax = profile.sigma_max
     smin = profile.sigma_min_pos
@@ -372,24 +357,15 @@ def _profile_constants(
     )
 
 
-def compute_ledger(
-    spectrum: TargetSpectrum,
-    reg: RegParams,
-    depth: int,
-    profile: SigmaProfile,
-    dims: DimChain,
-    root_set: RootValueSet | None = None,
-    all_profiles: ProfileEnumeration | list[SigmaProfile] | None = None,
-    enum_cap: int = 1024,
-) -> EbConstantsLedger:
+def compute_ledger(inst: Instance, profile: SigmaProfile) -> EbConstantsLedger:
     """Full constant ledger for one instance and one profile.
 
     Refuses when the width or non-degeneracy assumptions fail, naming the
     constant that becomes undefined.  ``d_max`` is taken over the whole layer
-    chain, which is why ``dims`` is required here.
+    chain; (kappa, eps) aggregate over the instance's profile enumeration.
     """
-    L = depth
-    report = check_assumptions(dims, spectrum, reg, L)
+    L = inst.depth
+    report = check_assumptions(inst)
     if not report.assumption1:
         raise AssumptionError(
             "hidden widths below min(d_0, d_L): the closed-form critical set "
@@ -405,24 +381,16 @@ def compute_ledger(
             f"regularization weight hits the excluded value at indices {idx}: {detail}"
         )
 
-    if root_set is None:
-        root_set = build_root_value_set(spectrum, reg, L)
-    d_max = max(dims.dims)
-    eps0, kappa0 = _zero_profile_constants(spectrum, reg, L)
-
-    truncated = False
-    if all_profiles is None:
-        all_profiles = enumerate_sigma_profiles(spectrum, reg, L, cap=enum_cap)
-    if isinstance(all_profiles, ProfileEnumeration):
-        truncated = all_profiles.truncated
-        all_profiles = all_profiles.profiles
+    root_set = build_root_value_set(inst)
+    d_max = max(inst.dims.dims)
+    eps0, kappa0 = _zero_profile_constants(inst)
 
     kappa = kappa0
     eps = eps0
-    for prof in all_profiles:
+    for prof in inst.profiles.profiles:
         if prof.is_zero:
             continue
-        vals = _profile_constants(spectrum, reg, L, prof, d_max, root_set.delta_sigma)
+        vals = _profile_constants(inst, prof, d_max, root_set.delta_sigma)
         kappa = max(kappa, vals["kappa_sigma"])
         eps = min(eps, vals["eps_sigma"])
 
@@ -448,13 +416,12 @@ def compute_ledger(
             )
         }
     else:
-        own = _profile_constants(
-            spectrum, reg, L, profile, d_max, root_set.delta_sigma
-        )
+        own = _profile_constants(inst, profile, d_max, root_set.delta_sigma)
 
+    reg = inst.reg
     lam = reg.lambda_prod
     return EbConstantsLedger(
-        delta_y=spectrum.delta_y,
+        delta_y=inst.spectrum.delta_y,
         delta_sigma=root_set.delta_sigma,
         d_max=d_max,
         eps_zero=eps0,
@@ -468,6 +435,6 @@ def compute_ledger(
         r_sigma=profile.r_sigma,
         g_max=profile.g_max,
         p=profile.p_distinct,
-        enumeration_truncated=truncated,
+        enumeration_truncated=inst.profiles.truncated,
         **own,
     )

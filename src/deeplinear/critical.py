@@ -38,7 +38,7 @@ from .network import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .spectrum import TargetSpectrum
+    from .spectrum import Instance, TargetSpectrum
 
 
 class SolverError(RuntimeError):
@@ -56,6 +56,7 @@ class InternalConsistencyError(RuntimeError):
 GRID_CELLS = 4096
 BISECT_TOL = 1e-14
 DEGENERACY_TOL = 1e-7  # |q'(root)| below this (scaled) flags a multiple root
+PROJECTION_SWEEPS = 200  # cap on alternating-Procrustes sweeps per projection
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,8 @@ def solve_scalar_equation(y: float, lam: float, depth: int) -> ScalarRoots:
     Uses a 4096-cell bracketing grid on (0, (sqrt(lam) y)^(1/L)] (every
     positive root lies in that interval since x^L <= sqrt(lam) y there),
     bisection on each sign change, and one Newton polish.  The interior
-    minimizer of q is added to the grid so tangential (double) roots are
-    caught and flagged.
+    minimizer of q is added to the grid, and tested on its own: a tangential
+    (double) root can only sit there, so it is caught and flagged.
     """
     y = float(y)
     lam = float(lam)
@@ -133,12 +134,13 @@ def solve_scalar_equation(y: float, lam: float, depth: int) -> ScalarRoots:
     if y > 0.0:
         bracket = (root_lam * y) ** (1.0 / L)
         grid = list(np.linspace(0.0, bracket, GRID_CELLS + 1))
-        if L >= 3:
-            # q decreases then increases; its only interior critical point.
-            x_min = ((L - 2) * root_lam * y / (2 * L - 2)) ** (1.0 / L)
-            if 0.0 < x_min < bracket:
-                grid.append(x_min)
-                grid.sort()
+        # For L >= 3, q decreases then increases; x_min is its only interior
+        # critical point (for L = 2 it is 0 and q only increases).
+        x_min = ((L - 2) * root_lam * y / (2 * L - 2)) ** (1.0 / L)
+        interior = 0.0 < x_min < bracket
+        if interior:
+            grid.append(x_min)
+            grid.sort()
         qvals = [q(x) for x in grid]
 
         found: list[float] = []
@@ -151,13 +153,16 @@ def solve_scalar_equation(y: float, lam: float, depth: int) -> ScalarRoots:
                 found.append(_bisect(q, a, b, qa, qb))
         if qvals[-1] == 0.0:
             found.append(grid[-1])
-        # A tangential root leaves no sign change; the grid point at the
-        # interior minimum exposes it.
-        for k, x in enumerate(grid):
-            if x > 0.0 and abs(qvals[k]) <= res_tol and not any(
-                abs(x - r) <= 1e-9 * max(1.0, bracket) for r in found
-            ):
-                found.append(x)
+        # A tangential root leaves no sign change and can only sit at x_min.
+        # No other grid point is accepted on its residual alone: when
+        # sqrt(lam) is below about 1e-12 * y, every point below the small
+        # root is within res_tol of zero.
+        if (
+            interior
+            and abs(q(x_min)) <= res_tol
+            and not any(abs(x_min - r) <= 1e-9 * max(1.0, bracket) for r in found)
+        ):
+            found.append(x_min)
 
         polished = []
         for r in sorted(found):
@@ -265,26 +270,22 @@ def _make_profile(sigma_eq, choice, d_min, degenerate) -> SigmaProfile:
     )
 
 
-def profile_from_choices(
-    spectrum: "TargetSpectrum", reg: RegParams, depth: int, choices
-) -> SigmaProfile:
+def profile_from_choices(inst: "Instance", choices) -> SigmaProfile:
     """Profile picking one explicit root (by index, ascending) per positive y_i.
 
     Negative indices follow Python semantics, so -1 selects the largest root
     of each equation.
     """
-    lam = reg.lambda_prod
     choices = list(choices)
-    if len(choices) != spectrum.rank:
+    if len(choices) != len(inst.roots):
         raise ValueError(
-            f"need one choice per positive singular value ({spectrum.rank}), "
+            f"need one choice per positive singular value ({len(inst.roots)}), "
             f"got {len(choices)}"
         )
     sigma_eq = []
     idx = []
     degenerate = False
-    for i, c in enumerate(choices):
-        roots = solve_scalar_equation(float(spectrum.y[i]), lam, depth)
+    for roots, c in zip(inst.roots, choices):
         c = int(c)
         val = roots.roots[c]
         if c < 0:
@@ -292,18 +293,16 @@ def profile_from_choices(
         sigma_eq.append(val)
         idx.append(c)
         degenerate = degenerate or roots.degenerate[c]
-    return _make_profile(sigma_eq, idx, spectrum.d_min, degenerate)
+    return _make_profile(sigma_eq, idx, inst.dims.d_min, degenerate)
 
 
-def zero_profile(spectrum: "TargetSpectrum", reg: RegParams, depth: int) -> SigmaProfile:
-    return profile_from_choices(spectrum, reg, depth, [0] * spectrum.rank)
+def zero_profile(inst: "Instance") -> SigmaProfile:
+    return profile_from_choices(inst, [0] * len(inst.roots))
 
 
-def optimal_profile(
-    spectrum: "TargetSpectrum", reg: RegParams, depth: int
-) -> SigmaProfile:
+def optimal_profile(inst: "Instance") -> SigmaProfile:
     """Profile with the largest root at every index: the lowest-loss component."""
-    return profile_from_choices(spectrum, reg, depth, [-1] * spectrum.rank)
+    return profile_from_choices(inst, [-1] * len(inst.roots))
 
 
 @dataclass
@@ -313,9 +312,7 @@ class ProfileEnumeration:
     truncated: bool
 
 
-def enumerate_sigma_profiles(
-    spectrum: "TargetSpectrum", reg: RegParams, depth: int, cap: int = 1024
-) -> ProfileEnumeration:
+def enumerate_sigma_profiles(inst: "Instance", cap: int = 1024) -> ProfileEnumeration:
     """All distinct sigma profiles (up to ``cap``), zero profile included.
 
     The Cartesian product over per-index root choices is walked largest-root
@@ -325,11 +322,9 @@ def enumerate_sigma_profiles(
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    lam = reg.lambda_prod
-    d_min = spectrum.d_min
-    per_index: list[ScalarRoots] = []
-    for i in range(spectrum.rank):
-        per_index.append(solve_scalar_equation(float(spectrum.y[i]), lam, depth))
+    d_min = inst.dims.d_min
+    per_index = inst.roots
+    rank = len(per_index)
 
     total = 1
     for roots in per_index:
@@ -362,8 +357,8 @@ def enumerate_sigma_profiles(
     if zero_key not in seen:
         profiles.append(
             _make_profile(
-                [0.0] * spectrum.rank,
-                [0] * spectrum.rank,
+                [0.0] * rank,
+                [0] * rank,
                 d_min,
                 any(r.degenerate[0] for r in per_index),
             )
@@ -405,23 +400,21 @@ def haar_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * signs
 
 
-def identity_params(dims: DimChain, spectrum: "TargetSpectrum") -> CriticalParams:
+def identity_params(inst: "Instance") -> CriticalParams:
+    dims = inst.dims
     inner = [np.eye(dims.dims[l - 1]) for l in range(2, dims.depth + 1)]
-    blocks = [np.eye(h) for h in spectrum.multiplicities]
+    blocks = [np.eye(h) for h in inst.spectrum.multiplicities]
     return CriticalParams(inner, blocks)
 
 
 def sample_random_params(
-    dims: DimChain,
-    spectrum: "TargetSpectrum",
-    profile: SigmaProfile | None = None,
-    seed: int | np.random.Generator = 0,
+    inst: "Instance", seed: int | np.random.Generator = 0
 ) -> CriticalParams:
     """Haar-random orthogonal factors, deterministic for a fixed seed."""
-    del profile  # factor shapes depend only on the dims and the target blocks
+    dims = inst.dims
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     inner = [haar_orthogonal(rng, dims.dims[l - 1]) for l in range(2, dims.depth + 1)]
-    blocks = [haar_orthogonal(rng, h) for h in spectrum.multiplicities]
+    blocks = [haar_orthogonal(rng, h) for h in inst.spectrum.multiplicities]
     return CriticalParams(inner, blocks)
 
 
@@ -493,11 +486,8 @@ class CriticalPoint:
 def construct_critical_point(
     profile: SigmaProfile,
     params: CriticalParams,
-    spectrum: "TargetSpectrum",
-    reg: RegParams,
-    depth: int,
+    inst: "Instance",
     target: str = "F",
-    dims: DimChain | None = None,
 ) -> CriticalPoint:
     """Assemble the critical point determined by a profile and free factors.
 
@@ -505,13 +495,7 @@ def construct_critical_point(
     its left frame; repeated-value blocks of the target are mixed by the
     shared orthogonal factors in ``params``.
     """
-    if dims is None:
-        sizes = [spectrum.d_in] + [spectrum.d_min] * (depth - 1) + [spectrum.d_out]
-        dims = DimChain(tuple(sizes))
-    if dims.depth != depth or reg.depth != depth:
-        raise ShapeError("depth mismatch between dims, reg, and request")
-    if dims.dims[0] != spectrum.d_in or dims.dims[-1] != spectrum.d_out:
-        raise ShapeError("dims do not match the target's shape")
+    dims, spectrum, depth = inst.dims, inst.spectrum, inst.depth
     if not dims.assumption1:
         raise AssumptionError(
             f"hidden widths {dims.hidden} are narrower than min(d_0, d_L)="
@@ -521,7 +505,7 @@ def construct_critical_point(
         raise ShapeError("params do not match the dims/spectrum block structure")
     params.validate()
 
-    sig_mats = _sigma_matrices(profile, dims, reg, target)
+    sig_mats = _sigma_matrices(profile, dims, inst.reg, target)
     m_in, m_out = _block_mixers(params, spectrum, dims.dims[0], dims.dims[-1])
 
     q = {l: params.inner[l - 2] for l in range(2, depth + 1)}
@@ -674,14 +658,7 @@ class ComponentDistance:
 
 
 def distance_to_component(
-    stack: WeightStack,
-    profile: SigmaProfile,
-    spectrum: "TargetSpectrum",
-    reg: RegParams,
-    depth: int,
-    iters: int = 200,
-    target: str = "F",
-    check_nearest: bool = True,
+    stack: WeightStack, profile: SigmaProfile, inst: "Instance", target: str = "F"
 ) -> ComponentDistance:
     """Certified distance bracket from ``stack`` to one component.
 
@@ -690,14 +667,16 @@ def distance_to_component(
     component's singular-value pattern), then alternate closed-form
     Procrustes updates over each factor.  Every update solves its subproblem
     exactly, so the objective is nonincreasing; a rise beyond roundoff is an
-    internal error.
+    internal error, and so is a projected point that is not critical.  At
+    most ``PROJECTION_SWEEPS`` sweeps run; ``converged`` says whether the
+    objective settled before the cap.
     """
+    spectrum, reg, L = inst.spectrum, inst.reg, inst.depth
     dims = stack.dim_chain()
     if dims.dims[0] != spectrum.d_in or dims.dims[-1] != spectrum.d_out:
         raise ShapeError("stack endpoints do not match the target's shape")
-    L = depth
     if dims.depth != L:
-        raise ShapeError("stack depth does not match request")
+        raise ShapeError("stack depth does not match the instance")
     lower = mirsky_lower_bound(stack, profile, reg, target)
 
     if profile.is_zero or spectrum.rank == 0:
@@ -781,7 +760,7 @@ def distance_to_component(
     obj = (stack - member()).norm() ** 2
     sweeps = 0
     converged = False
-    for sweeps in range(1, iters + 1):
+    for sweeps in range(1, PROJECTION_SWEEPS + 1):
         update_seams()
         update_blocks()
         new_obj = (stack - member()).norm() ** 2
@@ -797,13 +776,12 @@ def distance_to_component(
 
     nearest = member()
     dist = (stack - nearest).norm()
-    if check_nearest:
-        y = spectrum.target
-        gnorm = (grad_f if target == "F" else grad_g)(nearest, y, reg).norm()
-        if gnorm > 1e-9 * (1.0 + float(np.linalg.norm(y))):
-            raise InternalConsistencyError(
-                f"projected point is not critical: gradient norm {gnorm}"
-            )
+    y = spectrum.target
+    gnorm = (grad_f if target == "F" else grad_g)(nearest, y, reg).norm()
+    if gnorm > 1e-9 * (1.0 + float(np.linalg.norm(y))):
+        raise InternalConsistencyError(
+            f"projected point is not critical: gradient norm {gnorm}"
+        )
     # The bracket must be consistent; tolerate only roundoff inversion.
     if dist < lower - 1e-9 * (1.0 + lower):
         raise InternalConsistencyError(
@@ -819,49 +797,39 @@ class SetDistance:
     profile_index: int
     nearest: WeightStack
     truncated: bool
+    converged: bool  # every projection run for this distance converged
 
 
 def distance_to_critical_set(
-    stack: WeightStack,
-    profiles: list[SigmaProfile] | ProfileEnumeration,
-    spectrum: "TargetSpectrum",
-    reg: RegParams,
-    depth: int,
-    iters: int = 200,
-    target: str = "F",
+    stack: WeightStack, inst: "Instance", target: str = "F"
 ) -> SetDistance:
-    """Minimum component distance over the enumerated profiles.
+    """Minimum component distance over the instance's enumerated profiles.
 
     Profiles whose certified lower bound already exceeds the best upper bound
     are skipped.  Candidates are visited in order of their lower bound, with
     the enumeration index breaking ties so results are deterministic.
     """
-    truncated = False
-    if isinstance(profiles, ProfileEnumeration):
-        truncated = profiles.truncated
-        profiles = profiles.profiles
-    if not profiles:
-        raise ValueError("need at least one profile")
-
+    enum = inst.profiles
+    profiles = enum.profiles
     svals = layer_singular_values(stack)
     lowers = [
-        mirsky_lower_bound(stack, prof, reg, target, layer_svals=svals)
+        mirsky_lower_bound(stack, prof, inst.reg, target, layer_svals=svals)
         for prof in profiles
     ]
     order = sorted(range(len(profiles)), key=lambda k: (lowers[k], k))
     best: ComponentDistance | None = None
     best_idx = -1
+    converged = True
     for k in order:
         if best is not None and lowers[k] >= best.distance:
             continue
-        cand = distance_to_component(
-            stack, profiles[k], spectrum, reg, depth, iters=iters, target=target
-        )
+        cand = distance_to_component(stack, profiles[k], inst, target=target)
+        converged = converged and cand.converged
         if best is None or cand.distance < best.distance:
             best = cand
             best_idx = k
     assert best is not None
     overall_lower = min(lowers)
     return SetDistance(
-        best.distance, overall_lower, best_idx, best.nearest, truncated
+        best.distance, overall_lower, best_idx, best.nearest, enum.truncated, converged
     )

@@ -1,21 +1,24 @@
-"""Spectral data of the target matrix: SVD, repeated-value partition, gaps.
+"""The problem instance and the spectral data of its target matrix.
 
 Everything downstream of the target matrix Y is phrased in terms of its
 singular values y_1 >= ... >= y_{d_min} and the partition of the positive
 ones into blocks of equal value.  This module computes that partition, the
 minimal gap ``delta_y`` between distinct values, and the set of all
 nonnegative solutions of the per-value scalar stationarity equation together
-with its separation ``delta_sigma``.
+with its separation ``delta_sigma``.  :class:`Instance` is the one problem
+object the library passes around: it solves each stationarity equation once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .network import RegParams
+from . import critical
+from .network import DimChain, RegParams, ShapeError
 
 
 @dataclass
@@ -146,13 +149,9 @@ class RootValueSet:
     degenerate: bool = False  # any value is a multiple root of its equation
 
 
-def build_root_value_set(
-    spectrum: TargetSpectrum, reg: RegParams, depth: int
-) -> RootValueSet:
+def build_root_value_set(inst: "Instance") -> RootValueSet:
     """Union of the root sets of the scalar equation over all singular values."""
-    from .critical import solve_scalar_equation
-
-    lam = reg.lambda_prod
+    spectrum = inst.spectrum
     values = [0.0]
     degenerate = False
     seen = set()
@@ -161,7 +160,7 @@ def build_root_value_set(
         if y_i in seen:
             continue
         seen.add(y_i)
-        roots = solve_scalar_equation(y_i, lam, depth)
+        roots = inst.roots[spectrum.s_bounds[i]]
         degenerate = degenerate or any(roots.degenerate)
         values.extend(r for r in roots.roots if r > 0.0)
     values.sort()
@@ -175,3 +174,53 @@ def build_root_value_set(
     else:
         delta_sigma = math.inf
     return RootValueSet(tuple(out), float(delta_sigma), degenerate)
+
+
+@dataclass(eq=False)
+class Instance:
+    """One problem: layer widths, regularization weights and target matrix.
+
+    Checked once when built.  The target's spectrum, the root table (the
+    nonnegative roots of the stationarity equation of every positive y_i,
+    indexed like ``spectrum.y``) and the sigma-profile enumeration are
+    computed on first use and kept, so no equation is solved twice.  The
+    target is not copied; do not modify it after building the instance.
+    Instances compare by identity.
+    """
+
+    dims: DimChain
+    reg: RegParams
+    target: np.ndarray
+
+    def __post_init__(self):
+        self.target = np.asarray(self.target, dtype=float)
+        if self.reg.depth != self.dims.depth:
+            raise ShapeError(
+                f"{self.reg.depth} regularization weights for {self.dims.depth} layers"
+            )
+        if self.target.shape != (self.dims.d_out, self.dims.d_in):
+            raise ShapeError(
+                f"target has shape {self.target.shape}, dims need "
+                f"({self.dims.d_out}, {self.dims.d_in})"
+            )
+
+    @property
+    def depth(self) -> int:
+        return self.dims.depth
+
+    @cached_property
+    def spectrum(self) -> TargetSpectrum:
+        return analyze_target(self.target)
+
+    @cached_property
+    def roots(self) -> tuple[critical.ScalarRoots, ...]:
+        lam = self.reg.lambda_prod
+        y = self.spectrum.y
+        return tuple(
+            critical.solve_scalar_equation(float(y[i]), lam, self.depth)
+            for i in range(self.spectrum.rank)
+        )
+
+    @cached_property
+    def profiles(self) -> critical.ProfileEnumeration:
+        return critical.enumerate_sigma_profiles(self)

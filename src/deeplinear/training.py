@@ -27,7 +27,7 @@ from .network import (
     loss_f,
     value_and_grad,
 )
-from .spectrum import analyze_target
+from .spectrum import Instance
 from .util import fit_line, named_seed, named_stream
 
 MODEL_KINDS = ("linear", "linear-with-bias", "nonlinear")
@@ -347,24 +347,22 @@ def reproduce_section4(
     """
     rng = named_stream(seed, "instance")
     target = rng.standard_normal((d_out, d_in))
-    spectrum = analyze_target(target)
     rows: list[Section4Row] = []
     for depth in depths:
         dims = DimChain((d_in,) + (d_hidden,) * (depth - 1) + (d_out,))
         reg = RegParams.uniform(reg_value, depth)
-        saddle_choices = [-1] * spectrum.rank
+        inst = Instance(dims, reg, target)
+        saddle_choices = [-1] * inst.spectrum.rank
         saddle_choices[-1] = 0
         centers = {
-            "optimal": optimal_profile(spectrum, reg, depth),
-            "saddle": profile_from_choices(spectrum, reg, depth, saddle_choices),
+            "optimal": optimal_profile(inst),
+            "saddle": profile_from_choices(inst, saddle_choices),
         }
         for name, profile in centers.items():
             params = sample_random_params(
-                dims, spectrum, seed=named_seed(seed, f"params-{depth}-{name}")
+                inst, seed=named_seed(seed, f"params-{depth}-{name}")
             )
-            center = construct_critical_point(
-                profile, params, spectrum, reg, depth, target="F", dims=dims
-            )
+            center = construct_critical_point(profile, params, inst, target="F")
             cfg = TrainConfig(
                 learning_rate=learning_rate,
                 max_iters=max_iters,

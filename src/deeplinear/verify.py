@@ -20,11 +20,9 @@ import numpy as np
 from .constants import check_assumptions, compute_ledger, excluded_lambda
 from .critical import (
     CriticalPoint,
-    ProfileEnumeration,
     SigmaProfile,
     construct_critical_point,
     distance_to_critical_set,
-    enumerate_sigma_profiles,
     identity_params,
     mirsky_lower_bound,
     profile_from_choices,
@@ -42,7 +40,7 @@ from .network import (
     uniform_companion,
     value_and_grad,
 )
-from .spectrum import TargetSpectrum, analyze_target, build_root_value_set
+from .spectrum import Instance, build_root_value_set
 from .util import fit_line
 
 PERTURBATION_MODES = ("gaussian-all-layers", "singular-direction", "tangent-removed")
@@ -150,7 +148,7 @@ def _unit_gaussian(rng, dims) -> WeightStack:
     return e.scale(1.0 / e.norm())
 
 
-def _make_sampler(center: CriticalPoint, spectrum, cfg, direction_index):
+def _make_sampler(center: CriticalPoint, inst, cfg, direction_index):
     dims = center.stack.dim_chain()
     if cfg.mode == "gaussian-all-layers":
         return lambda rng: _unit_gaussian(rng, dims)
@@ -161,7 +159,7 @@ def _make_sampler(center: CriticalPoint, spectrum, cfg, direction_index):
             return lambda rng: fixed
         return lambda rng: singular_direction(center, int(rng.integers(d_min)))
     # tangent-removed: project a Gaussian draw off the component's tangent space
-    basis = tangent_basis(center, spectrum)
+    basis = tangent_basis(center, inst.spectrum)
 
     def draw(rng):
         e = WeightStack.gaussian(dims, rng)
@@ -178,8 +176,8 @@ def _make_sampler(center: CriticalPoint, spectrum, cfg, direction_index):
     return draw
 
 
-def _regime_cutoff(cfg, delta_sigma, ledger, target) -> tuple[float, str]:
-    geometric = delta_sigma / 3.0
+def _regime_cutoff(cfg, inst, ledger, target) -> tuple[float, str]:
+    geometric = build_root_value_set(inst).delta_sigma / 3.0
     if ledger is not None:
         eps = ledger.eps1 if target == "F" else ledger.eps
         cut = min(eps, geometric)
@@ -191,58 +189,39 @@ def _regime_cutoff(cfg, delta_sigma, ledger, target) -> tuple[float, str]:
     return geometric, "separation"
 
 
-def _run_sweep(center, spectrum, reg, cfg, profiles, depth, target, direction_index):
+def _run_sweep(center, inst, cfg, target, direction_index):
+    """Sweep samples, and whether every projection behind them converged."""
     rng = np.random.default_rng(cfg.seed)
-    sampler = _make_sampler(center, spectrum, cfg, direction_index)
-    y = spectrum.target
+    sampler = _make_sampler(center, inst, cfg, direction_index)
     samples = []
+    converged = True
     for radius in cfg.radii:
         for _ in range(cfg.samples_per_radius):
             e = sampler(rng)
             w = center.stack + e.scale(radius)
-            sd = distance_to_critical_set(
-                w, profiles, spectrum, reg, depth, target=target
-            )
-            gnorm, lval = _grad_and_loss(w, y, reg, target)
+            sd = distance_to_critical_set(w, inst, target=target)
+            converged = converged and sd.converged
+            gnorm, lval = _grad_and_loss(w, inst.target, inst.reg, target)
             ratio = sd.distance / gnorm if gnorm > 0 else math.inf
             samples.append(
                 SweepSample(radius, sd.lower_bound, sd.distance, gnorm, lval, ratio, False)
             )
-    return samples
+    return samples, converged
 
 
-def _require_critical(center: CriticalPoint, spectrum, reg, target):
-    gnorm, _ = _grad_and_loss(center.stack, spectrum.target, reg, target)
-    scale = 1.0 + float(np.linalg.norm(spectrum.target))
+def _require_critical(center: CriticalPoint, inst, target):
+    gnorm, _ = _grad_and_loss(center.stack, inst.target, inst.reg, target)
+    scale = 1.0 + float(np.linalg.norm(inst.target))
     if gnorm > 1e-8 * scale:
         raise CenterNotCriticalError(
             f"sweep center has gradient norm {gnorm}, not a critical point"
         )
 
 
-def _prepare(center, spectrum, reg, depth, profiles, ledger, target, want_ledger=True):
-    dims = center.stack.dim_chain()
-    assumptions = check_assumptions(dims, spectrum, reg, depth)
-    root_set = build_root_value_set(spectrum, reg, depth)
-    if profiles is None:
-        profiles = enumerate_sigma_profiles(spectrum, reg, depth)
-    elif isinstance(profiles, list):
-        profiles = ProfileEnumeration(profiles, len(profiles), False)
-    if ledger is None and want_ledger and assumptions.ok:
-        ledger = compute_ledger(
-            spectrum, reg, depth, center.profile, dims,
-            root_set=root_set, all_profiles=profiles,
-        )
-    return dims, assumptions, root_set, profiles, ledger
-
-
 def verify_error_bound(
     center: CriticalPoint,
-    spectrum: TargetSpectrum,
-    reg: RegParams,
+    inst: Instance,
     cfg: RadiusSweepConfig | None = None,
-    profiles: ProfileEnumeration | None = None,
-    ledger=None,
     target: str = "F",
     direction_index: int | None = None,
 ) -> VerificationReport:
@@ -251,18 +230,15 @@ def verify_error_bound(
     The verdict compares the worst distance/gradient ratio at the smallest
     radius against the worst ratio at the largest in-regime radius; a bounded
     quotient (factor 10) means no blow-up as the radius shrinks.  Samples
-    beyond the regime cutoff are recorded but never judged.
+    beyond the regime cutoff are recorded but never judged, and a sweep with
+    an unconverged projection cannot pass.
     """
     cfg = cfg or RadiusSweepConfig()
-    depth = center.depth
-    _require_critical(center, spectrum, reg, target)
-    dims, assumptions, root_set, profiles, ledger = _prepare(
-        center, spectrum, reg, depth, profiles, ledger, target
-    )
-    cutoff, regime_source = _regime_cutoff(cfg, root_set.delta_sigma, ledger, target)
-    samples = _run_sweep(
-        center, spectrum, reg, cfg, profiles, depth, target, direction_index
-    )
+    _require_critical(center, inst, target)
+    assumptions = check_assumptions(inst)
+    ledger = compute_ledger(inst, center.profile) if assumptions.ok else None
+    cutoff, regime_source = _regime_cutoff(cfg, inst, ledger, target)
+    samples, converged = _run_sweep(center, inst, cfg, target, direction_index)
     for s in samples:
         s.in_regime = s.radius <= cutoff
 
@@ -319,6 +295,9 @@ def verify_error_bound(
             tags.append("cubic-degeneracy")
         if not math.isnan(slope) and abs(slope - 2.0) <= 0.05:
             tags.append("quadratic-degeneracy")
+    if not converged:
+        verdict = "FAIL"
+        tags.append("projection-unconverged")
 
     constants = {}
     if ledger is not None:
@@ -338,7 +317,7 @@ def verify_error_bound(
             "assumption1": assumptions.assumption1,
             "assumption2": assumptions.assumption2,
             "kappa_checked_samples": kappa_checked,
-            "profile_truncated": profiles.truncated,
+            "profile_truncated": inst.profiles.truncated,
             "mode": cfg.mode,
         },
     )
@@ -346,29 +325,26 @@ def verify_error_bound(
 
 def verify_pl_qg(
     center: CriticalPoint,
-    spectrum: TargetSpectrum,
-    reg: RegParams,
+    inst: Instance,
     cfg: RadiusSweepConfig | None = None,
-    profiles: ProfileEnumeration | None = None,
-    ledger=None,
     target: str = "F",
 ) -> VerificationReport:
     """Fit the gradient-dominance and quadratic-growth constants around a center.
 
     mu1 is the worst-case ||grad||^2 / (F - F*) over samples above the center,
     mu2 the worst-case dist^2 / (F - F*).  The quadratic-growth fit only
-    applies when sampling confirms the center is a local minimizer.
+    applies when sampling confirms the center is a local minimizer.  A sweep
+    with an unconverged projection cannot pass.
     """
     cfg = cfg or RadiusSweepConfig()
-    depth = center.depth
-    _require_critical(center, spectrum, reg, target)
-    dims, assumptions, root_set, profiles, ledger = _prepare(
-        center, spectrum, reg, depth, profiles, ledger, target
-    )
-    cutoff, regime_source = _regime_cutoff(cfg, root_set.delta_sigma, ledger, target)
+    _require_critical(center, inst, target)
+    assumptions = check_assumptions(inst)
+    ledger = compute_ledger(inst, center.profile) if assumptions.ok else None
+    cutoff, regime_source = _regime_cutoff(cfg, inst, ledger, target)
     loss = loss_f if target == "F" else loss_g
-    f_center = loss(center.stack, spectrum.target, reg)
-    samples = _run_sweep(center, spectrum, reg, cfg, profiles, depth, target, None)
+    y, reg = inst.target, inst.reg
+    f_center = loss(center.stack, y, reg)
+    samples, converged = _run_sweep(center, inst, cfg, target, None)
     for s in samples:
         s.in_regime = s.radius <= cutoff
 
@@ -382,7 +358,7 @@ def verify_pl_qg(
         e = singular_direction(center, i)
         for sgn in (1.0, -1.0):
             w = center.stack + e.scale(sgn * r_probe)
-            min_gap = min(min_gap, loss(w, spectrum.target, reg) - f_center)
+            min_gap = min(min_gap, loss(w, y, reg) - f_center)
     is_minimizer = min_gap >= -1e-10
 
     per_radius = []
@@ -420,6 +396,9 @@ def verify_pl_qg(
         tags.append("no-in-regime-radii")
     if not is_minimizer:
         tags.append("not-a-minimizer")
+    if not converged:
+        verdict = "FAIL"
+        tags.append("projection-unconverged")
 
     return VerificationReport(
         kind="pl-qg",
@@ -472,11 +451,7 @@ class BalanceCheck:
 
 
 def check_balance_inequalities(
-    stack: WeightStack,
-    profile: SigmaProfile,
-    spectrum: TargetSpectrum,
-    reg: RegParams,
-    depth: int,
+    stack: WeightStack, profile: SigmaProfile, inst: Instance
 ) -> BalanceCheck:
     """Near-balance of adjacent Gram matrices under the uniform regularizer.
 
@@ -485,8 +460,9 @@ def check_balance_inequalities(
     singular values of adjacent layers drift by at most that bound divided by
     sigma*_min.  A violated proximity precondition is reported, not raised.
     """
+    reg, depth = inst.reg, inst.depth
     lam = reg.lambda_prod
-    gnorm = grad_g(stack, spectrum.target, reg).norm()
+    gnorm = grad_g(stack, inst.target, reg).norm()
     lower = mirsky_lower_bound(stack, profile, reg, target="G")
     pre_ok = (not profile.is_zero) and lower < profile.sigma_min_pos / 2.0
 
@@ -542,12 +518,14 @@ class CounterexampleFamily:
     """
 
     kind: str
-    spectrum: TargetSpectrum
-    reg: RegParams
-    depth: int
+    inst: Instance
     center: CriticalPoint
     index: int
     expected_slope: float
+
+    @property
+    def depth(self) -> int:
+        return self.inst.depth
 
     def point(self, t: float) -> WeightStack:
         layers = []
@@ -558,11 +536,11 @@ class CounterexampleFamily:
         return WeightStack(layers)
 
     def grad_norm(self, t: float) -> float:
-        return grad_g(self.point(t), self.spectrum.target, self.reg).norm()
+        return grad_g(self.point(t), self.inst.target, self.inst.reg).norm()
 
     def predicted_grad_norm(self, t: float) -> float:
-        lam = self.reg.lambda_prod
-        y = self.spectrum.block_value(0)
+        lam = self.inst.reg.lambda_prod
+        y = self.inst.spectrum.block_value(0)
         base = self.center.profile.sigma_eq[self.index]
         s = base + t
         L = self.depth
@@ -596,29 +574,22 @@ def counterexample_family(
             raise ValueError("the tangential positive-root family needs depth >= 3")
     lam = excluded_lambda(y, depth)
     reg = RegParams.uniform(lam ** (1.0 / depth), depth)
-    spectrum = analyze_target(y * np.eye(side))
-    dims = DimChain((side,) * (depth + 1))
+    inst = Instance(DimChain((side,) * (depth + 1)), reg, y * np.eye(side))
     if seed is None:
-        params = identity_params(dims, spectrum)
+        params = identity_params(inst)
     else:
-        params = sample_random_params(dims, spectrum, seed=seed)
+        params = sample_random_params(inst, seed=seed)
+    choices = [0] * inst.spectrum.rank
     if kind == "l2-lambda-eq-y2":
-        choices = [0] * spectrum.rank  # the zero root is the only root here
-        expected = 3.0
+        expected = 3.0  # the zero root is the only root here
     else:
-        roots_choice = [0] * spectrum.rank
-        roots_choice[0] = -1  # the tangential positive root, largest by construction
-        choices = roots_choice
+        choices[0] = -1  # the tangential positive root, largest by construction
         expected = 2.0
-    profile = profile_from_choices(spectrum, reg, depth, choices)
-    center = construct_critical_point(
-        profile, params, spectrum, reg, depth, target="G"
-    )
+    profile = profile_from_choices(inst, choices)
+    center = construct_critical_point(profile, params, inst, target="G")
     return CounterexampleFamily(
         kind=kind,
-        spectrum=spectrum,
-        reg=reg,
-        depth=depth,
+        inst=inst,
         center=center,
         index=0,
         expected_slope=expected,
@@ -648,7 +619,7 @@ def fit_counterexample_scaling(
         w = family.point(t)
         g = family.grad_norm(t)
         lo, up = family.dist_lower(t), family.dist_upper(t)
-        lval = loss_g(w, family.spectrum.target, family.reg)
+        lval = loss_g(w, family.inst.target, family.inst.reg)
         samples.append(
             SweepSample(t, lo, up, g, lval, up / g if g > 0 else math.inf, True)
         )
@@ -669,7 +640,7 @@ def fit_counterexample_scaling(
             "r2": r2,
             "expected_slope": family.expected_slope,
         },
-        notes={"lambda": family.reg.lambda_prod, "y": y, "depth": family.depth},
+        notes={"lambda": family.inst.reg.lambda_prod, "y": y, "depth": family.depth},
     )
 
 
@@ -701,9 +672,7 @@ class FirstOrderConditionsReport:
 
 def check_first_order_conditions(
     trajectory,
-    spectrum: TargetSpectrum,
-    reg: RegParams,
-    profiles: ProfileEnumeration | None = None,
+    inst: Instance,
     tail_fraction: float = 0.5,
     max_distance_points: int = 6,
 ) -> FirstOrderConditionsReport:
@@ -733,20 +702,15 @@ def check_first_order_conditions(
     c_guard = max(guard) if guard else math.nan
     guard_held = bool(guard) and math.isfinite(c_guard)
 
-    depth = trajectory.final.depth
-    if profiles is None:
-        profiles = enumerate_sigma_profiles(spectrum, reg, depth)
     snaps = [(k, s) for k, s in trajectory.snapshots if tail_start <= k < n]
     if len(snaps) > max_distance_points:
         idx = np.linspace(0, len(snaps) - 1, max_distance_points).astype(int)
         snaps = [snaps[i] for i in idx]
-    end_sd = distance_to_critical_set(
-        trajectory.final, profiles, spectrum, reg, depth, target="F"
-    )
-    f_star = loss_f(end_sd.nearest, spectrum.target, reg)
+    end_sd = distance_to_critical_set(trajectory.final, inst, target="F")
+    f_star = loss_f(end_sd.nearest, inst.target, inst.reg)
     c2_vals = []
     for k, stack in snaps:
-        sd = distance_to_critical_set(stack, profiles, spectrum, reg, depth, target="F")
+        sd = distance_to_critical_set(stack, inst, target="F")
         denom = sd.distance**2 + step_sq[k]
         gap = f_vals[k + 1] - f_star
         if denom > 0:

@@ -14,8 +14,8 @@ from deeplinear import (
     DimChain,
     RegParams,
     RadiusSweepConfig,
+    Instance,
     WeightStack,
-    analyze_target,
     check_balance_inequalities,
     check_first_order_conditions,
     construct_critical_point,
@@ -53,16 +53,16 @@ def _assumption_clean_instance(rng, depth, max_dim=5, lam_lo=0.2, lam_hi=1.0):
         dims, reg, target = random_instance(
             rng, depth=depth, max_dim=max_dim, lam_lo=lam_lo, lam_hi=lam_hi
         )
-        spectrum = analyze_target(target)
+        problem = Instance(dims, reg, target)
         from deeplinear import check_assumptions
 
-        report = check_assumptions(dims, spectrum, reg)
+        report = check_assumptions(problem)
         if not report.ok or (report.margins and min(report.margins) < 1e-2):
             continue
-        profile = optimal_profile(spectrum, reg, depth)
+        profile = optimal_profile(problem)
         if profile.is_zero:
             continue
-        return dims, reg, target, spectrum, profile
+        return dims, reg, target, problem, profile
 
 
 def test_criterion_01_critical_point_construction():
@@ -74,14 +74,12 @@ def test_criterion_01_critical_point_construction():
     for inst in range(20):
         depth = int(rng.integers(2, 5))
         dims, reg, target = random_instance(rng, depth=depth, max_dim=8)
-        spectrum = analyze_target(target)
-        enum = enumerate_sigma_profiles(spectrum, reg, depth)
+        problem = Instance(dims, reg, target)
+        enum = enumerate_sigma_profiles(problem)
         tol = 1e-9 * (1.0 + float(np.linalg.norm(target)))
         for k, profile in enumerate(enum.profiles):
-            params = sample_random_params(dims, spectrum, seed=1000 * inst + k)
-            point = construct_critical_point(
-                profile, params, spectrum, reg, depth, dims=dims
-            )
+            params = sample_random_params(problem, seed=1000 * inst + k)
+            point = construct_critical_point(profile, params, problem)
             worst = max(worst, grad_f(point.stack, target, reg).norm() / tol)
             checked += 1
     elapsed = time.perf_counter() - start
@@ -153,17 +151,12 @@ def test_criterion_04_error_bound_in_regime():
     n_checked_kappa = 0
     for inst in range(20):
         depth = int(rng.integers(2, 5))
-        dims, reg, target, spectrum, profile = _assumption_clean_instance(rng, depth)
-        enum = enumerate_sigma_profiles(spectrum, reg, depth)
+        dims, reg, target, problem, profile = _assumption_clean_instance(rng, depth)
         for which in ("zero", "nonzero"):
-            prof = zero_profile(spectrum, reg, depth) if which == "zero" else profile
-            params = sample_random_params(dims, spectrum, seed=7000 + inst)
-            center = construct_critical_point(
-                prof, params, spectrum, reg, depth, dims=dims
-            )
-            report = verify_error_bound(
-                center, spectrum, reg, sweep, profiles=enum
-            )
+            prof = zero_profile(problem) if which == "zero" else profile
+            params = sample_random_params(problem, seed=7000 + inst)
+            center = construct_critical_point(prof, params, problem)
+            report = verify_error_bound(center, problem, sweep)
             assert report.passed, (inst, which, report.fitted, report.tags)
             assert "kappa1-exceeded" not in report.tags
             n_checked_kappa += report.notes["kappa_checked_samples"]
@@ -190,12 +183,10 @@ def test_criterion_05_pl_qg_at_global_minimizer():
     mu1s = []
     for inst in range(5):
         depth = int(rng.integers(2, 4))
-        dims, reg, target, spectrum, profile = _assumption_clean_instance(rng, depth)
-        params = sample_random_params(dims, spectrum, seed=9000 + inst)
-        center = construct_critical_point(
-            profile, params, spectrum, reg, depth, dims=dims
-        )
-        report = verify_pl_qg(center, spectrum, reg, sweep)
+        dims, reg, target, problem, profile = _assumption_clean_instance(rng, depth)
+        params = sample_random_params(problem, seed=9000 + inst)
+        center = construct_critical_point(profile, params, problem)
+        report = verify_pl_qg(center, problem, sweep)
         assert report.passed, (inst, report.fitted, report.tags)
         assert report.notes["qg_applicable"]
         assert report.fitted["mu1"] > 0
@@ -221,18 +212,14 @@ def test_criterion_06_balance_inequality():
     n_points = 0
     for inst in range(10):
         depth = int(rng.integers(2, 5))
-        dims, reg, target, spectrum, profile = _assumption_clean_instance(rng, depth)
-        params = sample_random_params(dims, spectrum, seed=1100 + inst)
-        center = construct_critical_point(
-            profile, params, spectrum, reg, depth, target="G", dims=dims
-        )
+        dims, reg, target, problem, profile = _assumption_clean_instance(rng, depth)
+        params = sample_random_params(problem, seed=1100 + inst)
+        center = construct_critical_point(profile, params, problem, target="G")
         for _ in range(100):
             radius = float(rng.uniform(0.02, 0.3)) * profile.sigma_min_pos
             e = WeightStack.gaussian(dims, rng)
             e = e.scale(radius / e.norm())
-            check = check_balance_inequalities(
-                center.stack + e, profile, spectrum, reg, depth
-            )
+            check = check_balance_inequalities(center.stack + e, profile, problem)
             assert check.precondition_ok
             assert check.passed, (inst, check.residuals, check.bound)
             n_points += 1
@@ -335,17 +322,15 @@ def test_criterion_09_distance_bracket_validity():
     n_points = 0
     for inst in range(10):
         depth = int(rng.integers(2, 4))
-        dims, reg, target, spectrum, profile = _assumption_clean_instance(rng, depth)
-        params = sample_random_params(dims, spectrum, seed=500 + inst)
-        center = construct_critical_point(
-            profile, params, spectrum, reg, depth, dims=dims
-        )
+        dims, reg, target, problem, profile = _assumption_clean_instance(rng, depth)
+        params = sample_random_params(problem, seed=500 + inst)
+        center = construct_critical_point(profile, params, problem)
         for _ in range(50):
             radius = 10.0 ** float(rng.uniform(-4, -0.8))
             e = WeightStack.gaussian(dims, rng)
             e = e.scale(radius / e.norm())
             sample = center.stack + e
-            result = distance_to_component(sample, profile, spectrum, reg, depth)
+            result = distance_to_component(sample, profile, problem)
             assert result.lower_bound <= result.distance * (1 + 1e-12) + 1e-15
             assert result.distance <= radius * (1 + 1e-9), (inst, radius, result.distance)
             n_points += 1
@@ -366,16 +351,16 @@ def test_criterion_10_descent_condition_diagnostics():
     limit = 10.0
     start = time.perf_counter()
     rng = np.random.default_rng(1010)
-    dims, reg, target, spectrum, profile = _assumption_clean_instance(rng, 2)
-    params = sample_random_params(dims, spectrum, seed=77)
-    center = construct_critical_point(profile, params, spectrum, reg, 2, dims=dims)
+    dims, reg, target, problem, profile = _assumption_clean_instance(rng, 2)
+    params = sample_random_params(problem, seed=77)
+    center = construct_critical_point(profile, params, problem)
     lr = 1e-3
     cfg = TrainConfig(
         learning_rate=lr, max_iters=40_000, seed=10, init="near-critical",
         init_scale=0.05, log_stride=25,
     )
     traj = train(ModelSpec(), target, reg, cfg, dims, center=center.stack)
-    report = check_first_order_conditions(traj, spectrum, reg)
+    report = check_first_order_conditions(traj, problem)
     safeguard_err = abs(report.safeguard_constant * lr - 1.0)
     elapsed = time.perf_counter() - start
     ok = (

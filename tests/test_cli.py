@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deeplinear import cli
+from deeplinear import cli, critical
 from deeplinear.cli import main
 from deeplinear.critical import InternalConsistencyError, SolverError
 from deeplinear.verify import CenterNotCriticalError
@@ -185,6 +185,10 @@ def _failing_call(tmp_path, case):
             tmp_path, train={"learning_rate": 10, "max_iters": 500, "init": "gaussian"}
         )
         return ["train", _write_config(tmp_path, cfg)]
+    if case == "grouping-tol-key":
+        cfg = _base_config(tmp_path)
+        cfg["instance"]["grouping_tol"] = 0.5
+        return ["check-assumptions", _write_config(tmp_path, cfg)]
     if case == "nan-target-file":
         target = np.diag([2.0, 1.3])
         target[0, 1] = np.nan
@@ -205,6 +209,7 @@ def _failing_call(tmp_path, case):
     [
         ("divergent-train", 1),
         ("nan-target-file", 2),
+        ("grouping-tol-key", 2),
         ("negative-root-target", 2),
         ("one-layer-roots", 2),
         ("zero-counterexample-target", 2),
@@ -230,3 +235,25 @@ def test_numerical_failures_exit_one(error, monkeypatch, capsys):
     assert main(["roots", "--y", "2", "--lambda", "1", "--L", "2"]) == 1
     err = capsys.readouterr().err
     assert err.strip().splitlines() == [f"roots failed: {error.__name__}: synthetic failure"]
+
+
+def test_instance_commands_solve_each_root_equation_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    solve = critical.solve_scalar_equation
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(critical, "solve_scalar_equation", counted)
+    cfg = _base_config(tmp_path)
+    cfg["instance"]["dims"] = [2, 4, 4, 3]
+    cfg["instance"]["lambdas"] = [0.6, 0.7, 0.8]
+    cfg["instance"]["target"] = {"kind": "gaussian"}
+    cfg["sweep"] = {"radii": [1e-3, 1e-2], "samples_per_radius": 2}
+    path = _write_config(tmp_path, cfg)
+    for command in ("constants", "verify-eb"):
+        calls.clear()
+        assert main([command, path]) in (0, 1)
+        assert len(calls) == 2, command  # rank of the generic 3x2 target
+    capsys.readouterr()

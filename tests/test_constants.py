@@ -7,8 +7,8 @@ import pytest
 from deeplinear import (
     AssumptionError,
     DimChain,
+    Instance,
     RegParams,
-    analyze_target,
     check_assumptions,
     compute_ledger,
     degenerate_sigma,
@@ -28,7 +28,7 @@ def _instance(values, depth, lam_each, hidden=None):
     hidden = hidden or d
     dims = DimChain((d,) + (hidden,) * (depth - 1) + (d,))
     reg = RegParams.uniform(lam_each, depth)
-    return analyze_target(np.diag(values)), dims, reg
+    return Instance(dims, reg, np.diag(values)), dims, reg
 
 
 def test_excluded_value_two_layer():
@@ -42,25 +42,25 @@ def test_excluded_value_three_layer_exact_fraction():
 
 
 def test_assumptions_pass_and_fail():
-    spec, dims, reg = _instance([2.0], 2, 1.0)
-    report = check_assumptions(dims, spec, reg)
+    inst, dims, reg = _instance([2.0], 2, 1.0)
+    report = check_assumptions(inst)
     assert report.ok
     assert report.margins[0] == pytest.approx(abs(1.0 - 4.0) / 4.0)
 
-    spec, dims, reg = _instance([2.0], 2, 2.0)  # lam = 4 = y^2
-    report = check_assumptions(dims, spec, reg)
+    inst, dims, reg = _instance([2.0], 2, 2.0)  # lam = 4 = y^2
+    report = check_assumptions(inst)
     assert not report.assumption2
     assert report.violated_indices == [0]
 
 
 def test_assumptions_three_layer_excluded():
     lam = 27.0 / 16.0
-    spec, dims, reg = _instance([2.0], 3, lam ** (1.0 / 3.0))
-    report = check_assumptions(dims, spec, reg)
+    inst, dims, reg = _instance([2.0], 3, lam ** (1.0 / 3.0))
+    report = check_assumptions(inst)
     assert not report.assumption2
 
-    spec, dims, reg = _instance([2.0], 3, 1.0)
-    assert check_assumptions(dims, spec, reg).ok
+    inst, dims, reg = _instance([2.0], 3, 1.0)
+    assert check_assumptions(inst).ok
 
 
 def test_phi_two_layer_closed_form():
@@ -89,16 +89,16 @@ def test_phi_domain_error():
 
 
 def test_zero_profile_constants_two_layer():
-    spec, dims, reg = _instance([2.0], 2, 1.0)
-    ledger = compute_ledger(spec, reg, 2, zero_profile(spec, reg, 2), dims)
+    inst, dims, reg = _instance([2.0], 2, 1.0)
+    ledger = compute_ledger(inst, zero_profile(inst))
     assert ledger.eps_zero == pytest.approx(math.sqrt(1.0 / 6.0), rel=1e-12)
     assert ledger.kappa_zero == pytest.approx(6.0, rel=1e-12)
     assert math.isnan(ledger.c1)  # per-profile block empty for the zero profile
 
 
 def test_zero_profile_constants_three_layer():
-    spec, dims, reg = _instance([2.0], 3, 1.0)
-    ledger = compute_ledger(spec, reg, 3, zero_profile(spec, reg, 3), dims)
+    inst, dims, reg = _instance([2.0], 3, 1.0)
+    ledger = compute_ledger(inst, zero_profile(inst))
     assert ledger.kappa_zero == pytest.approx(3.0 * math.sqrt(3.0) / 2.0, rel=1e-12)
     expected_eps = min((1.0 / 3.0) ** 0.25, 1.0 / (3.0 * 2.0))
     assert ledger.eps_zero == pytest.approx(expected_eps, rel=1e-12)
@@ -106,21 +106,21 @@ def test_zero_profile_constants_three_layer():
 
 def test_c1_hand_value():
     # L = 2, sigma_max = 1, lam = 1: c1 = 9 / (4 sqrt(2)) + 1/2
-    spec, dims, reg = _instance([2.0], 2, 1.0)
-    profile = optimal_profile(spec, reg, 2)
+    inst, dims, reg = _instance([2.0], 2, 1.0)
+    profile = optimal_profile(inst)
     assert profile.sigma_max == pytest.approx(1.0, abs=1e-12)
-    ledger = compute_ledger(spec, reg, 2, profile, dims)
+    ledger = compute_ledger(inst, profile)
     assert ledger.c1 == pytest.approx(9.0 / (4.0 * math.sqrt(2.0)) + 0.5, rel=1e-12)
 
 
 def test_global_constants_dominate_per_profile(rng):
     target = rng.standard_normal((4, 3))
-    spec = analyze_target(target)
     dims = DimChain((3, 5, 4))
     reg = RegParams((0.4, 0.9))
-    enum = enumerate_sigma_profiles(spec, reg, 2)
+    inst = Instance(dims, reg, target)
+    enum = enumerate_sigma_profiles(inst)
     ledgers = [
-        compute_ledger(spec, reg, 2, p, dims, all_profiles=enum)
+        compute_ledger(inst, p)
         for p in enum.profiles
     ]
     lam = reg.lambda_prod
@@ -138,12 +138,12 @@ def test_global_constants_dominate_per_profile(rng):
 
 def test_ledger_all_finite_positive_on_generic_instance(rng):
     target = rng.standard_normal((4, 4))
-    spec = analyze_target(target)
     dims = DimChain((4, 6, 5, 4))
     reg = RegParams((0.5, 0.8, 0.3))
-    profile = optimal_profile(spec, reg, 3)
+    inst = Instance(dims, reg, target)
+    profile = optimal_profile(inst)
     assert not profile.is_zero
-    ledger = compute_ledger(spec, reg, 3, profile, dims)
+    ledger = compute_ledger(inst, profile)
     for name in LEDGER_COLUMNS:
         value = getattr(ledger, name)
         assert math.isfinite(value), name
@@ -153,12 +153,12 @@ def test_ledger_all_finite_positive_on_generic_instance(rng):
 
 def test_ledger_reproducible_bit_for_bit(rng):
     target = rng.standard_normal((3, 3))
-    spec = analyze_target(target)
     dims = DimChain((3, 4, 3))
     reg = RegParams((0.7, 0.2))
-    profile = optimal_profile(spec, reg, 2)
-    a = compute_ledger(spec, reg, 2, profile, dims)
-    b = compute_ledger(spec, reg, 2, profile, dims)
+    inst = Instance(dims, reg, target)
+    profile = optimal_profile(inst)
+    a = compute_ledger(inst, profile)
+    b = compute_ledger(inst, profile)
     assert a.to_json() == b.to_json()
 
 
@@ -169,44 +169,45 @@ def test_kappa_grows_toward_excluded_weight():
     kappas = []
     for rel_gap in (0.2, 0.1, 0.05, 0.02, 0.01):
         lam = lam_exc * (1.0 - rel_gap)
-        spec, dims, reg = _instance([2.0], 3, lam ** (1.0 / 3.0))
-        profile = optimal_profile(spec, reg, 3)
-        ledger = compute_ledger(spec, reg, 3, profile, dims)
+        inst, dims, reg = _instance([2.0], 3, lam ** (1.0 / 3.0))
+        profile = optimal_profile(inst)
+        ledger = compute_ledger(inst, profile)
         kappas.append(ledger.kappa_sigma)
     assert all(b > a for a, b in zip(kappas, kappas[1:]))
 
 
 def test_refusal_names_degenerate_quantity():
-    spec, dims, reg = _instance([2.0], 2, 2.0)  # lam = y^2
+    inst, dims, reg = _instance([2.0], 2, 2.0)  # lam = y^2
     with pytest.raises(AssumptionError, match="c3"):
-        compute_ledger(spec, reg, 2, zero_profile(spec, reg, 2), dims)
+        compute_ledger(inst, zero_profile(inst))
     lam = 27.0 / 16.0
-    spec, dims, reg = _instance([2.0], 3, lam ** (1.0 / 3.0))
+    inst, dims, reg = _instance([2.0], 3, lam ** (1.0 / 3.0))
     with pytest.raises(AssumptionError, match="c5"):
-        compute_ledger(spec, reg, 3, zero_profile(spec, reg, 3), dims)
+        compute_ledger(inst, zero_profile(inst))
 
 
 def test_refusal_on_narrow_hidden_layer():
-    spec = analyze_target(np.diag([2.0, 1.0]))
     dims = DimChain((2, 1, 2))
     reg = RegParams((1.0, 1.0))
+    inst = Instance(dims, reg, np.diag([2.0, 1.0]))
     with pytest.raises(AssumptionError, match="width"):
-        compute_ledger(spec, reg, 2, zero_profile(spec, reg, 2), dims)
+        compute_ledger(inst, zero_profile(inst))
 
 
 def test_d_max_uses_whole_chain():
-    spec, _, reg = _instance([2.0, 1.5], 2, 0.5)
+    _, _, reg = _instance([2.0, 1.5], 2, 0.5)
     dims = DimChain((2, 7, 2))
-    ledger = compute_ledger(spec, reg, 2, optimal_profile(spec, reg, 2), dims)
+    inst = Instance(dims, reg, np.diag([2.0, 1.5]))
+    ledger = compute_ledger(inst, optimal_profile(inst))
     assert ledger.d_max == 7
 
 
 def test_single_block_full_rank_target_stays_finite():
     # y = c * I: no spectral gap exists, delta_y = inf, but eta5/c4/c5 use the
     # limiting prefactor and stay finite
-    spec, dims, reg = _instance([2.0, 2.0], 2, 1.0)
-    assert math.isinf(spec.delta_y)
-    ledger = compute_ledger(spec, reg, 2, optimal_profile(spec, reg, 2), dims)
+    inst, dims, reg = _instance([2.0, 2.0], 2, 1.0)
+    assert math.isinf(inst.spectrum.delta_y)
+    ledger = compute_ledger(inst, optimal_profile(inst))
     assert math.isfinite(ledger.eta5)
     assert math.isfinite(ledger.c4)
     assert math.isfinite(ledger.kappa_sigma)
@@ -214,8 +215,8 @@ def test_single_block_full_rank_target_stays_finite():
 
 
 def test_serialization_csv_and_json():
-    spec, dims, reg = _instance([2.0], 2, 1.0)
-    ledger = compute_ledger(spec, reg, 2, optimal_profile(spec, reg, 2), dims)
+    inst, dims, reg = _instance([2.0], 2, 1.0)
+    ledger = compute_ledger(inst, optimal_profile(inst))
     header = ledger.csv_header()
     row = ledger.csv_row()
     assert header.split(",") == list(LEDGER_COLUMNS)

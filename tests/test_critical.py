@@ -6,9 +6,9 @@ import pytest
 from deeplinear import (
     AssumptionError,
     DimChain,
+    Instance,
     RegParams,
     WeightStack,
-    analyze_target,
     build_root_value_set,
     construct_critical_point,
     distance_to_component,
@@ -31,12 +31,12 @@ def _simple_instance(values, depth, lam, hidden=None):
     hidden = hidden or d
     dims = DimChain((d,) + (hidden,) * (depth - 1) + (d,))
     reg = RegParams.uniform(lam ** (1.0 / depth), depth)
-    return analyze_target(target), dims, reg, target
+    return Instance(dims, reg, target), dims, reg, target
 
 
 def test_enumerate_single_value():
-    spec, dims, reg, _ = _simple_instance([2.0], 2, 1.0)
-    enum = enumerate_sigma_profiles(spec, reg, 2)
+    inst, dims, reg, _ = _simple_instance([2.0], 2, 1.0)
+    enum = enumerate_sigma_profiles(inst)
     sigmas = sorted(tuple(p.sigma) for p in enum.profiles)
     assert sigmas == [(0.0,), (1.0,)]
     assert enum.total_combinations == 2
@@ -44,15 +44,15 @@ def test_enumerate_single_value():
 
 
 def test_enumerate_zero_target():
-    spec = analyze_target(np.zeros((3, 2)))
-    enum = enumerate_sigma_profiles(spec, RegParams((0.5, 0.5)), 2)
+    inst = Instance(DimChain((2, 2, 3)), RegParams((0.5, 0.5)), np.zeros((3, 2)))
+    enum = enumerate_sigma_profiles(inst)
     assert len(enum.profiles) == 1
     assert enum.profiles[0].is_zero
 
 
 def test_enumerate_repeated_values_dedup():
-    spec, dims, reg, _ = _simple_instance([2.0, 2.0], 2, 1.0)
-    enum = enumerate_sigma_profiles(spec, reg, 2)
+    inst, dims, reg, _ = _simple_instance([2.0, 2.0], 2, 1.0)
+    enum = enumerate_sigma_profiles(inst)
     sigmas = sorted(tuple(p.sigma) for p in enum.profiles)
     # (0,1) and (1,0) choices collapse onto the same sorted vector
     assert sigmas == [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
@@ -61,18 +61,18 @@ def test_enumerate_repeated_values_dedup():
 
 def test_enumeration_cap_sets_flag(rng):
     values = [3.0, 2.5, 2.0, 1.5]
-    spec, dims, reg, _ = _simple_instance(values, 3, 1e-4)
-    enum = enumerate_sigma_profiles(spec, reg, 3, cap=5)
+    inst, dims, reg, _ = _simple_instance(values, 3, 1e-4)
+    enum = enumerate_sigma_profiles(inst, cap=5)
     assert enum.truncated
     assert len(enum.profiles) <= 6  # cap plus the guaranteed zero profile
     assert any(p.is_zero for p in enum.profiles)
 
 
 def test_zero_profile_gives_zero_stack():
-    spec, dims, reg, target = _simple_instance([2.0, 1.0], 3, 0.5)
-    profile = zero_profile(spec, reg, 3)
-    params = sample_random_params(dims, spec, seed=0)
-    point = construct_critical_point(profile, params, spec, reg, 3, dims=dims)
+    inst, dims, reg, target = _simple_instance([2.0, 1.0], 3, 0.5)
+    profile = zero_profile(inst)
+    params = sample_random_params(inst, seed=0)
+    point = construct_critical_point(profile, params, inst)
     assert point.stack.norm() == 0.0
     assert grad_f(point.stack, target, reg).norm() <= 1e-12 * (
         1 + np.linalg.norm(target)
@@ -81,26 +81,22 @@ def test_zero_profile_gives_zero_stack():
 
 def test_every_profile_is_critical_many_draws(rng):
     dims, reg, target = random_instance(rng, depth=3, max_dim=5)
-    spec = analyze_target(target)
-    enum = enumerate_sigma_profiles(spec, reg, 3)
+    inst = Instance(dims, reg, target)
+    enum = enumerate_sigma_profiles(inst)
     scale = 1e-9 * (1.0 + np.linalg.norm(target))
     for profile in enum.profiles:
         for draw in range(20):
-            params = sample_random_params(dims, spec, seed=draw)
-            point = construct_critical_point(
-                profile, params, spec, reg, 3, dims=dims
-            )
+            params = sample_random_params(inst, seed=draw)
+            point = construct_critical_point(profile, params, inst)
             assert grad_f(point.stack, target, reg).norm() <= scale
 
 
 def test_identity_params_product_singular_values(rng):
-    spec, dims, reg, target = _simple_instance([2.0], 2, 1.0)
-    profile = optimal_profile(spec, reg, 2)
+    inst, dims, reg, target = _simple_instance([2.0], 2, 1.0)
+    profile = optimal_profile(inst)
     from deeplinear.critical import identity_params
 
-    point = construct_critical_point(
-        profile, identity_params(dims, spec), spec, reg, 2, dims=dims
-    )
+    point = construct_critical_point(profile, identity_params(inst), inst)
     lam = reg.lambda_prod
     product = point.stack.layers[1] @ point.stack.layers[0]
     sv = np.linalg.svd(product, compute_uv=False)
@@ -108,21 +104,21 @@ def test_identity_params_product_singular_values(rng):
 
 
 def test_construct_requires_wide_hidden_layers():
-    spec = analyze_target(np.diag([2.0, 1.5]))
     dims = DimChain((2, 1, 2))  # hidden narrower than min(d0, dL)
     reg = RegParams((1.0, 1.0))
-    profile = optimal_profile(spec, reg, 2)
-    params = sample_random_params(dims, spec, seed=0)
+    inst = Instance(dims, reg, np.diag([2.0, 1.5]))
+    profile = optimal_profile(inst)
+    params = sample_random_params(inst, seed=0)
     with pytest.raises(AssumptionError):
-        construct_critical_point(profile, params, spec, reg, 2, dims=dims)
+        construct_critical_point(profile, params, inst)
 
 
 def test_sample_params_deterministic_and_orthogonal(rng):
     dims, reg, target = random_instance(rng, depth=3, max_dim=6)
-    spec = analyze_target(target)
-    a = sample_random_params(dims, spec, seed=42)
-    b = sample_random_params(dims, spec, seed=42)
-    c = sample_random_params(dims, spec, seed=43)
+    inst = Instance(dims, reg, target)
+    a = sample_random_params(inst, seed=42)
+    b = sample_random_params(inst, seed=42)
+    c = sample_random_params(inst, seed=43)
     for qa, qb in zip(a.inner + a.blocks, b.inner + b.blocks):
         assert np.array_equal(qa, qb)
     assert any(
@@ -136,33 +132,33 @@ def test_sample_params_deterministic_and_orthogonal(rng):
 
 def test_distance_to_own_component_is_zero(rng):
     dims, reg, target = random_instance(rng, depth=3, max_dim=5)
-    spec = analyze_target(target)
-    profile = optimal_profile(spec, reg, 3)
-    params = sample_random_params(dims, spec, seed=9)
-    point = construct_critical_point(profile, params, spec, reg, 3, dims=dims)
-    result = distance_to_component(point.stack, profile, spec, reg, 3)
+    inst = Instance(dims, reg, target)
+    profile = optimal_profile(inst)
+    params = sample_random_params(inst, seed=9)
+    point = construct_critical_point(profile, params, inst)
+    result = distance_to_component(point.stack, profile, inst)
     assert result.distance <= 1e-8
 
 
 def test_distance_upper_bounded_by_perturbation(rng):
     dims, reg, target = random_instance(rng, depth=2, max_dim=5)
-    spec = analyze_target(target)
-    profile = optimal_profile(spec, reg, 2)
-    params = sample_random_params(dims, spec, seed=4)
-    point = construct_critical_point(profile, params, spec, reg, 2, dims=dims)
+    inst = Instance(dims, reg, target)
+    profile = optimal_profile(inst)
+    params = sample_random_params(inst, seed=4)
+    point = construct_critical_point(profile, params, inst)
     for k in range(10):
         radius = 10.0 ** -(k % 4 + 1)
         e = WeightStack.gaussian(dims, rng)
         e = e.scale(radius / e.norm())
-        result = distance_to_component(point.stack + e, profile, spec, reg, 2)
+        result = distance_to_component(point.stack + e, profile, inst)
         assert result.distance <= radius * (1 + 1e-9)
         assert result.lower_bound <= result.distance + 1e-12
 
 
 def test_mirsky_bound_from_singular_values(rng):
     dims, reg, target = random_instance(rng, depth=2, max_dim=4)
-    spec = analyze_target(target)
-    profile = optimal_profile(spec, reg, 2)
+    inst = Instance(dims, reg, target)
+    profile = optimal_profile(inst)
     stack = WeightStack.gaussian(dims, rng)
     lower = mirsky_lower_bound(stack, profile, reg, target="F")
     total = 0.0
@@ -178,34 +174,32 @@ def test_mirsky_bound_from_singular_values(rng):
 
 def test_distance_to_critical_set_zero_stack(rng):
     dims, reg, target = random_instance(rng, depth=2, max_dim=4)
-    spec = analyze_target(target)
-    enum = enumerate_sigma_profiles(spec, reg, 2)
-    result = distance_to_critical_set(
-        WeightStack.zeros(dims), enum, spec, reg, 2
-    )
+    inst = Instance(dims, reg, target)
+    enum = enumerate_sigma_profiles(inst)
+    result = distance_to_critical_set(WeightStack.zeros(dims), inst)
     assert result.distance == pytest.approx(0.0, abs=1e-12)
     assert enum.profiles[result.profile_index].is_zero
 
 
 def test_nearest_profile_identified_within_separation():
-    spec, dims, reg, target = _simple_instance([2.0], 2, 1.0)
-    enum = enumerate_sigma_profiles(spec, reg, 2)
-    rs = build_root_value_set(spec, reg, 2)
+    inst, dims, reg, target = _simple_instance([2.0], 2, 1.0)
+    enum = enumerate_sigma_profiles(inst)
+    rs = build_root_value_set(inst)
     rng = np.random.default_rng(5)
-    profile = optimal_profile(spec, reg, 2)
-    params = sample_random_params(dims, spec, seed=2)
-    point = construct_critical_point(profile, params, spec, reg, 2, target="G", dims=dims)
+    profile = optimal_profile(inst)
+    params = sample_random_params(inst, seed=2)
+    point = construct_critical_point(profile, params, inst, target="G")
     radius = 0.4 * rs.delta_sigma
     e = WeightStack.gaussian(dims, rng)
     e = e.scale(radius / e.norm())
-    result = distance_to_critical_set(point.stack + e, enum, spec, reg, 2, target="G")
+    result = distance_to_critical_set(point.stack + e, inst, target="G")
     assert tuple(enum.profiles[result.profile_index].sigma) == tuple(profile.sigma)
 
 
 def test_component_separation_at_least_delta_sigma(rng):
-    spec, dims, reg, target = _simple_instance([2.0, 2.0], 2, 1.0)
-    rs = build_root_value_set(spec, reg, 2)
-    enum = enumerate_sigma_profiles(spec, reg, 2)
+    inst, dims, reg, target = _simple_instance([2.0, 2.0], 2, 1.0)
+    rs = build_root_value_set(inst)
+    enum = enumerate_sigma_profiles(inst)
     nonzero = [p for p in enum.profiles if not p.is_zero]
     best = math.inf
     for pa in enum.profiles:
@@ -214,10 +208,9 @@ def test_component_separation_at_least_delta_sigma(rng):
                 continue
             for seed in range(6):
                 pt = construct_critical_point(
-                    pa, sample_random_params(dims, spec, seed=seed), spec, reg, 2,
-                    target="G", dims=dims,
+                    pa, sample_random_params(inst, seed=seed), inst, target="G"
                 )
-                d = distance_to_component(pt.stack, pb, spec, reg, 2, target="G")
+                d = distance_to_component(pt.stack, pb, inst, target="G")
                 best = min(best, d.lower_bound)
     assert best >= rs.delta_sigma - 1e-6
 
@@ -225,28 +218,27 @@ def test_component_separation_at_least_delta_sigma(rng):
 def test_equal_sorted_profiles_share_a_component():
     # same sorted vector from different per-index choices inside one repeated
     # block: the two parametrizations cover the same set
-    spec, dims, reg, target = _simple_instance([2.0, 2.0], 2, 1.0)
-    p_a = profile_from_choices(spec, reg, 2, [1, 0])
-    p_b = profile_from_choices(spec, reg, 2, [0, 1])
+    inst, dims, reg, target = _simple_instance([2.0, 2.0], 2, 1.0)
+    p_a = profile_from_choices(inst, [1, 0])
+    p_b = profile_from_choices(inst, [0, 1])
     assert tuple(p_a.sigma) == tuple(p_b.sigma)
     point = construct_critical_point(
-        p_a, sample_random_params(dims, spec, seed=11), spec, reg, 2,
-        target="G", dims=dims,
+        p_a, sample_random_params(inst, seed=11), inst, target="G"
     )
-    d = distance_to_component(point.stack, p_b, spec, reg, 2, target="G")
+    d = distance_to_component(point.stack, p_b, inst, target="G")
     assert d.distance <= 1e-6
 
 
 def test_tangent_basis_matches_orbit_finite_differences():
     # independent oracle: move along the orbit by an exact Givens rotation of
     # one free factor and difference the constructed points
-    spec, dims, reg, target = _simple_instance([2.0, 2.0, 1.4], 3, 0.8, hidden=4)
-    profile = optimal_profile(spec, reg, 3)
-    params = sample_random_params(dims, spec, seed=21)
-    point = construct_critical_point(profile, params, spec, reg, 3, dims=dims)
+    inst, dims, reg, target = _simple_instance([2.0, 2.0, 1.4], 3, 0.8, hidden=4)
+    profile = optimal_profile(inst)
+    params = sample_random_params(inst, seed=21)
+    point = construct_critical_point(profile, params, inst)
     from deeplinear.critical import CriticalParams, tangent_basis
 
-    basis = tangent_basis(point, spec)
+    basis = tangent_basis(point, inst.spectrum)
     t = 1e-6
 
     def givens(n, a, b, angle):
@@ -269,9 +261,7 @@ def test_tangent_basis_matches_orbit_finite_differences():
             i, a, b, angle = d_block
             blocks[i] = blocks[i] @ givens(blocks[i].shape[0], a, b, angle)
         moved_params = CriticalParams(inner, blocks)
-        return construct_critical_point(
-            profile, moved_params, spec, reg, 3, dims=dims
-        ).stack
+        return construct_critical_point(profile, moved_params, inst).stack
 
     moves = [
         flatten(moved(d_inner=(0, 0, 1, t)) - moved(d_inner=(0, 0, 1, -t))),
@@ -285,8 +275,8 @@ def test_tangent_basis_matches_orbit_finite_differences():
 
 
 def test_profile_partition_fields():
-    spec, dims, reg, target = _simple_instance([2.0, 2.0, 1.2], 2, 1.0)
-    profile = optimal_profile(spec, reg, 2)
+    inst, dims, reg, target = _simple_instance([2.0, 2.0, 1.2], 2, 1.0)
+    profile = optimal_profile(inst)
     assert profile.r_sigma == 3
     assert profile.p_distinct == 2
     assert profile.multiplicities[0] == 2

@@ -5,10 +5,10 @@ import pytest
 
 from deeplinear import (
     DimChain,
+    Instance,
     RegParams,
     ShapeError,
     WeightStack,
-    analyze_target,
     construct_critical_point,
     grad_f,
     grad_g,
@@ -97,10 +97,10 @@ def test_kernel_agrees_exactly_with_f_and_g_views(rng):
 
 def test_gradient_vanishes_at_constructed_critical_point(rng):
     dims, reg, target = random_instance(rng, depth=3, max_dim=6)
-    spectrum = analyze_target(target)
-    profile = optimal_profile(spectrum, reg, 3)
-    params = sample_random_params(dims, spectrum, seed=1)
-    point = construct_critical_point(profile, params, spectrum, reg, 3, dims=dims)
+    inst = Instance(dims, reg, target)
+    profile = optimal_profile(inst)
+    params = sample_random_params(inst, seed=1)
+    point = construct_critical_point(profile, params, inst)
     norm = grad_f(point.stack, target, reg).norm()
     assert norm <= 1e-10 * (1.0 + np.linalg.norm(target))
 
@@ -133,10 +133,10 @@ def test_rescale_roundtrip_and_identity(rng):
 
 def test_rescaled_critical_point_is_critical_for_uniform_problem(rng):
     dims, reg, target = random_instance(rng, depth=2, max_dim=5)
-    spectrum = analyze_target(target)
-    profile = optimal_profile(spectrum, reg, 2)
-    params = sample_random_params(dims, spectrum, seed=3)
-    point = construct_critical_point(profile, params, spectrum, reg, 2, dims=dims)
+    inst = Instance(dims, reg, target)
+    profile = optimal_profile(inst)
+    params = sample_random_params(inst, seed=3)
+    point = construct_critical_point(profile, params, inst)
     moved = rescale_f_to_g(point.stack, reg)
     assert grad_g(moved, target, reg).norm() <= 1e-10 * (1.0 + np.linalg.norm(target))
 

@@ -50,10 +50,13 @@ def test_two_layer_excluded_value_flags_zero_root():
 
 
 def test_agrees_with_dense_scan_oracle(rng):
-    for _ in range(30):
-        y = float(rng.uniform(0.1, 5.0))
-        lam = float(rng.uniform(1e-3, 2.0))
-        depth = int(rng.integers(2, 7))
+    cases = [
+        (float(rng.uniform(0.1, 5.0)), float(rng.uniform(1e-3, 2.0)), int(rng.integers(2, 7)))
+        for _ in range(30)
+    ]
+    # reproduce-s4-sized weights, where sqrt(lam) is far below 1e-12 * y
+    cases += [(y, lam, depth) for y in (0.5, 2.0, 5.0) for depth, lam in ((5, 1e-20), (6, 1e-24))]
+    for y, lam, depth in cases:
         mine = [r for r in solve_scalar_equation(y, lam, depth).roots if r > 0]
         oracle = [r for r in scan_roots_oracle(y, lam, depth, cells=200_000) if r > 0]
         assert len(mine) == len(oracle)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from deeplinear import RegParams, analyze_target, build_root_value_set
+from deeplinear import DimChain, Instance, RegParams, analyze_target, build_root_value_set
 
 TRIBONACCI_RECIPROCAL = 0.5436890126920764  # real root of x^3 + x^2 + x = 1
 
@@ -67,15 +67,15 @@ def test_partition_soundness_with_grouping(rng):
 
 
 def test_root_value_set_two_layer():
-    spec = analyze_target(np.array([[2.0]]))
-    rs = build_root_value_set(spec, RegParams((1.0, 1.0)), 2)
+    inst = Instance(DimChain((1, 1, 1)), RegParams((1.0, 1.0)), np.array([[2.0]]))
+    rs = build_root_value_set(inst)
     assert rs.values == pytest.approx((0.0, 1.0))
     assert rs.delta_sigma == pytest.approx(1.0)
 
 
 def test_root_value_set_no_positive_roots():
-    spec = analyze_target(np.array([[1.0]]))
-    rs = build_root_value_set(spec, RegParams((2.0, 2.0)), 2)
+    inst = Instance(DimChain((1, 1, 1)), RegParams((2.0, 2.0)), np.array([[1.0]]))
+    rs = build_root_value_set(inst)
     assert rs.values == (0.0,)
     assert math.isinf(rs.delta_sigma)
 
@@ -83,8 +83,8 @@ def test_root_value_set_no_positive_roots():
 def test_root_value_set_three_layer_gap():
     # roots {0, u, 1} with u the tribonacci reciprocal; the minimal pairwise
     # gap is 1 - u, not u
-    spec = analyze_target(np.array([[2.0]]))
-    rs = build_root_value_set(spec, RegParams((1.0, 1.0, 1.0)), 3)
+    inst = Instance(DimChain((1, 1, 1, 1)), RegParams((1.0, 1.0, 1.0)), np.array([[2.0]]))
+    rs = build_root_value_set(inst)
     assert rs.values == pytest.approx((0.0, TRIBONACCI_RECIPROCAL, 1.0), abs=1e-12)
     assert rs.delta_sigma == pytest.approx(1.0 - TRIBONACCI_RECIPROCAL, abs=1e-12)
 
@@ -94,8 +94,9 @@ def test_root_value_set_residuals(rng):
         target = rng.standard_normal((4, 4))
         depth = int(rng.integers(2, 5))
         reg = RegParams(tuple(rng.uniform(1e-3, 1.0, depth)))
-        spec = analyze_target(target)
-        rs = build_root_value_set(spec, reg, depth)
+        inst = Instance(DimChain((4,) * (depth + 1)), reg, target)
+        spec = inst.spectrum
+        rs = build_root_value_set(inst)
         lam = reg.lambda_prod
         tol = 1e-10 * (1.0 + lam + math.sqrt(lam) * spec.y_top)
         for value in rs.values:

@@ -5,9 +5,9 @@ import pytest
 
 from deeplinear import (
     DimChain,
+    Instance,
     RegParams,
     WeightStack,
-    analyze_target,
     construct_critical_point,
     grad_f,
     loss_f,
@@ -144,10 +144,10 @@ def test_divergence_raises_with_last_finite(rng):
 
 def test_near_critical_init_converges_close_to_center(rng):
     dims, reg, target = random_instance(rng, depth=2, max_dim=4, lam_lo=0.05, lam_hi=0.5)
-    spectrum = analyze_target(target)
-    profile = optimal_profile(spectrum, reg, 2)
-    params = sample_random_params(dims, spectrum, seed=3)
-    center = construct_critical_point(profile, params, spectrum, reg, 2, dims=dims)
+    inst = Instance(dims, reg, target)
+    profile = optimal_profile(inst)
+    params = sample_random_params(inst, seed=3)
+    center = construct_critical_point(profile, params, inst)
     cfg = TrainConfig(
         learning_rate=1e-3, max_iters=60_000, seed=4, init="near-critical",
         init_scale=0.01, log_stride=100,

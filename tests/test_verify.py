@@ -6,16 +6,15 @@ import pytest
 
 from deeplinear import (
     DimChain,
+    Instance,
     RegParams,
     RadiusSweepConfig,
     WeightStack,
-    analyze_target,
     build_counterexample,
     check_balance_inequalities,
     check_first_order_conditions,
     construct_critical_point,
     counterexample_family,
-    enumerate_sigma_profiles,
     fit_counterexample_scaling,
     optimal_profile,
     profile_from_choices,
@@ -24,6 +23,8 @@ from deeplinear import (
     verify_pl_qg,
     zero_profile,
 )
+from deeplinear import critical
+from deeplinear.critical import distance_to_critical_set
 from deeplinear.training import ModelSpec, TrainConfig, Trajectory, train
 from deeplinear.verify import CenterNotCriticalError
 
@@ -31,10 +32,9 @@ from deeplinear.verify import CenterNotCriticalError
 def _generic_instance(seed=3, depth=2):
     rng = np.random.default_rng(seed)
     target = rng.standard_normal((4, 3))
-    spectrum = analyze_target(target)
     dims = DimChain((3,) + (5,) * (depth - 1) + (4,))
     reg = RegParams(tuple(rng.uniform(0.3, 1.0, depth)))
-    return spectrum, dims, reg
+    return Instance(dims, reg, target), dims, reg
 
 
 SMALL_SWEEP = RadiusSweepConfig(
@@ -42,23 +42,21 @@ SMALL_SWEEP = RadiusSweepConfig(
 )
 
 
-def _center(spectrum, dims, reg, depth, which="optimal", target="F", seed=1):
+def _center(inst, which="optimal", target="F", seed=1):
     if which == "optimal":
-        profile = optimal_profile(spectrum, reg, depth)
+        profile = optimal_profile(inst)
     elif which == "zero":
-        profile = zero_profile(spectrum, reg, depth)
+        profile = zero_profile(inst)
     else:
         profile = which
-    params = sample_random_params(dims, spectrum, seed=seed)
-    return construct_critical_point(
-        profile, params, spectrum, reg, depth, target=target, dims=dims
-    )
+    params = sample_random_params(inst, seed=seed)
+    return construct_critical_point(profile, params, inst, target=target)
 
 
 def test_error_bound_passes_on_generic_instance():
-    spectrum, dims, reg = _generic_instance()
-    point = _center(spectrum, dims, reg, 2)
-    report = verify_error_bound(point, spectrum, reg, SMALL_SWEEP)
+    inst, dims, reg = _generic_instance()
+    point = _center(inst)
+    report = verify_error_bound(point, inst, SMALL_SWEEP)
     assert report.passed
     assert report.notes["assumption2"]
     assert math.isfinite(report.fitted["stability_ratio"])
@@ -66,9 +64,9 @@ def test_error_bound_passes_on_generic_instance():
 
 
 def test_error_bound_zero_center():
-    spectrum, dims, reg = _generic_instance(seed=8)
-    point = _center(spectrum, dims, reg, 2, which="zero")
-    report = verify_error_bound(point, spectrum, reg, SMALL_SWEEP)
+    inst, dims, reg = _generic_instance(seed=8)
+    point = _center(inst, which="zero")
+    report = verify_error_bound(point, inst, SMALL_SWEEP)
     assert report.passed
     # around the zero component the distance equals the perturbation radius
     for s in report.samples:
@@ -77,11 +75,11 @@ def test_error_bound_zero_center():
 
 
 def test_error_bound_rejects_noncritical_center():
-    spectrum, dims, reg = _generic_instance()
-    point = _center(spectrum, dims, reg, 2)
+    inst, dims, reg = _generic_instance()
+    point = _center(inst)
     point.stack.layers[0][0, 0] += 0.5
     with pytest.raises(CenterNotCriticalError):
-        verify_error_bound(point, spectrum, reg, SMALL_SWEEP)
+        verify_error_bound(point, inst, SMALL_SWEEP)
 
 
 def test_error_bound_fails_with_cubic_tag_on_degenerate_instance():
@@ -94,8 +92,7 @@ def test_error_bound_fails_with_cubic_tag_on_degenerate_instance():
     )
     report = verify_error_bound(
         family.center,
-        family.spectrum,
-        family.reg,
+        family.inst,
         cfg,
         target="G",
         direction_index=0,
@@ -106,23 +103,35 @@ def test_error_bound_fails_with_cubic_tag_on_degenerate_instance():
     assert abs(report.fitted["grad_vs_dist_slope"] - 3.0) <= 0.05
 
 
+def test_unconverged_projection_tags_and_fails(monkeypatch):
+    inst, dims, reg = _generic_instance()
+    point = _center(inst)
+    monkeypatch.setattr(critical, "PROJECTION_SWEEPS", 1)
+    e = WeightStack.gaussian(dims, np.random.default_rng(0)).scale(1e-2)
+    assert not distance_to_critical_set(point.stack + e, inst).converged
+    for verify in (verify_error_bound, verify_pl_qg):
+        report = verify(point, inst, SMALL_SWEEP)
+        assert report.verdict == "FAIL"
+        assert "projection-unconverged" in report.tags
+
+
 def test_error_bound_tangent_removed_mode():
-    spectrum, dims, reg = _generic_instance(seed=5)
-    point = _center(spectrum, dims, reg, 2)
+    inst, dims, reg = _generic_instance(seed=5)
+    point = _center(inst)
     cfg = RadiusSweepConfig(
         radii=tuple(np.geomspace(1e-4, 1e-2, 4)),
         samples_per_radius=4,
         seed=2,
         mode="tangent-removed",
     )
-    report = verify_error_bound(point, spectrum, reg, cfg)
+    report = verify_error_bound(point, inst, cfg)
     assert report.passed
 
 
 def test_pl_qg_at_global_minimizer():
-    spectrum, dims, reg = _generic_instance(seed=11)
-    point = _center(spectrum, dims, reg, 2)
-    report = verify_pl_qg(point, spectrum, reg, SMALL_SWEEP)
+    inst, dims, reg = _generic_instance(seed=11)
+    point = _center(inst)
+    report = verify_pl_qg(point, inst, SMALL_SWEEP)
     assert report.passed
     assert report.notes["qg_applicable"]
     assert report.fitted["mu1"] > 0
@@ -131,39 +140,37 @@ def test_pl_qg_at_global_minimizer():
 
 
 def test_pl_qg_saddle_reports_not_minimizer():
-    spectrum, dims, reg = _generic_instance(seed=13)
-    choices = [-1] * spectrum.rank
+    inst, dims, reg = _generic_instance(seed=13)
+    choices = [-1] * inst.spectrum.rank
     choices[0] = 0  # drop the top singular value: a non-optimal component
-    saddle = profile_from_choices(spectrum, reg, 2, choices)
-    point = _center(spectrum, dims, reg, 2, which=saddle)
-    report = verify_pl_qg(point, spectrum, reg, SMALL_SWEEP)
+    saddle = profile_from_choices(inst, choices)
+    point = _center(inst, which=saddle)
+    report = verify_pl_qg(point, inst, SMALL_SWEEP)
     assert "not-a-minimizer" in report.tags
     assert not report.notes["qg_applicable"]
     assert report.fitted["mu1"] > 0  # gradient dominance still measurable
 
 
 def test_balance_holds_near_component(rng):
-    spectrum, dims, reg = _generic_instance(seed=17)
-    profile = optimal_profile(spectrum, reg, 2)
-    point = _center(spectrum, dims, reg, 2, target="G")
-    check = check_balance_inequalities(point.stack, profile, spectrum, reg, 2)
+    inst, dims, reg = _generic_instance(seed=17)
+    profile = optimal_profile(inst)
+    point = _center(inst, target="G")
+    check = check_balance_inequalities(point.stack, profile, inst)
     assert check.passed
     assert max(check.residuals) <= 1e-10
     for _ in range(25):
         e = WeightStack.gaussian(dims, rng)
         e = e.scale(0.25 * profile.sigma_min_pos / e.norm())
-        check = check_balance_inequalities(
-            point.stack + e, profile, spectrum, reg, 2
-        )
+        check = check_balance_inequalities(point.stack + e, profile, inst)
         assert check.precondition_ok
         assert check.passed
 
 
 def test_balance_precondition_reported_not_raised():
-    spectrum, dims, reg = _generic_instance(seed=19)
-    profile = optimal_profile(spectrum, reg, 2)
+    inst, dims, reg = _generic_instance(seed=19)
+    profile = optimal_profile(inst)
     far = WeightStack.gaussian(dims, np.random.default_rng(0)).scale(50.0)
-    check = check_balance_inequalities(far, profile, spectrum, reg, 2)
+    check = check_balance_inequalities(far, profile, inst)
     assert not check.precondition_ok
     assert not check.passed
 
@@ -200,16 +207,16 @@ def test_counterexample_kind_checks():
 
 
 def test_first_order_conditions_on_descent_run():
-    spectrum, dims, reg = _generic_instance(seed=23)
-    point = _center(spectrum, dims, reg, 2)
+    inst, dims, reg = _generic_instance(seed=23)
+    point = _center(inst)
     lr = 1e-3
     cfg = TrainConfig(
         learning_rate=lr, max_iters=20_000, seed=1, init="near-critical",
         init_scale=0.05, log_stride=25,
     )
-    traj = train(ModelSpec(), spectrum.target, reg, cfg, dims, center=point.stack)
+    traj = train(ModelSpec(), inst.target, reg, cfg, dims, center=point.stack)
     assert traj.termination == "converged"
-    rep = check_first_order_conditions(traj, spectrum, reg)
+    rep = check_first_order_conditions(traj, inst)
     assert abs(rep.safeguard_constant * lr - 1.0) <= 1e-12
     assert rep.sufficient_decrease_held
     assert rep.cost_to_go_held
@@ -230,19 +237,17 @@ def test_first_order_conditions_flags_nondecreasing_tail():
         termination="max-iters",
         wall_time=0.0,
     )
-    spectrum = analyze_target(np.zeros((2, 2)))
-    rep = check_first_order_conditions(
-        trajectory=traj, spectrum=spectrum, reg=RegParams((1.0, 1.0))
-    )
+    inst = Instance(DimChain((2, 2, 2)), RegParams((1.0, 1.0)), np.zeros((2, 2)))
+    rep = check_first_order_conditions(trajectory=traj, inst=inst)
     assert not rep.sufficient_decrease_held
 
 
 def test_sweeps_deterministic_given_seed():
-    spectrum, dims, reg = _generic_instance(seed=31)
-    point = _center(spectrum, dims, reg, 2)
+    inst, dims, reg = _generic_instance(seed=31)
+    point = _center(inst)
     cfg = RadiusSweepConfig(radii=(1e-3, 1e-2), samples_per_radius=3, seed=9)
-    a = verify_error_bound(point, spectrum, reg, cfg)
-    b = verify_error_bound(point, spectrum, reg, cfg)
+    a = verify_error_bound(point, inst, cfg)
+    b = verify_error_bound(point, inst, cfg)
     assert a.to_json() == b.to_json()
 
 
@@ -254,17 +259,17 @@ def test_error_bound_small_weights_three_layer():
 
     rng = np.random.default_rng(37)
     target = rng.standard_normal((3, 3))
-    spectrum = analyze_target(target)
     dims = DimChain((3, 4, 4, 3))
     reg = RegParams.uniform(1e-2, 3)
-    point = _center(spectrum, dims, reg, 3)
-    delta_sigma = build_root_value_set(spectrum, reg, 3).delta_sigma
+    inst = Instance(dims, reg, target)
+    point = _center(inst)
+    delta_sigma = build_root_value_set(inst).delta_sigma
     cfg = RadiusSweepConfig(
         radii=tuple(np.geomspace(delta_sigma / 1000, delta_sigma / 4, 5)),
         samples_per_radius=4,
         seed=1,
     )
-    report = verify_error_bound(point, spectrum, reg, cfg)
+    report = verify_error_bound(point, inst, cfg)
     assert report.passed
 
 
@@ -273,9 +278,9 @@ def test_descent_terminates_near_critical_set():
     # the enumerated critical set stays small
     rng = np.random.default_rng(41)
     target = rng.standard_normal((3, 3))
-    spectrum = analyze_target(target)
     dims = DimChain((3, 4, 3))
     reg = RegParams((0.5, 0.8))
+    inst = Instance(dims, reg, target)
     cfg = TrainConfig(
         learning_rate=2e-3, max_iters=100_000, seed=6, init="gaussian",
         grad_sq_tol=1e-6, fval_change_tol=1e-7, log_stride=200,
@@ -284,18 +289,17 @@ def test_descent_terminates_near_critical_set():
     assert traj.termination == "converged"
     from deeplinear import distance_to_critical_set
 
-    enum = enumerate_sigma_profiles(spectrum, reg, 2)
-    sd = distance_to_critical_set(traj.final, enum, spectrum, reg, 2)
+    sd = distance_to_critical_set(traj.final, inst)
     assert sd.distance <= 1e-3
 
 
 def test_report_serialization_roundtrip():
-    spectrum, dims, reg = _generic_instance(seed=29)
-    point = _center(spectrum, dims, reg, 2)
+    inst, dims, reg = _generic_instance(seed=29)
+    point = _center(inst)
     cfg = RadiusSweepConfig(
         radii=(1e-3, 1e-2), samples_per_radius=2, seed=0
     )
-    report = verify_error_bound(point, spectrum, reg, cfg)
+    report = verify_error_bound(point, inst, cfg)
     text = report.to_json()
     payload = json.loads(text)
     assert json.dumps(payload, indent=2, sort_keys=True) == text
