@@ -121,6 +121,11 @@ def build_instance(cfg: dict, seed: int) -> Instance:
         target *= float(tblock.get("scale", 1.0))
     elif kind == "diagonal":
         values = [float(v) for v in _require(tblock, "values", "instance.target")]
+        if len(values) > dims.d_min:
+            raise ConfigError(
+                f"diagonal target has {len(values)} values; "
+                f"min(d_out, d_in) = {dims.d_min} allows at most that many"
+            )
         target = np.zeros((dims.d_out, dims.d_in))
         for i, v in enumerate(values):
             target[i, i] = v

@@ -310,6 +310,7 @@ class ProfileEnumeration:
     profiles: list[SigmaProfile]
     total_combinations: int
     truncated: bool
+    sigmas: np.ndarray  # (P, d_min): row p is profiles[p].sigma
 
 
 def enumerate_sigma_profiles(inst: "Instance", cap: int = 1024) -> ProfileEnumeration:
@@ -366,7 +367,8 @@ def enumerate_sigma_profiles(inst: "Instance", cap: int = 1024) -> ProfileEnumer
 
     # Deterministic order: lexicographically decreasing sorted vectors.
     profiles.sort(key=lambda p: tuple(-v for v in p.sigma))
-    return ProfileEnumeration(profiles, total, truncated)
+    sigmas = np.array([p.sigma for p in profiles]).reshape(len(profiles), d_min)
+    return ProfileEnumeration(profiles, total, truncated, sigmas)
 
 
 @dataclass
@@ -621,31 +623,30 @@ def layer_singular_values(stack: WeightStack) -> list[np.ndarray]:
 
 def mirsky_lower_bound(
     stack: WeightStack,
-    profile: SigmaProfile,
+    profiles: SigmaProfile | ProfileEnumeration,
     reg: RegParams,
     target: str = "F",
-    layer_svals: list[np.ndarray] | None = None,
-) -> float:
-    """Certified lower bound on the distance to the profile's component.
+) -> float | np.ndarray:
+    """Certified lower bound on the distance to a profile's component.
 
     Singular values are 1-Lipschitz under Frobenius perturbations, so the
-    per-layer gap between the stack's singular values and the component's
-    fixed ones bounds the distance from below.  Pass ``layer_svals`` to reuse
-    decompositions when probing many profiles against one stack.
+    per-layer gap between the stack's singular values s_k and the component's
+    fixed ones bounds the distance from below:
+    ``lower_p^2 = sum_k ||s_k - scale_k * pad(sigma_p, m_k)||^2``.  Given an
+    enumeration, one pass over the layers bounds every profile and returns
+    the vector of bounds; given one profile, it returns that profile's bound.
     """
-    scales = _layer_scales(reg, target)
-    sig = np.sort(np.asarray(profile.sigma_eq))[::-1]
-    if layer_svals is None:
-        layer_svals = layer_singular_values(stack)
-    total = 0.0
-    for k, w in enumerate(stack.layers):
-        m = min(w.shape)
-        ref = np.zeros(m)
-        ref[: len(sig)] = sig * scales[k]
-        ref = np.sort(ref)[::-1]
-        diff = layer_svals[k] - ref
-        total += float(diff @ diff)
-    return math.sqrt(total)
+    single = isinstance(profiles, SigmaProfile)
+    sigmas = np.array([profiles.sigma]) if single else profiles.sigmas
+    total = np.zeros(len(sigmas))
+    for s, scale in zip(layer_singular_values(stack), _layer_scales(reg, target)):
+        k = min(len(s), sigmas.shape[1])
+        ref = np.zeros((len(sigmas), len(s)))
+        ref[:, :k] = sigmas[:, :k] * scale
+        diff = s - ref
+        total += (diff * diff).sum(axis=1)
+    lowers = np.sqrt(total)
+    return float(lowers[0]) if single else lowers
 
 
 @dataclass
@@ -711,48 +712,49 @@ def distance_to_component(
     q = {2: seeded_frame(1)}
     for l in range(3, L + 1):
         q[l] = _polar(w[l - 2] @ q[l - 1] @ sig_mats[l - 2].T)
-    blocks = [np.eye(h) for h in spectrum.multiplicities]
 
-    def mixers():
-        m_in = np.eye(dims.dims[0])
-        m_out_left = np.eye(dims.dims[-1])
-        for i, h in enumerate(spectrum.multiplicities):
-            sl = spectrum.block_slice(i)
-            m_in[sl, sl] = blocks[i]
-            m_out_left[sl, sl] = blocks[i].T
-        return m_in, m_out_left
+    # Block factors go straight into the mixers M_in, M_out (identity past the
+    # rank); the blocks of one size h share n_h x h x h index arrays.
+    m_in, m_out = np.eye(dims.dims[0]), np.eye(dims.dims[-1])
+    sizes, starts = np.array(spectrum.multiplicities), np.array(spectrum.s_bounds[:-1])
+    groups = []
+    for h in sorted(set(spectrum.multiplicities)):
+        idx = starts[sizes == h][:, None] + np.arange(h)
+        d1, dl = sig_eq[idx] * scales[0], sig_eq[idx] * scales[L - 1]
+        groups.append((idx[:, :, None], idx[:, None, :], d1[:, :, None], dl[:, :, None]))
+    right_1 = left_l = None  # M_in V_Y^T and U_Y M_out, the outer layers' frames
 
     def member() -> WeightStack:
-        m_in, m_out = mixers()
-        layers = []
-        layers.append(q[2] @ sig_mats[0] @ (m_in @ v_y.T))
+        layers = [q[2] @ sig_mats[0] @ right_1]
         for l in range(2, L):
             layers.append(q[l + 1] @ sig_mats[l - 1] @ q[l].T)
-        layers.append((u_y @ m_out) @ sig_mats[L - 1] @ q[L].T)
+        layers.append(left_l @ sig_mats[L - 1] @ q[L].T)
         return WeightStack(layers)
 
     def update_blocks():
+        # Block i's factor is the polar factor of D1 G1[i] + DL GL[i]^T (all
+        # blocks of one size in one stacked SVD; Schoenemann 1966).
+        nonlocal right_1, left_l
         g1 = q[2].T @ w[0] @ v_y
         gl = u_y.T @ w[L - 1] @ q[L]
-        for i in range(spectrum.p_distinct):
-            sl = spectrum.block_slice(i)
-            d1 = np.diag(sig_eq[sl] * scales[0])
-            dl = np.diag(sig_eq[sl] * scales[L - 1])
-            c = d1 @ g1[sl, sl] + dl @ gl[sl, sl].T
-            blocks[i] = _polar(c)
+        for rows, cols, d1, dl in groups:
+            u, _, vt = np.linalg.svd(d1 * g1[rows, cols] + dl * gl[cols, rows])
+            factors = u @ vt
+            m_in[rows, cols] = factors
+            m_out[cols, rows] = factors
+        right_1, left_l = m_in @ v_y.T, u_y @ m_out
 
     def update_seams():
-        m_in, m_out = mixers()
         for l in range(2, L + 1):
             # layer l-1 = Q_l @ a, layer l = b @ Q_l^T
             if l - 1 == 1:
-                a = sig_mats[0] @ (m_in @ v_y.T)
+                a = sig_mats[0] @ right_1
             else:
                 a = sig_mats[l - 2] @ q[l - 1].T
             if l < L:
                 b = q[l + 1] @ sig_mats[l - 1]
             else:
-                b = (u_y @ m_out) @ sig_mats[L - 1]
+                b = left_l @ sig_mats[L - 1]
             c = w[l - 2] @ a.T + w[l - 1].T @ b
             q[l] = _polar(c)
 
@@ -810,26 +812,19 @@ def distance_to_critical_set(
     the enumeration index breaking ties so results are deterministic.
     """
     enum = inst.profiles
-    profiles = enum.profiles
-    svals = layer_singular_values(stack)
-    lowers = [
-        mirsky_lower_bound(stack, prof, inst.reg, target, layer_svals=svals)
-        for prof in profiles
-    ]
-    order = sorted(range(len(profiles)), key=lambda k: (lowers[k], k))
+    lowers = mirsky_lower_bound(stack, enum, inst.reg, target)
     best: ComponentDistance | None = None
     best_idx = -1
     converged = True
-    for k in order:
+    for k in np.argsort(lowers, kind="stable"):
         if best is not None and lowers[k] >= best.distance:
-            continue
-        cand = distance_to_component(stack, profiles[k], inst, target=target)
+            break  # later bounds are no smaller, and best.distance only falls
+        cand = distance_to_component(stack, enum.profiles[k], inst, target=target)
         converged = converged and cand.converged
         if best is None or cand.distance < best.distance:
             best = cand
-            best_idx = k
+            best_idx = int(k)
     assert best is not None
-    overall_lower = min(lowers)
     return SetDistance(
-        best.distance, overall_lower, best_idx, best.nearest, enum.truncated, converged
+        best.distance, float(lowers.min()), best_idx, best.nearest, enum.truncated, converged
     )

@@ -189,6 +189,11 @@ def _failing_call(tmp_path, case):
         cfg = _base_config(tmp_path)
         cfg["instance"]["grouping_tol"] = 0.5
         return ["check-assumptions", _write_config(tmp_path, cfg)]
+    if case == "too-many-diagonal-values":
+        cfg = _base_config(tmp_path)
+        cfg["instance"]["dims"] = [2, 3, 2]
+        cfg["instance"]["target"] = {"kind": "diagonal", "values": [2, 1, 0.5]}
+        return ["check-assumptions", _write_config(tmp_path, cfg)]
     if case == "nan-target-file":
         target = np.diag([2.0, 1.3])
         target[0, 1] = np.nan
@@ -210,6 +215,7 @@ def _failing_call(tmp_path, case):
         ("divergent-train", 1),
         ("nan-target-file", 2),
         ("grouping-tol-key", 2),
+        ("too-many-diagonal-values", 2),
         ("negative-root-target", 2),
         ("one-layer-roots", 2),
         ("zero-counterexample-target", 2),

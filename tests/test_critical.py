@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from deeplinear import critical
 from deeplinear import (
     AssumptionError,
     DimChain,
@@ -282,3 +283,48 @@ def test_profile_partition_fields():
     assert profile.multiplicities[0] == 2
     assert profile.g_max == 2
     assert profile.sigma_max >= profile.sigma_min_pos > 0
+
+
+def _mirsky_reference(svals, profile, reg, target):
+    """Per-profile bound as a loop: sort, pad and compare each layer's values."""
+    scales = [1.0 / math.sqrt(lam) for lam in reg.lambdas] if target == "F" else [1.0] * reg.depth
+    sig = np.sort(np.asarray(profile.sigma_eq))[::-1]
+    total = 0.0
+    for k, s in enumerate(svals):
+        ref = np.zeros(len(s))
+        ref[: len(sig)] = sig * scales[k]
+        diff = s - np.sort(ref)[::-1]
+        total += float(diff @ diff)
+    return math.sqrt(total)
+
+
+def test_batched_lower_bounds_match_per_profile_loop(monkeypatch):
+    # Two repeated-value blocks of size 3, two positive roots per value at
+    # L=3: 10^2 = 100 profiles.  Any member of a component bounds the distance
+    # to it from above, so one sweep per projection suffices for the upper
+    # check (most far components take the full 200 sweeps otherwise).
+    monkeypatch.setattr(critical, "PROJECTION_SWEEPS", 1)
+    dims = DimChain((6, 7, 7, 6))
+    reg = RegParams((0.5, 0.6, 0.7))
+    inst = Instance(dims, reg, np.diag([3.0, 3.0, 3.0, 2.0, 2.0, 2.0]))
+    enum = inst.profiles
+    assert len(enum.profiles) >= 100
+    assert enum.sigmas.shape == (len(enum.profiles), dims.d_min)
+    point = construct_critical_point(optimal_profile(inst), sample_random_params(inst, seed=8), inst)
+    rng = np.random.default_rng(21)
+    for radius in np.geomspace(1e-4, 1e-1, 20):
+        e = WeightStack.gaussian(dims, rng)
+        stack = point.stack + e.scale(radius / e.norm())
+        svals = [np.linalg.svd(w, compute_uv=False) for w in stack.layers]
+        for target in ("F", "G"):
+            lowers = mirsky_lower_bound(stack, enum, reg, target)
+            assert lowers.shape == (len(enum.profiles),)
+            for profile, lower in zip(enum.profiles, lowers):
+                want = _mirsky_reference(svals, profile, reg, target)
+                assert abs(lower - want) <= 1e-13 * want
+                assert mirsky_lower_bound(stack, profile, reg, target) == lower
+                if target == "G":
+                    continue
+                result = distance_to_component(stack, profile, inst)
+                assert lower <= result.distance * (1 + 1e-12) + 1e-15
+                assert lower <= (stack - result.nearest).norm() * (1 + 1e-12) + 1e-15

@@ -1,7 +1,11 @@
 """Golden reports: fixed-seed CLI runs compared against recorded outputs.
 
 `train.json` holds train summaries; `reports.json` holds the check-assumptions,
-constants, verify-eb and verify-plqg reports of one small instance each.
+constants, verify-eb and verify-plqg reports of one small instance each, a
+verify-eb report on a target with repeated singular-value blocks of sizes 3, 2
+and 1, the `roots --json` output at an excluded and a generic weight, and the
+`counterexample --kind l2 --fit` report.  A case without a config runs its
+argv as is; its report is read from stdout when ``report`` is "-".
 
 Step counts, terminations and flags must match exactly; fitted and final
 numbers within 1e-10 relative.  A change that moves a golden value names the
@@ -56,12 +60,18 @@ def _assert_matches(got, want, where="report"):
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_CASES))
-def test_report_matches_golden(name, tmp_path, capsys):
+def test_report_matches_golden(name, tmp_path, capsys, monkeypatch):
     case = REPORT_CASES[name]
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(dict(case["config"], output_dir=str(tmp_path))))
-    command, *options = case["argv"]
-    assert main([command, str(config), *options]) == case["exit"]
-    capsys.readouterr()
-    report = json.loads((tmp_path / case["report"]).read_text())
+    monkeypatch.setenv("DEEPLINEAR_OUT", str(tmp_path))
+    argv = list(case["argv"])
+    if "config" in case:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(case["config"], output_dir=str(tmp_path))))
+        argv.insert(1, str(config))
+    assert main(argv) == case["exit"]
+    stdout = capsys.readouterr().out
+    if case["report"] == "-":
+        report = json.loads(stdout)
+    else:
+        report = json.loads((tmp_path / case["report"]).read_text())
     _assert_matches(report, case["expect"])
