@@ -55,7 +55,7 @@ class InternalConsistencyError(RuntimeError):
 
 GRID_CELLS = 4096
 BISECT_TOL = 1e-14
-DEGENERACY_TOL = 1e-7  # |q'(root)| below this (scaled) flags a multiple root
+DEGENERACY_TOL = 1e-7  # |r q'(r)| below this times q's largest term flags a multiple root
 PROJECTION_SWEEPS = 200  # cap on alternating-Procrustes sweeps per projection
 
 
@@ -123,9 +123,13 @@ def solve_scalar_equation(y: float, lam: float, depth: int) -> ScalarRoots:
             return 2.0 * x
         return (2 * L - 2) * x ** (2 * L - 3) - (L - 2) * root_lam * y * x ** (L - 3)
 
+    def size(x: float) -> float:
+        # largest term of q at x: a vanishing derivative is measured against it
+        return max(x ** (2 * L - 2), root_lam * y * x ** (L - 2), lam)
+
     # The zero root is degenerate exactly when q(0) = 0 as well (only possible
     # for L = 2 with y = sqrt(lam)), making 0 a higher-order stationary value.
-    zero_degenerate = abs(q(0.0)) <= res_tol and abs(qp(0.0)) <= DEGENERACY_TOL * scale
+    zero_degenerate = abs(q(0.0)) <= 1e-12 * size(0.0)
 
     roots = [0.0]
     flags = [zero_degenerate]
@@ -183,7 +187,7 @@ def solve_scalar_equation(y: float, lam: float, depth: int) -> ScalarRoots:
                     f"root {r} of (y={y}, lam={lam}, L={L}) has residual {res}"
                 )
             roots.append(r)
-            flags.append(abs(qp(r)) <= DEGENERACY_TOL * scale)
+            flags.append(abs(r * qp(r)) <= DEGENERACY_TOL * size(r))
             residuals.append(res)
 
     order = np.argsort(roots)
@@ -683,7 +687,7 @@ def distance_to_component(
     if profile.is_zero or spectrum.rank == 0:
         nearest = WeightStack.zeros(dims)
         d = (stack - nearest).norm()
-        return ComponentDistance(d, lower, nearest, 0, True)
+        return ComponentDistance(max(d, lower), lower, nearest, 0, True)
 
     sig_mats = _sigma_matrices(profile, dims, reg, target)
     scales = _layer_scales(reg, target)

@@ -173,7 +173,10 @@ def train(
 ) -> Trajectory:
     """Run gradient descent until both stopping tolerances hold jointly.
 
-    The update is exactly W <- W - lr * grad, which downstream diagnostics
+    The parameters are one flat float64 vector; the layers (and biases) are
+    reshaped views into it, so the squared gradient norm, the update and the
+    step norm are each one whole-vector operation.  The update is still
+    exactly W <- W - lr * grad for every entry, which downstream diagnostics
     rely on (the safeguard constant of plain descent is 1/lr).
     """
     target = np.asarray(target, dtype=float)
@@ -187,6 +190,17 @@ def train(
         )
 
     layers, biases = _init_state(model, dims, cfg, center)
+    parts = layers + (biases or [])
+    ends = np.cumsum([a.size for a in parts]).tolist()
+    cuts = list(zip([0] + ends[:-1], ends, [a.shape for a in parts]))
+    n_layers = len(layers)
+
+    def views(vec):
+        out = [vec[a:b].reshape(shape) for a, b, shape in cuts]
+        return out[:n_layers], out[n_layers:] or None
+
+    params = np.concatenate(parts, axis=None)
+    layers, biases = views(params)
     lr = cfg.learning_rate
     f_hist: list[float] = []
     g_hist: list[float] = []
@@ -206,9 +220,8 @@ def train(
             raise DivergenceError(
                 f"objective became non-finite at iteration {k}", WeightStack(last_finite)
             )
-        gsq = sum(float(np.sum(g * g)) for g in grads)
-        if gbias is not None:
-            gsq += sum(float(np.sum(g * g)) for g in gbias)
+        g = np.concatenate(grads + (gbias or []), axis=None)
+        gsq = float(g @ g)
         if f_hist and gsq <= cfg.grad_sq_tol and abs(f_val - f_hist[-1]) <= cfg.fval_change_tol:
             f_hist.append(f_val)
             termination = "converged"
@@ -218,17 +231,15 @@ def train(
             if len(snapshots) > 128:
                 snapshots = snapshots[::2]
                 snap_stride *= 2
-        # Updates are out of place, so the previous iterate stays intact.
+        # Updates are out of place, so the previous iterate and every
+        # snapshot keep their own buffer.
         last_finite = layers
         f_hist.append(f_val)
         g_hist.append(gsq)
-        deltas = [lr * g for g in grads]
-        layers = [w - d for w, d in zip(layers, deltas)]
-        if gbias is not None:
-            bias_deltas = [lr * g for g in gbias]
-            biases = [b - d for b, d in zip(biases, bias_deltas)]
-            deltas += bias_deltas
-        s_hist.append(sum(float(np.sum(d * d)) for d in deltas))
+        delta = lr * g
+        params = params - delta
+        layers, biases = views(params)
+        s_hist.append(float(delta @ delta))
         k += 1
     else:
         # ran out of iterations: record the final value for a complete series

@@ -326,5 +326,5 @@ def test_batched_lower_bounds_match_per_profile_loop(monkeypatch):
                 if target == "G":
                     continue
                 result = distance_to_component(stack, profile, inst)
-                assert lower <= result.distance * (1 + 1e-12) + 1e-15
+                assert lower <= result.distance
                 assert lower <= (stack - result.nearest).norm() * (1 + 1e-12) + 1e-15

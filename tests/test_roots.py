@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deeplinear import SolverError, excluded_lambda, solve_scalar_equation
+from deeplinear import SolverError, degenerate_sigma, excluded_lambda, solve_scalar_equation
 from conftest import scan_roots_oracle
 
 
@@ -47,6 +47,30 @@ def test_two_layer_excluded_value_flags_zero_root():
     roots = solve_scalar_equation(2.0, 4.0, 2)  # lam = y^2
     assert roots.roots == (0.0,)
     assert roots.degenerate == (True,)
+
+
+@pytest.mark.parametrize("depth", range(2, 7))
+def test_double_root_at_excluded_weight_is_flagged(depth):
+    for y in (0.3, 1.0, 2.0, 5.0):
+        lam = excluded_lambda(y, depth)
+        roots = solve_scalar_equation(y, lam, depth)
+        if depth == 2:
+            # lam = y^2: the positive root has merged into the zero root
+            assert roots.roots == (0.0,) and roots.degenerate == (True,)
+            continue
+        assert not roots.degenerate[0]
+        flagged = [r for r, d in zip(roots.roots, roots.degenerate) if d]
+        x = degenerate_sigma(lam, depth)
+        assert flagged and all(abs(r - x) <= 1e-6 * x for r in flagged)
+
+
+def test_simple_roots_at_tiny_weights_are_not_flagged():
+    # reproduce-s4's weight at L=6: q's terms are far below 1, so a vanishing
+    # derivative must be judged against their size, not an absolute scale
+    for y in (0.5, 2.0, 5.0):
+        roots = solve_scalar_equation(y, 1e-24, 6)
+        assert len(roots.roots) == 3
+        assert roots.degenerate == (False, False, False)
 
 
 def test_agrees_with_dense_scan_oracle(rng):

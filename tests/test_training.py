@@ -20,6 +20,7 @@ from deeplinear.training import (
     ModelSpec,
     TrainConfig,
     Trajectory,
+    _init_state,
     estimate_linear_rate,
     train,
     value_and_grad,
@@ -112,6 +113,59 @@ def test_gd_identity_step_equals_lr_times_grad(rng):
     traj = train(ModelSpec(), target, reg, cfg, dims)
     ratio = np.sqrt(traj.step_norm_sq / traj.grad_sq)
     assert np.max(np.abs(ratio - lr)) <= 1e-12 * lr
+
+
+def _per_layer_descent(model, target, reg, cfg, dims):
+    """Reference loop: W <- W - lr * grad layer by layer, biases included."""
+    layers, biases = _init_state(model, dims, cfg, None)
+    lr, x = cfg.learning_rate, model.input_matrix
+    iterates, f_values, grad_sq, step_sq = [], [], [], []
+    for _ in range(cfg.max_iters):
+        value, gw, gb = value_and_grad(layers, biases, x, target, reg, model.activation)
+        grads = gw + (gb or [])
+        iterates.append(layers)
+        f_values.append(value)
+        grad_sq.append(sum(float(np.sum(g * g)) for g in grads))
+        step_sq.append(sum(float(np.sum((lr * g) ** 2)) for g in grads))
+        layers = [w - lr * g for w, g in zip(layers, gw)]
+        if biases is not None:
+            biases = [b - lr * g for b, g in zip(biases, gb)]
+    f_values.append(value_and_grad(layers, biases, x, target, reg, model.activation)[0])
+    return f_values, grad_sq, step_sq, iterates, layers, biases
+
+
+@pytest.mark.parametrize(
+    "kind, activation",
+    [("linear", "identity"), ("linear-with-bias", "identity"), ("nonlinear", "tanh")],
+)
+def test_flat_descent_matches_per_layer_reference(kind, activation, rng):
+    dims, reg, _ = random_instance(rng, depth=3, max_dim=5)
+    x = None
+    target = rng.standard_normal((dims.dims[-1], dims.dims[0]))
+    if kind != "linear":
+        x = rng.uniform(-1, 1, size=(dims.dims[0], 6))
+        target = rng.standard_normal((dims.dims[-1], 6))
+    model = ModelSpec(kind=kind, activation=activation, input_matrix=x)
+    cfg = TrainConfig(
+        learning_rate=1e-2, max_iters=200, grad_sq_tol=1e-300, seed=3,
+        init="gaussian", log_stride=1,
+    )
+    traj = train(model, target, reg, cfg, dims)
+    f_values, grad_sq, step_sq, iterates, layers, biases = _per_layer_descent(
+        model, target, reg, cfg, dims
+    )
+    assert traj.termination == "max-iters" and traj.n_steps == 200
+    assert np.array_equal(traj.f_values, f_values)
+    assert all(np.array_equal(a, b) for a, b in zip(traj.final.layers, layers))
+    if biases is None:
+        assert traj.final_biases is None
+    else:
+        assert all(np.array_equal(a, b) for a, b in zip(traj.final_biases, biases))
+    assert len(traj.snapshots) > 64
+    for k, snap in traj.snapshots:
+        assert all(np.array_equal(a, b) for a, b in zip(snap.layers, iterates[k]))
+    np.testing.assert_allclose(traj.grad_sq, grad_sq, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(traj.step_norm_sq, step_sq, rtol=1e-14, atol=0.0)
 
 
 def test_loss_monotone_for_small_step(rng):
