@@ -56,6 +56,7 @@ class InternalConsistencyError(RuntimeError):
 GRID_CELLS = 4096
 BISECT_TOL = 1e-14
 DEGENERACY_TOL = 1e-7  # |r q'(r)| below this times q's largest term flags a multiple root
+_EPS = float(np.finfo(float).eps)
 PROJECTION_SWEEPS = 200  # cap on alternating-Procrustes sweeps per projection
 
 
@@ -105,6 +106,12 @@ def solve_scalar_equation(y: float, lam: float, depth: int) -> ScalarRoots:
     bisection on each sign change, and one Newton polish.  The interior
     minimizer of q is added to the grid, and tested on its own: a tangential
     (double) root can only sit there, so it is caught and flagged.
+
+    q is evaluated on the whole grid in one array pass.  numpy's array power
+    can differ from libm ``pow`` by an ulp, so x_min and every point where q
+    is within 64 eps of its terms (with its two neighbours) are evaluated
+    with the scalar q: the grid's signs and exact zeros, and so the roots,
+    are those of a point-by-point scalar scan.
     """
     y = float(y)
     lam = float(lam)
@@ -137,24 +144,39 @@ def solve_scalar_equation(y: float, lam: float, depth: int) -> ScalarRoots:
 
     if y > 0.0:
         bracket = (root_lam * y) ** (1.0 / L)
-        grid = list(np.linspace(0.0, bracket, GRID_CELLS + 1))
+        grid = np.linspace(0.0, bracket, GRID_CELLS + 1)
         # For L >= 3, q decreases then increases; x_min is its only interior
         # critical point (for L = 2 it is 0 and q only increases).
         x_min = ((L - 2) * root_lam * y / (2 * L - 2)) ** (1.0 / L)
         interior = 0.0 < x_min < bracket
         if interior:
-            grid.append(x_min)
-            grid.sort()
-        qvals = [q(x) for x in grid]
+            q_min = q(x_min)
+            k_min = np.searchsorted(grid, x_min, side="right")
+            grid = np.insert(grid, k_min, x_min)
+        high = grid ** (2 * L - 2)
+        low = root_lam * y * grid ** (L - 2)
+        qvals = high - low + lam
+        if interior:
+            qvals[k_min] = q_min
+        # A value kept from the array pass is more than 64 eps of q's terms
+        # away from zero, so it has the scalar value's sign (numpy's power is
+        # within an ulp of libm's).  The 1e-150 floor keeps a product of two
+        # kept values from underflowing; the neighbours of a re-evaluated
+        # point are re-evaluated too, so a product with a tiny value uses
+        # scalar values only.  "not >" also catches a nan.
+        near = ~(np.abs(qvals) > 64 * _EPS * (high + low + lam) + 1e-150)
+        near[1:] |= near[:-1].copy()
+        near[:-1] |= near[1:].copy()
+        for k in np.flatnonzero(near):
+            qvals[k] = q(grid[k])
 
+        qa, qb = qvals[:-1], qvals[1:]
         found: list[float] = []
-        for k in range(len(grid) - 1):
-            a, b = grid[k], grid[k + 1]
-            qa, qb = qvals[k], qvals[k + 1]
-            if qa == 0.0 and a > 0.0:
-                found.append(a)
-            elif qa * qb < 0.0:
-                found.append(_bisect(q, a, b, qa, qb))
+        for k in np.flatnonzero(((qa == 0.0) & (grid[:-1] > 0.0)) | (qa * qb < 0.0)):
+            if qa[k] == 0.0:
+                found.append(grid[k])
+            else:
+                found.append(_bisect(q, grid[k], grid[k + 1], qa[k], qb[k]))
         if qvals[-1] == 0.0:
             found.append(grid[-1])
         # A tangential root leaves no sign change and can only sit at x_min.
@@ -163,7 +185,7 @@ def solve_scalar_equation(y: float, lam: float, depth: int) -> ScalarRoots:
         # root is within res_tol of zero.
         if (
             interior
-            and abs(q(x_min)) <= res_tol
+            and abs(q_min) <= res_tol
             and not any(abs(x_min - r) <= 1e-9 * max(1.0, bracket) for r in found)
         ):
             found.append(x_min)

@@ -129,13 +129,6 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def ols_loglog(x, y) -> tuple[float, float]:
-    """Least-squares slope and R^2 of log(y) against log(x)."""
-    if len(x) < 2:
-        return math.nan, math.nan
-    return fit_line(np.log(np.asarray(x, dtype=float)), np.log(np.asarray(y, dtype=float)))
-
-
 def _grad_and_loss(stack, target_matrix, reg, target):
     if target != "F":
         target_matrix, reg = uniform_companion(target_matrix, reg)
@@ -268,7 +261,7 @@ def verify_error_bound(
 
     xs = [s.dist_upper for s in samples if s.in_regime and s.grad_norm > 0]
     ys = [s.grad_norm for s in samples if s.in_regime and s.grad_norm > 0]
-    slope, r2 = ols_loglog(xs, ys) if len(xs) >= 2 else (math.nan, math.nan)
+    slope, r2 = fit_line(np.log(xs), np.log(ys)) if len(xs) >= 2 else (math.nan, math.nan)
     fitted.update(
         {
             "stability_ratio": stability,
@@ -623,7 +616,9 @@ def fit_counterexample_scaling(
         samples.append(
             SweepSample(t, lo, up, g, lval, up / g if g > 0 else math.inf, True)
         )
-    slope, r2 = ols_loglog([s.dist_upper for s in samples], [s.grad_norm for s in samples])
+    xs = [s.dist_upper for s in samples]
+    ys = [s.grad_norm for s in samples]
+    slope, r2 = fit_line(np.log(xs), np.log(ys)) if len(xs) >= 2 else (math.nan, math.nan)
     ok = abs(slope - family.expected_slope) <= 0.05
     tags = ["fail-by-design"]
     if abs(slope - 3.0) <= 0.05:
