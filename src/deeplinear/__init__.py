@@ -70,6 +70,7 @@ from .training import (
     estimate_linear_rate,
     reproduce_section4,
     train,
+    train_runs,
 )
 
 __version__ = "0.1.0"

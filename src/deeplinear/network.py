@@ -207,15 +207,14 @@ def _act(z: np.ndarray, name: str) -> np.ndarray:
     return np.tanh(z)
 
 
-def _act_deriv(z: np.ndarray, name: str) -> np.ndarray:
-    """Derivative of a non-identity activation."""
+def _act_deriv(z: np.ndarray, a: np.ndarray, name: str) -> np.ndarray:
+    """Derivative of a non-identity activation at z, where a = _act(z, name)."""
     if name == "relu":
         # subgradient 0 at the kink
         return (z > 0.0).astype(float)
     if name == "leaky-relu":
         return np.where(z > 0.0, 1.0, LEAKY_SLOPE)
-    t = np.tanh(z)
-    return 1.0 - t * t
+    return 1.0 - a * a
 
 
 def _forward(layers, biases, x, target, reg, activation):
@@ -227,18 +226,23 @@ def _forward(layers, biases, x, target, reg, activation):
     for l in range(L):
         z = layers[l] @ a if a is not None else layers[l]
         if biases is not None:
-            z = z + biases[l][:, None]
+            z = z + biases[l][..., :, None]
         pre.append(z)
         a = _act(z, activation) if l < L - 1 else z
         acts.append(a)
     resid = a - target
-    value = float(np.sum(resid * resid))
-    for lam, w in zip(reg.lambdas, layers):
-        value += lam * float(np.sum(w * w))
-    if biases is not None:
-        for lam, b in zip(reg.lambdas, biases):
-            value += lam * float(np.sum(b * b))
-    return value, resid, pre, acts
+    # The squared norms of the residual and of every layer and bias, weighted
+    # and then summed left to right by one accumulate along the last axis:
+    # the same roundings as adding the terms one by one, in fewer calls.
+    biases = biases or []
+    sq = np.empty(resid.shape[:-2] + (1 + L + len(biases),))
+    for i, m in enumerate([resid, *layers]):
+        np.add.reduce(m * m, axis=(-2, -1), out=sq[..., i])
+    for i, b in enumerate(biases, 1 + L):
+        np.add.reduce(b * b, axis=-1, out=sq[..., i])
+    sq *= (1.0,) + reg.lambdas + (reg.lambdas if biases else ())
+    value = np.add.accumulate(sq, axis=-1)[..., -1]
+    return (value if value.ndim else float(value)), resid, pre, acts
 
 
 def value_and_grad(
@@ -248,13 +252,20 @@ def value_and_grad(
     target: np.ndarray,
     reg: RegParams,
     activation: str = "identity",
-) -> tuple[float, list[np.ndarray], list[np.ndarray] | None]:
+) -> tuple[float | np.ndarray, list[np.ndarray], list[np.ndarray] | None]:
     """Objective value and exact layerwise gradients of the extended loss.
 
     The one gradient kernel: a forward pass, then backpropagation.  ``x is
     None`` means the identity input, which makes the objective ``loss_f``.
     Activations apply after every layer except the last; biases (when
     present) are regularized with the same per-layer weights as the matrices.
+
+    Layers may carry a leading run axis, shape ``(R, d_l, d_{l-1})`` (biases
+    ``(R, d_l)``), to evaluate R parameter sets of one shape at once; the
+    input matrix and the target are shared 2-D arrays.  The value is then an
+    array of R objectives and every gradient keeps the run axis.  Each run's
+    value and gradients are bit-identical to a 2-D call on its slice, and a
+    2-D call returns the value as a float.
     """
     value, resid, pre, acts = _forward(layers, biases, x, target, reg, activation)
     L = len(layers)
@@ -262,15 +273,15 @@ def value_and_grad(
     gbias: list[np.ndarray | None] | None = [None] * L if biases is not None else None
     dz = 2.0 * resid
     for l in range(L - 1, -1, -1):
-        gw = dz @ acts[l].T if acts[l] is not None else dz.copy()
+        gw = dz @ acts[l].swapaxes(-1, -2) if acts[l] is not None else dz.copy()
         gw += 2.0 * reg.lambdas[l] * layers[l]
         grads[l] = gw
         if biases is not None:
-            gbias[l] = dz.sum(axis=1) + 2.0 * reg.lambdas[l] * biases[l]
+            gbias[l] = np.add.reduce(dz, axis=-1) + 2.0 * reg.lambdas[l] * biases[l]
         if l > 0:
-            dz = layers[l].T @ dz
+            dz = layers[l].swapaxes(-1, -2) @ dz
             if activation != "identity":
-                dz *= _act_deriv(pre[l - 1], activation)
+                dz *= _act_deriv(pre[l - 1], acts[l], activation)
     return value, grads, gbias
 
 

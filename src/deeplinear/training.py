@@ -6,6 +6,8 @@ experiments: linear rates near critical points, escape from two-layer
 saddles, trapping at deeper non-optimal components.  The extended objectives
 add an input matrix, per-layer biases, and elementwise activations; every
 objective is evaluated by the one gradient kernel, :func:`network.value_and_grad`.
+Runs of one shape and step size are stepped together by :func:`train_runs`,
+one kernel call per step for all of them.
 """
 
 from __future__ import annotations
@@ -163,22 +165,41 @@ def _init_state(model, dims: DimChain, cfg: TrainConfig, center):
     return layers, biases
 
 
-def train(
+# The fields a batch of runs shares: one step size and one stopping rule.
+SHARED_FIELDS = ("learning_rate", "max_iters", "grad_sq_tol", "fval_change_tol", "log_stride")
+
+
+def train_runs(
     model: ModelSpec,
     target: np.ndarray,
     reg: RegParams,
-    cfg: TrainConfig,
+    cfgs: list[TrainConfig],
     dims: DimChain,
-    center: WeightStack | None = None,
-) -> Trajectory:
-    """Run gradient descent until both stopping tolerances hold jointly.
+    centers: list[WeightStack | None],
+) -> list[Trajectory]:
+    """Run gradient descent on R parameter sets of one shape, stepped together.
 
-    The parameters are one flat float64 vector; the layers (and biases) are
-    reshaped views into it, so the squared gradient norm, the update and the
-    step norm are each one whole-vector operation.  The update is still
-    exactly W <- W - lr * grad for every entry, which downstream diagnostics
-    rely on (the safeguard constant of plain descent is 1/lr).
+    Run i starts from ``_init_state`` with ``cfgs[i]`` and ``centers[i]``;
+    the runs may differ in seed, init and init_scale but must share the
+    fields in ``SHARED_FIELDS`` (else ``ValueError``).  The parameters are
+    one ``(R, n)`` float64 array, and the layers (and biases) are views into
+    it with a leading run axis, so each step is one kernel call for every
+    live run.  Each run stops on its own when both stopping tolerances hold
+    jointly (or at ``max_iters``) and is then dropped from the batch; its
+    trajectory, snapshots and wall time are its own, and every iterate is
+    bit-identical to the run trained alone.  The update is exactly
+    W <- W - lr * grad for every entry, which downstream diagnostics rely on
+    (the safeguard constant of plain descent is 1/lr).
+
+    A run whose objective becomes non-finite is dropped too; once no run
+    is left, the ``DivergenceError`` of the lowest-index diverged run is
+    raised, which is the error the runs trained one by one would raise.
     """
+    if not cfgs or len(cfgs) != len(centers):
+        raise ValueError("need one center per config, at least one run")
+    for name in SHARED_FIELDS:
+        if len({getattr(cfg, name) for cfg in cfgs}) > 1:
+            raise ValueError(f"runs trained together must share {name}")
     target = np.asarray(target, dtype=float)
     x = model.input_matrix
     n_cols = x.shape[1] if x is not None else dims.dims[0]
@@ -189,73 +210,124 @@ def train(
             f"target shape {target.shape} does not match ({dims.dims[-1]}, {n_cols})"
         )
 
-    layers, biases = _init_state(model, dims, cfg, center)
-    parts = layers + (biases or [])
+    inits = [_init_state(model, dims, cfg, c) for cfg, c in zip(cfgs, centers)]
+    parts = inits[0][0] + (inits[0][1] or [])
     ends = np.cumsum([a.size for a in parts]).tolist()
     cuts = list(zip([0] + ends[:-1], ends, [a.shape for a in parts]))
-    n_layers = len(layers)
+    n_layers = len(inits[0][0])
 
-    def views(vec):
+    def views(mat):
+        out = [mat[:, a:b].reshape((len(mat),) + shape) for a, b, shape in cuts]
+        return out[:n_layers], out[n_layers:] or None
+
+    def unpack(vec):
         out = [vec[a:b].reshape(shape) for a, b, shape in cuts]
         return out[:n_layers], out[n_layers:] or None
 
-    params = np.concatenate(parts, axis=None)
-    layers, biases = views(params)
+    # Two buffers take turns holding the iterate: each step writes the next
+    # iterate into the spare one, so the views are cut once, not every step.
+    # The spare buffer holds the previous iterate until the next update.
+    # Snapshots copy their row.  A run's final and last finite iterates stay
+    # views: when it stops, the live rows move to two new buffers, and the
+    # old ones are never written again.
+    params = np.stack([np.concatenate(l + (b or []), axis=None) for l, b in inits])
+    spare = np.empty_like(params)
+    current, other = views(params), views(spare)
+    cfg = cfgs[0]
     lr = cfg.learning_rate
-    f_hist: list[float] = []
-    g_hist: list[float] = []
-    s_hist: list[float] = []
-    snapshots: list[tuple[int, WeightStack]] = []
+    live = list(range(len(cfgs)))  # the run held in each row of params
+    f_hist: list[list[float]] = [[] for _ in cfgs]
+    g_hist: list[list[float]] = [[] for _ in cfgs]
+    s_hist: list[list[float]] = [[] for _ in cfgs]
+    snapshots: list[list[tuple[int, WeightStack]]] = [[] for _ in cfgs]
     snap_stride = max(1, cfg.log_stride)
-    last_finite = layers
+    out: list[Trajectory | None] = [None] * len(cfgs)
+    errors: dict[int, DivergenceError] = {}
+
+    def finish(run, row, termination):
+        final, final_biases = unpack(params[row])
+        out[run] = Trajectory(
+            f_values=np.asarray(f_hist[run]),
+            grad_sq=np.asarray(g_hist[run]),
+            step_norm_sq=np.asarray(s_hist[run]),
+            snapshots=snapshots[run],
+            final=WeightStack(final),
+            final_biases=final_biases,
+            termination=termination,
+            wall_time=time.perf_counter() - t0,
+        )
 
     t0 = time.perf_counter()
-    termination = "max-iters"
     k = 0
     while k < cfg.max_iters:
-        f_val, grads, gbias = value_and_grad(
-            layers, biases, x, target, reg, model.activation
+        f_vals, grads, gbias = value_and_grad(
+            *current, x, target, reg, model.activation
         )
-        if not math.isfinite(f_val):
-            raise DivergenceError(
-                f"objective became non-finite at iteration {k}", WeightStack(last_finite)
-            )
-        g = np.concatenate(grads + (gbias or []), axis=None)
-        gsq = float(g @ g)
-        if f_hist and gsq <= cfg.grad_sq_tol and abs(f_val - f_hist[-1]) <= cfg.fval_change_tol:
-            f_hist.append(f_val)
-            termination = "converged"
-            break
-        if k % snap_stride == 0:
-            snapshots.append((k, WeightStack(layers)))
-            if len(snapshots) > 128:
-                snapshots = snapshots[::2]
-                snap_stride *= 2
-        # Updates are out of place, so the previous iterate and every
-        # snapshot keep their own buffer.
-        last_finite = layers
-        f_hist.append(f_val)
-        g_hist.append(gsq)
+        g = np.concatenate([a.reshape(len(live), -1) for a in grads + (gbias or [])], axis=1)
+        keep = []
+        for row, (run, f_val) in enumerate(zip(live, f_vals.tolist())):
+            if not math.isfinite(f_val):
+                # the last finite iterate: the previous one, or the start
+                last = spare if k else params
+                errors[run] = DivergenceError(
+                    f"objective became non-finite at iteration {k}",
+                    WeightStack(unpack(last[row])[0]),
+                )
+                continue
+            gsq = float(g[row] @ g[row])
+            f_run = f_hist[run]
+            if f_run and gsq <= cfg.grad_sq_tol and abs(f_val - f_run[-1]) <= cfg.fval_change_tol:
+                f_run.append(f_val)
+                finish(run, row, "converged")
+                continue
+            if k % snap_stride == 0:
+                snapshots[run].append((k, WeightStack(unpack(params[row].copy())[0])))
+            f_run.append(f_val)
+            g_hist[run].append(gsq)
+            keep.append(row)
+        if len(keep) < len(live):
+            live = [live[row] for row in keep]
+            if not live or (errors and min(errors) < min(live)):
+                break  # every run stopped, or none left can raise an earlier error
+            params, g = params[keep], g[keep]
+            spare = np.empty_like(params)
+            current, other = views(params), views(spare)
+        if k % snap_stride == 0 and len(snapshots[live[0]]) > 128:
+            snap_stride *= 2
+            for run in live:
+                snapshots[run] = snapshots[run][::2]
         delta = lr * g
-        params = params - delta
-        layers, biases = views(params)
-        s_hist.append(float(delta @ delta))
+        np.subtract(params, delta, out=spare)
+        params, spare = spare, params
+        current, other = other, current
+        for run, d in zip(live, delta):
+            s_hist[run].append(float(d @ d))
         k += 1
-    else:
+    if errors:
+        raise errors[min(errors)]
+    if live:
         # ran out of iterations: record the final value for a complete series
-        f_val, _, _ = value_and_grad(layers, biases, x, target, reg, model.activation)
-        f_hist.append(f_val)
+        f_vals, _, _ = value_and_grad(*current, x, target, reg, model.activation)
+        for row, (run, f_val) in enumerate(zip(live, f_vals.tolist())):
+            f_hist[run].append(f_val)
+            finish(run, row, "max-iters")
+    return out
 
-    return Trajectory(
-        f_values=np.asarray(f_hist),
-        grad_sq=np.asarray(g_hist),
-        step_norm_sq=np.asarray(s_hist),
-        snapshots=snapshots,
-        final=WeightStack(layers),
-        final_biases=biases,
-        termination=termination,
-        wall_time=time.perf_counter() - t0,
-    )
+
+def train(
+    model: ModelSpec,
+    target: np.ndarray,
+    reg: RegParams,
+    cfg: TrainConfig,
+    dims: DimChain,
+    center: WeightStack | None = None,
+) -> Trajectory:
+    """Run gradient descent until both stopping tolerances hold jointly.
+
+    A batch of one in :func:`train_runs`, the one descent loop: the same
+    iterates, stopping rule and ``DivergenceError`` as every run there.
+    """
+    return train_runs(model, target, reg, [cfg], dims, [center])[0]
 
 
 @dataclass
@@ -355,6 +427,8 @@ def reproduce_section4(
     A fixed Gaussian target is fitted from initializations near an optimal
     component and near a non-optimal one (the smallest target singular value
     dropped).  Two layers escape the saddle; deeper stacks stay trapped.
+    The two runs of a depth share every shape and the step size, so they
+    are trained together by one :func:`train_runs` call.
     """
     rng = named_stream(seed, "instance")
     target = rng.standard_normal((d_out, d_in))
@@ -369,20 +443,26 @@ def reproduce_section4(
             "optimal": optimal_profile(inst),
             "saddle": profile_from_choices(inst, saddle_choices),
         }
+        points, cfgs = [], []
         for name, profile in centers.items():
             params = sample_random_params(
                 inst, seed=named_seed(seed, f"params-{depth}-{name}")
             )
-            center = construct_critical_point(profile, params, inst, target="F")
-            cfg = TrainConfig(
-                learning_rate=learning_rate,
-                max_iters=max_iters,
-                seed=named_seed(seed, f"init-{depth}-{name}"),
-                init="near-critical",
-                init_scale=init_scale,
-                log_stride=200,
+            points.append(construct_critical_point(profile, params, inst, target="F"))
+            cfgs.append(
+                TrainConfig(
+                    learning_rate=learning_rate,
+                    max_iters=max_iters,
+                    seed=named_seed(seed, f"init-{depth}-{name}"),
+                    init="near-critical",
+                    init_scale=init_scale,
+                    log_stride=200,
+                )
             )
-            traj = train(ModelSpec(), target, reg, cfg, dims, center=center.stack)
+        trajs = train_runs(
+            ModelSpec(), target, reg, cfgs, dims, [p.stack for p in points]
+        )
+        for name, center, traj in zip(centers, points, trajs):
             try:
                 fit = estimate_linear_rate(traj)
                 rate, r2 = fit.rate, fit.r_squared

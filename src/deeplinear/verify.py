@@ -224,7 +224,9 @@ def verify_error_bound(
     radius against the worst ratio at the largest in-regime radius; a bounded
     quotient (factor 10) means no blow-up as the radius shrinks.  Samples
     beyond the regime cutoff are recorded but never judged, and a sweep with
-    an unconverged projection cannot pass.
+    an unconverged projection cannot pass.  A truncated profile enumeration
+    (the distances and the ledger then see only part of the critical set) is
+    tagged ``profiles-truncated``; the verdict stands.
     """
     cfg = cfg or RadiusSweepConfig()
     _require_critical(center, inst, target)
@@ -291,6 +293,8 @@ def verify_error_bound(
     if not converged:
         verdict = "FAIL"
         tags.append("projection-unconverged")
+    if inst.profiles.truncated:
+        tags.append("profiles-truncated")
 
     constants = {}
     if ledger is not None:
@@ -327,7 +331,8 @@ def verify_pl_qg(
     mu1 is the worst-case ||grad||^2 / (F - F*) over samples above the center,
     mu2 the worst-case dist^2 / (F - F*).  The quadratic-growth fit only
     applies when sampling confirms the center is a local minimizer.  A sweep
-    with an unconverged projection cannot pass.
+    with an unconverged projection cannot pass, and one over a truncated
+    profile enumeration is tagged ``profiles-truncated``.
     """
     cfg = cfg or RadiusSweepConfig()
     _require_critical(center, inst, target)
@@ -392,6 +397,8 @@ def verify_pl_qg(
     if not converged:
         verdict = "FAIL"
         tags.append("projection-unconverged")
+    if inst.profiles.truncated:
+        tags.append("profiles-truncated")
 
     return VerificationReport(
         kind="pl-qg",

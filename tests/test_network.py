@@ -169,3 +169,94 @@ def test_dimchain_assumption_flag():
     assert DimChain((3, 5, 4)).assumption1
     assert not DimChain((3, 2, 4)).assumption1
     assert DimChain((4, 3, 3, 3)).assumption1  # min(d0, dL) = 3
+
+
+def _reference_kernel(layers, biases, x, target, reg, activation):
+    """The 2-D kernel term by term: per-layer np.sum values added one at a
+    time, `.T` products, and the tanh derivative recomputed from z."""
+    acts, pre, a = [x], [], x
+    for l, w in enumerate(layers):
+        z = w @ a if a is not None else w
+        if biases is not None:
+            z = z + biases[l][:, None]
+        pre.append(z)
+        if l == len(layers) - 1 or activation == "identity":
+            a = z
+        elif activation == "relu":
+            a = np.maximum(z, 0.0)
+        elif activation == "leaky-relu":
+            a = np.where(z > 0.0, z, 0.01 * z)
+        else:
+            a = np.tanh(z)
+        acts.append(a)
+    resid = a - target
+    value = float(np.sum(resid * resid))
+    for lam, w in zip(reg.lambdas, layers):
+        value += lam * float(np.sum(w * w))
+    for lam, b in zip(reg.lambdas, biases or []):
+        value += lam * float(np.sum(b * b))
+    grads, gbias = [None] * len(layers), [None] * len(layers)
+    dz = 2.0 * resid
+    for l in range(len(layers) - 1, -1, -1):
+        gw = dz @ acts[l].T if acts[l] is not None else dz.copy()
+        gw += 2.0 * reg.lambdas[l] * layers[l]
+        grads[l] = gw
+        if biases is not None:
+            gbias[l] = dz.sum(axis=1) + 2.0 * reg.lambdas[l] * biases[l]
+        if l > 0:
+            dz = layers[l].T @ dz
+            z = pre[l - 1]
+            if activation == "relu":
+                dz *= (z > 0.0).astype(float)
+            elif activation == "leaky-relu":
+                dz *= np.where(z > 0.0, 1.0, 0.01)
+            elif activation == "tanh":
+                t = np.tanh(z)
+                dz *= 1.0 - t * t
+    return value, grads, (gbias if biases is not None else None)
+
+
+KERNEL_MODELS = [
+    ("linear", False, False, "identity"),
+    ("linear-with-bias", True, False, "identity"),
+    ("input-matrix", False, True, "identity"),
+    ("input-matrix-with-bias", True, True, "identity"),
+    ("tanh", True, True, "tanh"),
+    ("relu", True, True, "relu"),
+    ("leaky-relu", True, True, "leaky-relu"),
+]
+
+
+@pytest.mark.parametrize("depth", [2, 3, 5])
+@pytest.mark.parametrize("name, with_bias, with_input, activation", KERNEL_MODELS)
+def test_stacked_kernel_equals_per_slice_calls(depth, name, with_bias, with_input, activation, rng):
+    dims, reg, _ = random_instance(rng, depth=depth, max_dim=7)
+    d = dims.dims
+    x = rng.uniform(-1, 1, size=(d[0], 5)) if with_input else None
+    target = rng.standard_normal((d[-1], 5 if with_input else d[0]))
+    for runs in (1, 2, 3):
+        # Views into one (R, n) array, as the descent loop passes them.
+        shapes = [(d[l + 1], d[l]) for l in range(depth)]
+        shapes += [(d[l + 1],) for l in range(depth)] if with_bias else []
+        ends = np.cumsum([math.prod(s) for s in shapes])
+        params = 0.7 * rng.standard_normal((runs, int(ends[-1])))
+        parts = [
+            params[:, a:b].reshape((runs,) + s)
+            for a, b, s in zip([0, *ends[:-1]], ends, shapes)
+        ]
+        layers, biases = parts[:depth], (parts[depth:] if with_bias else None)
+        value, grads, gbias = value_and_grad(layers, biases, x, target, reg, activation)
+        assert value.shape == (runs,)
+        assert (gbias is None) == (not with_bias)
+        for r in range(runs):
+            run_layers = [w[r] for w in layers]
+            run_biases = [b[r] for b in biases] if with_bias else None
+            v2, g2, gb2 = value_and_grad(run_layers, run_biases, x, target, reg, activation)
+            ref = _reference_kernel(run_layers, run_biases, x, target, reg, activation)
+            assert type(v2) is float
+            assert v2 == value[r] == ref[0]
+            for a, b, c in zip(grads, g2, ref[1]):
+                assert np.array_equal(a[r], b) and np.array_equal(b, c)
+            if with_bias:
+                for a, b, c in zip(gbias, gb2, ref[2]):
+                    assert np.array_equal(a[r], b) and np.array_equal(b, c)

@@ -23,6 +23,7 @@ from deeplinear.training import (
     _init_state,
     estimate_linear_rate,
     train,
+    train_runs,
     value_and_grad,
 )
 from conftest import random_instance
@@ -116,22 +117,56 @@ def test_gd_identity_step_equals_lr_times_grad(rng):
 
 
 def _per_layer_descent(model, target, reg, cfg, dims):
-    """Reference loop: W <- W - lr * grad layer by layer, biases included."""
+    """Reference loop: W <- W - lr * grad layer by layer, biases included,
+    stopped by the joint rule."""
     layers, biases = _init_state(model, dims, cfg, None)
     lr, x = cfg.learning_rate, model.input_matrix
     iterates, f_values, grad_sq, step_sq = [], [], [], []
+    termination = "max-iters"
     for _ in range(cfg.max_iters):
         value, gw, gb = value_and_grad(layers, biases, x, target, reg, model.activation)
         grads = gw + (gb or [])
+        gsq = sum(float(np.sum(g * g)) for g in grads)
+        if f_values and gsq <= cfg.grad_sq_tol and abs(value - f_values[-1]) <= cfg.fval_change_tol:
+            termination = "converged"
+            break
         iterates.append(layers)
         f_values.append(value)
-        grad_sq.append(sum(float(np.sum(g * g)) for g in grads))
+        grad_sq.append(gsq)
         step_sq.append(sum(float(np.sum((lr * g) ** 2)) for g in grads))
         layers = [w - lr * g for w, g in zip(layers, gw)]
         if biases is not None:
             biases = [b - lr * g for b, g in zip(biases, gb)]
     f_values.append(value_and_grad(layers, biases, x, target, reg, model.activation)[0])
-    return f_values, grad_sq, step_sq, iterates, layers, biases
+    return f_values, grad_sq, step_sq, iterates, layers, biases, termination
+
+
+def _assert_matches_reference(traj, model, target, reg, cfg, dims):
+    f_values, grad_sq, step_sq, iterates, layers, biases, termination = _per_layer_descent(
+        model, target, reg, cfg, dims
+    )
+    assert traj.termination == termination
+    assert traj.n_steps == len(step_sq)
+    assert np.array_equal(traj.f_values, f_values)
+    assert all(np.array_equal(a, b) for a, b in zip(traj.final.layers, layers))
+    if biases is None:
+        assert traj.final_biases is None
+    else:
+        assert all(np.array_equal(a, b) for a, b in zip(traj.final_biases, biases))
+    for k, snap in traj.snapshots:
+        assert all(np.array_equal(a, b) for a, b in zip(snap.layers, iterates[k]))
+    np.testing.assert_allclose(traj.grad_sq, grad_sq, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(traj.step_norm_sq, step_sq, rtol=1e-14, atol=0.0)
+
+
+def _model_problem(kind, activation, rng):
+    dims, reg, _ = random_instance(rng, depth=3, max_dim=5)
+    x = None
+    target = rng.standard_normal((dims.dims[-1], dims.dims[0]))
+    if kind != "linear":
+        x = rng.uniform(-1, 1, size=(dims.dims[0], 6))
+        target = rng.standard_normal((dims.dims[-1], 6))
+    return ModelSpec(kind=kind, activation=activation, input_matrix=x), target, reg, dims
 
 
 @pytest.mark.parametrize(
@@ -139,33 +174,104 @@ def _per_layer_descent(model, target, reg, cfg, dims):
     [("linear", "identity"), ("linear-with-bias", "identity"), ("nonlinear", "tanh")],
 )
 def test_flat_descent_matches_per_layer_reference(kind, activation, rng):
-    dims, reg, _ = random_instance(rng, depth=3, max_dim=5)
-    x = None
-    target = rng.standard_normal((dims.dims[-1], dims.dims[0]))
-    if kind != "linear":
-        x = rng.uniform(-1, 1, size=(dims.dims[0], 6))
-        target = rng.standard_normal((dims.dims[-1], 6))
-    model = ModelSpec(kind=kind, activation=activation, input_matrix=x)
+    model, target, reg, dims = _model_problem(kind, activation, rng)
     cfg = TrainConfig(
         learning_rate=1e-2, max_iters=200, grad_sq_tol=1e-300, seed=3,
         init="gaussian", log_stride=1,
     )
     traj = train(model, target, reg, cfg, dims)
-    f_values, grad_sq, step_sq, iterates, layers, biases = _per_layer_descent(
-        model, target, reg, cfg, dims
-    )
     assert traj.termination == "max-iters" and traj.n_steps == 200
-    assert np.array_equal(traj.f_values, f_values)
-    assert all(np.array_equal(a, b) for a, b in zip(traj.final.layers, layers))
-    if biases is None:
-        assert traj.final_biases is None
-    else:
-        assert all(np.array_equal(a, b) for a, b in zip(traj.final_biases, biases))
     assert len(traj.snapshots) > 64
-    for k, snap in traj.snapshots:
-        assert all(np.array_equal(a, b) for a, b in zip(snap.layers, iterates[k]))
-    np.testing.assert_allclose(traj.grad_sq, grad_sq, rtol=1e-14, atol=0.0)
-    np.testing.assert_allclose(traj.step_norm_sq, step_sq, rtol=1e-14, atol=0.0)
+    _assert_matches_reference(traj, model, target, reg, cfg, dims)
+
+
+# Per model: stopping tolerance, iteration cap, and (seed, init) of three
+# runs, chosen so that the runs of one batch stop at three different
+# iterations: two converge, the third runs to the cap.
+BATCHES = {
+    "linear": (1e-1, 100, [(6, "gaussian"), (3, "gaussian"), (4, "uniform-fan-based")]),
+    "linear-with-bias": (1e-2, 200, [(3, "gaussian"), (4, "uniform-fan-based"), (6, "gaussian")]),
+    "nonlinear": (1e-1, 200, [(5, "gaussian"), (4, "uniform-fan-based"), (6, "gaussian")]),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, activation",
+    [("linear", "identity"), ("linear-with-bias", "identity"), ("nonlinear", "tanh")],
+)
+def test_batched_runs_match_serial_runs(kind, activation, rng):
+    model, target, reg, dims = _model_problem(kind, activation, rng)
+    tol, max_iters, inits = BATCHES[kind]
+    cfgs = [
+        TrainConfig(
+            learning_rate=2e-2, max_iters=max_iters, grad_sq_tol=tol,
+            fval_change_tol=tol / 10, seed=seed, init=init, log_stride=1,
+        )
+        for seed, init in inits
+    ]
+    trajs = train_runs(model, target, reg, cfgs, dims, [None] * len(cfgs))
+    assert {t.termination for t in trajs} == {"converged", "max-iters"}
+    assert len({t.n_steps for t in trajs}) == len(trajs)
+    for traj, cfg in zip(trajs, cfgs):
+        _assert_matches_reference(traj, model, target, reg, cfg, dims)
+        alone = train(model, target, reg, cfg, dims)
+        assert [k for k, _ in traj.snapshots] == [k for k, _ in alone.snapshots]
+        assert np.array_equal(traj.grad_sq, alone.grad_sq)
+        assert np.array_equal(traj.step_norm_sq, alone.step_norm_sq)
+
+
+def test_batched_runs_must_share_step_and_stopping_rule(rng):
+    dims, reg, target = random_instance(rng, depth=2, max_dim=4)
+    base = TrainConfig(learning_rate=1e-3, max_iters=20, seed=1, init="gaussian")
+    # seed, init and init_scale may differ
+    other = TrainConfig(learning_rate=1e-3, max_iters=20, seed=2, init="uniform-fan-based",
+                        init_scale=0.5)
+    assert len(train_runs(ModelSpec(), target, reg, [base, other], dims, [None, None])) == 2
+    for field, value in [("learning_rate", 2e-3), ("max_iters", 21), ("grad_sq_tol", 1e-5),
+                         ("fval_change_tol", 1e-6), ("log_stride", 7)]:
+        changed = TrainConfig(**{**base.__dict__, field: value})
+        with pytest.raises(ValueError, match=field):
+            train_runs(ModelSpec(), target, reg, [base, changed], dims, [None, None])
+    with pytest.raises(ValueError):
+        train_runs(ModelSpec(), target, reg, [base], dims, [None, None])
+
+
+def _iteration(err: DivergenceError) -> int:
+    return int(str(err).split()[-1])
+
+
+@pytest.mark.parametrize("scales, raised", [((0.5, 1e3), 1), ((1e3, 1e4), 0)])
+def test_batched_divergence_raises_the_serial_error(scales, raised, rng):
+    # Linear runs from random points of the given scales around the origin:
+    # run 1 diverges early while run 0 runs on to the cap, or both diverge,
+    # run 1 first.  Either way the batch raises the error that training the
+    # runs one by one raises first.
+    dims, reg, target = random_instance(rng, depth=2, max_dim=4)
+    zero = WeightStack.zeros(dims)
+    cfgs = [
+        TrainConfig(learning_rate=1e-2, max_iters=300, seed=seed, init="near-critical",
+                    init_scale=scale)
+        for seed, scale in enumerate(scales)
+    ]
+    alone = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cfg in cfgs:
+            try:
+                alone.append(train(ModelSpec(), target, reg, cfg, dims, center=zero))
+            except DivergenceError as exc:
+                alone.append(exc)
+        with pytest.raises(DivergenceError) as err:
+            train_runs(ModelSpec(), target, reg, cfgs, dims, [zero, zero])
+    assert isinstance(alone[1], DivergenceError)
+    if raised == 1:
+        assert alone[0].termination == "max-iters"
+    else:
+        assert _iteration(alone[1]) < _iteration(alone[0])
+    assert str(err.value) == str(alone[raised])
+    assert all(
+        np.array_equal(a, b)
+        for a, b in zip(err.value.last_finite.layers, alone[raised].last_finite.layers)
+    )
 
 
 def test_loss_monotone_for_small_step(rng):

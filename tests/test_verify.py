@@ -25,7 +25,7 @@ from deeplinear import (
 )
 from deeplinear import critical
 from deeplinear.critical import distance_to_critical_set
-from deeplinear.training import ModelSpec, TrainConfig, Trajectory, train
+from deeplinear.training import ModelSpec, TrainConfig, Trajectory, train, train_runs
 from deeplinear.verify import CenterNotCriticalError
 
 
@@ -306,3 +306,66 @@ def test_report_serialization_roundtrip():
     csv = report.to_csv()
     assert csv.splitlines()[0] == "radius,dist_lower,dist_upper,grad_norm,F,ratio"
     assert len(csv.splitlines()) == 1 + len(report.samples)
+
+
+def test_first_order_conditions_hand_computed_scalar_case():
+    # F(a, b) = (ab)^2 + l1 a^2 + l2 b^2 (target 0) from (a, b) = (1, 0): b stays
+    # 0, so a_k = rho^k with rho = 1 - 2 lr l1, and F_k = l1 a_k^2.  Then
+    #   decrease / step^2 = l1 (1 - rho^2) / (2 lr l1)^2 = 1/lr - l1,
+    #   ||grad|| / ||step|| = 1/lr,
+    #   (F_{k+1} - 0) / (dist^2 + step^2) = l1 rho^2 / (1 + (2 lr l1)^2),
+    # the critical set being the origin alone.  lr = 1/8 and l1 = 1 give 7, 8
+    # and 9/17, with every iterate, value and step exact in binary.
+    lr, l1 = 0.125, 1.0
+    dims = DimChain((1, 1, 1))
+    reg = RegParams((l1, 0.5))
+    inst = Instance(dims, reg, np.zeros((1, 1)))
+    start = WeightStack([np.ones((1, 1)), np.zeros((1, 1))])
+    cfg = TrainConfig(
+        learning_rate=lr, max_iters=16, grad_sq_tol=1e-300, fval_change_tol=1e-300,
+        init="near-critical", init_scale=0.0, log_stride=1,
+    )
+    traj = train(ModelSpec(), inst.target, reg, cfg, dims, center=start)
+    assert np.array_equal(traj.f_values, 0.5625 ** np.arange(17))
+    rep = check_first_order_conditions(traj, inst)
+    assert rep.safeguard_constant == 1.0 / lr
+    assert rep.sufficient_decrease_constant == 1.0 / lr - l1
+    assert rep.cost_to_go_constant == pytest.approx(9.0 / 17.0, rel=1e-12)
+    assert rep.sufficient_decrease_held and rep.safeguard_held and rep.cost_to_go_held
+    assert (rep.tail_start, rep.n_steps, rep.n_distance_points) == (8, 16, 6)
+
+
+def test_first_order_report_same_from_batched_run():
+    inst, dims, reg = _generic_instance(seed=23)
+    point = _center(inst)
+    cfgs = [
+        TrainConfig(learning_rate=1e-3, max_iters=4000, seed=seed, init="near-critical",
+                    init_scale=0.05, log_stride=25)
+        for seed in (1, 2)
+    ]
+    batch = train_runs(ModelSpec(), inst.target, reg, cfgs, dims, [point.stack] * 2)
+    for traj, cfg in zip(batch, cfgs):
+        alone = train(ModelSpec(), inst.target, reg, cfg, dims, center=point.stack)
+        assert json.dumps(check_first_order_conditions(traj, inst).to_dict()) == json.dumps(
+            check_first_order_conditions(alone, inst).to_dict()
+        )
+
+
+def test_truncated_enumeration_is_tagged():
+    # seven distinct singular values and three layers give 3^7 = 2187 root
+    # choices, beyond the enumeration cap of 1024
+    target = np.diag(np.linspace(3.0, 1.5, 7))
+    inst = Instance(DimChain((7, 7, 7, 7)), RegParams.uniform(1e-4 ** (1 / 3), 3), target)
+    assert inst.profiles.truncated
+    point = _center(inst)
+    from deeplinear import build_root_value_set
+
+    delta_sigma = build_root_value_set(inst).delta_sigma
+    cfg = RadiusSweepConfig(
+        radii=tuple(np.geomspace(delta_sigma / 1000, delta_sigma / 10, 3)),
+        samples_per_radius=2, seed=0,
+    )
+    for report in (verify_error_bound(point, inst, cfg), verify_pl_qg(point, inst, cfg)):
+        # the tag qualifies the verdict without changing it
+        assert report.passed
+        assert report.tags == ["profiles-truncated"]
