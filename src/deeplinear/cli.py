@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -236,7 +237,7 @@ def cmd_check_assumptions(args) -> int:
     seed = int(cfg.get("seed", 0))
     inst = build_instance(cfg, seed)
     report = check_assumptions(inst)
-    payload = report.to_dict()
+    payload = asdict(report)
     out = _output_dir(cfg)
     dump_json(payload, out / "assumptions.json")
     print(json.dumps(payload, indent=2, sort_keys=True))

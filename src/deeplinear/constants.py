@@ -72,15 +72,6 @@ class AssumptionReport:
     def ok(self) -> bool:
         return self.assumption1 and self.assumption2
 
-    def to_dict(self) -> dict:
-        return {
-            "assumption1": self.assumption1,
-            "assumption2": self.assumption2,
-            "violated_indices": list(self.violated_indices),
-            "margins": [float(m) for m in self.margins],
-            "excluded_values": [float(v) for v in self.excluded_values],
-        }
-
 
 def check_assumptions(inst: Instance) -> AssumptionReport:
     """Width condition plus the non-degeneracy of lam against every y_i."""

@@ -203,8 +203,10 @@ def solve_scalar_equation(y: float, lam: float, depth: int) -> ScalarRoots:
         for r in polished:
             if any(abs(r - prev) <= dedup_tol for prev in roots):
                 continue
+            # q's terms at a root can dwarf lam + sqrt(lam) y (they grow like
+            # (sqrt(lam) y)^(2 - 2/L)), and their rounding with them.
             res = abs(q(r))
-            if res > res_tol * 10:
+            if res > 10 * max(res_tol, 1e-12 * size(r)):
                 raise SolverError(
                     f"root {r} of (y={y}, lam={lam}, L={L}) has residual {res}"
                 )
@@ -489,13 +491,26 @@ def _block_mixers(
     return m_in, m_out
 
 
+def assemble(
+    left: list[np.ndarray], sigma_mats: list[np.ndarray], right: list[np.ndarray]
+) -> WeightStack:
+    """The stack whose layer k is ``left[k] @ sigma_mats[k] @ right[k]``.
+
+    A member of a component has ``left = [Q_2, ..., Q_L, U_Y M_out]`` and
+    ``right = [M_in V_Y^T, Q_2^T, ..., Q_L^T]``: the target's singular frames,
+    the free seam factors and the shared block mixers.  Every member, and
+    every direction that keeps the frames fixed, is formed here.
+    """
+    return WeightStack([a @ s @ b for a, s, b in zip(left, sigma_mats, right)])
+
+
 @dataclass
 class CriticalPoint:
     """An explicit critical point together with its construction frames.
 
-    Layer l factors as ``left[l] @ sigma_mats[l] @ right[l]`` (0-based lists),
-    which downstream code uses to build one-parameter perturbation families
-    and tangent directions along the component.
+    ``stack`` is ``assemble(left, sigma_mats, right)``; downstream code reuses
+    the frames to build one-parameter perturbation families and tangent
+    directions along the component.
     """
 
     stack: WeightStack
@@ -536,20 +551,10 @@ def construct_critical_point(
     sig_mats = _sigma_matrices(profile, dims, inst.reg, target)
     m_in, m_out = _block_mixers(params, spectrum, dims.dims[0], dims.dims[-1])
 
-    q = {l: params.inner[l - 2] for l in range(2, depth + 1)}
-    left: list[np.ndarray] = []
-    right: list[np.ndarray] = []
-    left.append(q[2])
-    right.append(m_in @ spectrum.v.T)
-    for l in range(2, depth):
-        left.append(q[l + 1])
-        right.append(q[l].T)
-    left.append(spectrum.u @ m_out)
-    right.append(q[depth].T)
-
-    layers = [left[k] @ sig_mats[k] @ right[k] for k in range(depth)]
+    left = params.inner + [spectrum.u @ m_out]
+    right = [m_in @ spectrum.v.T] + [q.T for q in params.inner]
     return CriticalPoint(
-        stack=WeightStack(layers),
+        stack=assemble(left, sig_mats, right),
         profile=profile,
         params=params,
         target=target,
@@ -566,14 +571,10 @@ def singular_direction(point: CriticalPoint, index: int) -> WeightStack:
     changes only one diagonal entry of every layer's singular matrix; it is
     the one-parameter family used to probe degenerate instances.
     """
-    L = point.depth
-    dirs = []
-    for k in range(L):
-        rows, cols = point.sigma_mats[k].shape
-        e = np.zeros((rows, cols))
+    units = [np.zeros(s.shape) for s in point.sigma_mats]
+    for e in units:
         e[index, index] = 1.0
-        dirs.append(point.left[k] @ e @ point.right[k])
-    d = WeightStack(dirs)
+    d = assemble(point.left, units, point.right)
     return d.scale(1.0 / d.norm())
 
 
@@ -735,9 +736,14 @@ def distance_to_component(
         perm = list(ranks) + list(range(len(diag), n))
         return v_full[:, perm]
 
-    q = {2: seeded_frame(1)}
-    for l in range(3, L + 1):
-        q[l] = _polar(w[l - 2] @ q[l - 1] @ sig_mats[l - 2].T)
+    # The iterate is the member's frames: left = [Q_2, ..., Q_L, U_Y M_out],
+    # right = [M_in V_Y^T, Q_2^T, ..., Q_L^T]; the outer frames are set by
+    # the first block update.
+    left = [seeded_frame(1)]
+    for k in range(1, L - 1):
+        left.append(_polar(w[k] @ left[k - 1] @ sig_mats[k].T))
+    left.append(None)
+    right = [None] + [q.T for q in left[:-1]]
 
     # Block factors go straight into the mixers M_in, M_out (identity past the
     # rank); the blocks of one size h share n_h x h x h index arrays.
@@ -748,50 +754,36 @@ def distance_to_component(
         idx = starts[sizes == h][:, None] + np.arange(h)
         d1, dl = sig_eq[idx] * scales[0], sig_eq[idx] * scales[L - 1]
         groups.append((idx[:, :, None], idx[:, None, :], d1[:, :, None], dl[:, :, None]))
-    right_1 = left_l = None  # M_in V_Y^T and U_Y M_out, the outer layers' frames
-
-    def member() -> WeightStack:
-        layers = [q[2] @ sig_mats[0] @ right_1]
-        for l in range(2, L):
-            layers.append(q[l + 1] @ sig_mats[l - 1] @ q[l].T)
-        layers.append(left_l @ sig_mats[L - 1] @ q[L].T)
-        return WeightStack(layers)
 
     def update_blocks():
         # Block i's factor is the polar factor of D1 G1[i] + DL GL[i]^T (all
         # blocks of one size in one stacked SVD; Schoenemann 1966).
-        nonlocal right_1, left_l
-        g1 = q[2].T @ w[0] @ v_y
-        gl = u_y.T @ w[L - 1] @ q[L]
+        g1 = left[0].T @ w[0] @ v_y
+        gl = u_y.T @ w[L - 1] @ left[-2]
         for rows, cols, d1, dl in groups:
             u, _, vt = np.linalg.svd(d1 * g1[rows, cols] + dl * gl[cols, rows])
             factors = u @ vt
             m_in[rows, cols] = factors
             m_out[cols, rows] = factors
-        right_1, left_l = m_in @ v_y.T, u_y @ m_out
+        right[0], left[-1] = m_in @ v_y.T, u_y @ m_out
 
     def update_seams():
-        for l in range(2, L + 1):
-            # layer l-1 = Q_l @ a, layer l = b @ Q_l^T
-            if l - 1 == 1:
-                a = sig_mats[0] @ right_1
-            else:
-                a = sig_mats[l - 2] @ q[l - 1].T
-            if l < L:
-                b = q[l + 1] @ sig_mats[l - 1]
-            else:
-                b = left_l @ sig_mats[L - 1]
-            c = w[l - 2] @ a.T + w[l - 1].T @ b
-            q[l] = _polar(c)
+        # Seam k's factor is the left frame of layer k and, transposed, the
+        # right frame of layer k + 1.
+        for k in range(L - 1):
+            left[k] = _polar(
+                w[k] @ (sig_mats[k] @ right[k]).T + w[k + 1].T @ (left[k + 1] @ sig_mats[k + 1])
+            )
+            right[k + 1] = left[k].T
 
     update_blocks()
-    obj = (stack - member()).norm() ** 2
+    obj = (stack - assemble(left, sig_mats, right)).norm() ** 2
     sweeps = 0
     converged = False
     for sweeps in range(1, PROJECTION_SWEEPS + 1):
         update_seams()
         update_blocks()
-        new_obj = (stack - member()).norm() ** 2
+        new_obj = (stack - assemble(left, sig_mats, right)).norm() ** 2
         if new_obj > obj + 1e-12 * max(1.0, obj):
             raise InternalConsistencyError(
                 f"alternating projection increased the objective: {obj} -> {new_obj}"
@@ -802,7 +794,7 @@ def distance_to_component(
             converged = True
             break
 
-    nearest = member()
+    nearest = assemble(left, sig_mats, right)
     dist = (stack - nearest).norm()
     y = spectrum.target
     gnorm = (grad_f if target == "F" else grad_g)(nearest, y, reg).norm()

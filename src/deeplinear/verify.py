@@ -21,9 +21,11 @@ from .constants import check_assumptions, compute_ledger, excluded_lambda
 from .critical import (
     CriticalPoint,
     SigmaProfile,
+    assemble,
     construct_critical_point,
     distance_to_critical_set,
     identity_params,
+    layer_singular_values,
     mirsky_lower_bound,
     profile_from_choices,
     sample_random_params,
@@ -182,13 +184,30 @@ def _regime_cutoff(cfg, inst, ledger, target) -> tuple[float, str]:
     return geometric, "separation"
 
 
-def _run_sweep(center, inst, cfg, target, direction_index):
-    """Sweep samples, and whether every projection behind them converged."""
+def _sweep(center, inst, cfg, target, direction_index):
+    """The steps both sweeps share, from the center check to the samples.
+
+    Returns the assumption report, the ledger (None when an assumption
+    fails), the regime cutoff and its source, the samples with
+    ``in_regime`` marked, the samples grouped by radius and ``finish``.
+    ``finish(verdict, tags)`` appends the closing tags and returns the
+    verdict: a sweep with an unconverged projection cannot pass, and one
+    over a truncated profile enumeration is tagged; the verdict stands.
+    """
+    gnorm, _ = _grad_and_loss(center.stack, inst.target, inst.reg, target)
+    if gnorm > 1e-8 * (1.0 + float(np.linalg.norm(inst.target))):
+        raise CenterNotCriticalError(
+            f"sweep center has gradient norm {gnorm}, not a critical point"
+        )
+    assumptions = check_assumptions(inst)
+    ledger = compute_ledger(inst, center.profile) if assumptions.ok else None
+    cutoff, regime_source = _regime_cutoff(cfg, inst, ledger, target)
     rng = np.random.default_rng(cfg.seed)
     sampler = _make_sampler(center, inst, cfg, direction_index)
     samples = []
     converged = True
     for radius in cfg.radii:
+        in_regime = radius <= cutoff
         for _ in range(cfg.samples_per_radius):
             e = sampler(rng)
             w = center.stack + e.scale(radius)
@@ -197,18 +216,19 @@ def _run_sweep(center, inst, cfg, target, direction_index):
             gnorm, lval = _grad_and_loss(w, inst.target, inst.reg, target)
             ratio = sd.distance / gnorm if gnorm > 0 else math.inf
             samples.append(
-                SweepSample(radius, sd.lower_bound, sd.distance, gnorm, lval, ratio, False)
+                SweepSample(radius, sd.lower_bound, sd.distance, gnorm, lval, ratio, in_regime)
             )
-    return samples, converged
+    by_radius = [(r, [s for s in samples if s.radius == r]) for r in cfg.radii]
 
+    def finish(verdict, tags):
+        if not converged:
+            verdict = "FAIL"
+            tags.append("projection-unconverged")
+        if inst.profiles.truncated:
+            tags.append("profiles-truncated")
+        return verdict
 
-def _require_critical(center: CriticalPoint, inst, target):
-    gnorm, _ = _grad_and_loss(center.stack, inst.target, inst.reg, target)
-    scale = 1.0 + float(np.linalg.norm(inst.target))
-    if gnorm > 1e-8 * scale:
-        raise CenterNotCriticalError(
-            f"sweep center has gradient norm {gnorm}, not a critical point"
-        )
+    return assumptions, ledger, cutoff, regime_source, samples, by_radius, finish
 
 
 def verify_error_bound(
@@ -229,17 +249,11 @@ def verify_error_bound(
     tagged ``profiles-truncated``; the verdict stands.
     """
     cfg = cfg or RadiusSweepConfig()
-    _require_critical(center, inst, target)
-    assumptions = check_assumptions(inst)
-    ledger = compute_ledger(inst, center.profile) if assumptions.ok else None
-    cutoff, regime_source = _regime_cutoff(cfg, inst, ledger, target)
-    samples, converged = _run_sweep(center, inst, cfg, target, direction_index)
-    for s in samples:
-        s.in_regime = s.radius <= cutoff
-
+    assumptions, ledger, cutoff, regime_source, samples, by_radius, finish = _sweep(
+        center, inst, cfg, target, direction_index
+    )
     per_radius = []
-    for radius in cfg.radii:
-        rs = [s for s in samples if s.radius == radius]
+    for radius, rs in by_radius:
         per_radius.append(
             {
                 "radius": radius,
@@ -290,11 +304,7 @@ def verify_error_bound(
             tags.append("cubic-degeneracy")
         if not math.isnan(slope) and abs(slope - 2.0) <= 0.05:
             tags.append("quadratic-degeneracy")
-    if not converged:
-        verdict = "FAIL"
-        tags.append("projection-unconverged")
-    if inst.profiles.truncated:
-        tags.append("profiles-truncated")
+    verdict = finish(verdict, tags)
 
     constants = {}
     if ledger is not None:
@@ -335,16 +345,12 @@ def verify_pl_qg(
     profile enumeration is tagged ``profiles-truncated``.
     """
     cfg = cfg or RadiusSweepConfig()
-    _require_critical(center, inst, target)
-    assumptions = check_assumptions(inst)
-    ledger = compute_ledger(inst, center.profile) if assumptions.ok else None
-    cutoff, regime_source = _regime_cutoff(cfg, inst, ledger, target)
+    assumptions, ledger, cutoff, regime_source, samples, by_radius, finish = _sweep(
+        center, inst, cfg, target, None
+    )
     loss = loss_f if target == "F" else loss_g
     y, reg = inst.target, inst.reg
     f_center = loss(center.stack, y, reg)
-    samples, converged = _run_sweep(center, inst, cfg, target, None)
-    for s in samples:
-        s.in_regime = s.radius <= cutoff
 
     floor = 1e-15 * (1.0 + abs(f_center))
     min_gap = min(s.loss - f_center for s in samples)
@@ -360,8 +366,7 @@ def verify_pl_qg(
     is_minimizer = min_gap >= -1e-10
 
     per_radius = []
-    for radius in cfg.radii:
-        rs = [s for s in samples if s.radius == radius]
+    for radius, rs in by_radius:
         gaps = [(s.loss - f_center, s) for s in rs]
         usable = [(g, s) for g, s in gaps if g > floor]
         mu1 = min((s.grad_norm**2 / g for g, s in usable), default=math.nan)
@@ -394,11 +399,7 @@ def verify_pl_qg(
         tags.append("no-in-regime-radii")
     if not is_minimizer:
         tags.append("not-a-minimizer")
-    if not converged:
-        verdict = "FAIL"
-        tags.append("projection-unconverged")
-    if inst.profiles.truncated:
-        tags.append("profiles-truncated")
+    verdict = finish(verdict, tags)
 
     return VerificationReport(
         kind="pl-qg",
@@ -437,18 +438,6 @@ class BalanceCheck:
     mirsky_lower: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "grad_norm": self.grad_norm,
-            "residuals": self.residuals,
-            "bound": self.bound,
-            "drift_max": self.drift_max,
-            "drift_bound": self.drift_bound,
-            "precondition_ok": self.precondition_ok,
-            "mirsky_lower": self.mirsky_lower,
-            "passed": self.passed,
-        }
-
 
 def check_balance_inequalities(
     stack: WeightStack, profile: SigmaProfile, inst: Instance
@@ -475,7 +464,7 @@ def check_balance_inequalities(
 
     r_sig = profile.r_sigma
     drifts = []
-    svals = [np.linalg.svd(w, compute_uv=False) for w in stack.layers]
+    svals = layer_singular_values(stack)
     for l in range(depth - 1):
         top = min(r_sig, len(svals[l]), len(svals[l + 1]))
         if top:
@@ -528,12 +517,10 @@ class CounterexampleFamily:
         return self.inst.depth
 
     def point(self, t: float) -> WeightStack:
-        layers = []
-        for k in range(self.depth):
-            sig = self.center.sigma_mats[k].copy()
-            sig[self.index, self.index] += t
-            layers.append(self.center.left[k] @ sig @ self.center.right[k])
-        return WeightStack(layers)
+        sigma_mats = [s.copy() for s in self.center.sigma_mats]
+        for s in sigma_mats:
+            s[self.index, self.index] += t
+        return assemble(self.center.left, sigma_mats, self.center.right)
 
     def grad_norm(self, t: float) -> float:
         return grad_g(self.point(t), self.inst.target, self.inst.reg).norm()
@@ -657,19 +644,6 @@ class FirstOrderConditionsReport:
     tail_start: int
     n_steps: int
     n_distance_points: int
-
-    def to_dict(self) -> dict:
-        return {
-            "sufficient_decrease_constant": self.sufficient_decrease_constant,
-            "sufficient_decrease_held": self.sufficient_decrease_held,
-            "cost_to_go_constant": self.cost_to_go_constant,
-            "cost_to_go_held": self.cost_to_go_held,
-            "safeguard_constant": self.safeguard_constant,
-            "safeguard_held": self.safeguard_held,
-            "tail_start": self.tail_start,
-            "n_steps": self.n_steps,
-            "n_distance_points": self.n_distance_points,
-        }
 
 
 def check_first_order_conditions(

@@ -328,3 +328,38 @@ def test_batched_lower_bounds_match_per_profile_loop(monkeypatch):
                 result = distance_to_component(stack, profile, inst)
                 assert lower <= result.distance
                 assert lower <= (stack - result.nearest).norm() * (1 + 1e-12) + 1e-15
+
+
+ASSEMBLER_CASES = [
+    (target, values, depth)
+    for target in ("F", "G")
+    for values, depth in [((3.0, 2.0, 1.0), L) for L in (2, 3, 4, 5)] + [((2.0, 2.0, 1.0), 3)]
+]
+
+
+@pytest.mark.parametrize("target, values, depth", ASSEMBLER_CASES)
+def test_every_member_comes_from_the_one_assembler(target, values, depth):
+    from deeplinear.verify import CounterexampleFamily
+
+    rng = np.random.default_rng(depth)
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    v, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    dims = DimChain((4,) + (5,) * (depth - 1) + (3,))
+    reg = RegParams(tuple(float(x) for x in rng.uniform(0.3, 0.9, depth)))
+    inst = Instance(dims, reg, u @ np.diag(values) @ v[:3])
+    profile = optimal_profile(inst)
+    point = construct_critical_point(profile, sample_random_params(inst, seed=depth), inst, target)
+
+    assembled = critical.assemble(point.left, point.sigma_mats, point.right)
+    assert all(np.array_equal(a, b) for a, b in zip(assembled.layers, point.stack.layers))
+    family = CounterexampleFamily("l2-lambda-eq-y2", inst, point, 0, 3.0)
+    assert all(np.array_equal(a, b) for a, b in zip(family.point(0.0).layers, point.stack.layers))
+
+    e = WeightStack.gaussian(dims, rng)
+    result = distance_to_component(point.stack + e.scale(1e-3 / e.norm()), profile, inst, target)
+    assert result.converged
+    scales = [1.0 / math.sqrt(lam) for lam in reg.lambdas] if target == "F" else [1.0] * depth
+    for w, scale in zip(result.nearest.layers, scales):
+        want = np.zeros(min(w.shape))
+        want[: dims.d_min] = np.asarray(profile.sigma) * scale
+        assert np.allclose(np.linalg.svd(w, compute_uv=False), want, rtol=0.0, atol=1e-10)

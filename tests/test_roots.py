@@ -14,6 +14,7 @@ from deeplinear import (
     excluded_lambda,
     solve_scalar_equation,
 )
+from deeplinear.cli import main
 from deeplinear.critical import DEGENERACY_TOL, GRID_CELLS, ScalarRoots, _bisect
 from conftest import scan_roots_oracle
 
@@ -79,7 +80,7 @@ def _scalar_scan_reference(y, lam, depth):
             if any(abs(r - prev) <= 1e-9 * max(1.0, bracket) for prev in roots):
                 continue
             res = abs(q(r))
-            if res > res_tol * 10:
+            if res > 10 * max(res_tol, 1e-12 * size(r)):
                 raise SolverError(f"root {r} of (y={y}, lam={lam}, L={L}) has residual {res}")
             roots.append(r)
             flags.append(abs(r * qp(r)) <= DEGENERACY_TOL * size(r))
@@ -198,6 +199,21 @@ def test_roots_satisfy_equation_within_bracket(y, lam, depth):
             assert r <= bracket * (1 + 1e-12)
             q = r ** (2 * depth - 2) - math.sqrt(lam) * y * r ** (depth - 2) + lam
             assert abs(q) <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("y, lam", [(97240510.80549808, 0.1), (124814889.8610428, 2.0)])
+def test_residual_gate_scales_with_the_terms_of_q(y, lam, capsys):
+    # At these roots q's largest term is about 1e13, so its rounding alone
+    # exceeds 1e-11 * (lam + sqrt(lam) y); the gate measures against the terms.
+    depth = 7
+    roots = solve_scalar_equation(y, lam, depth)
+    assert len(roots.positive()) == 2
+    for r, res in zip(roots.roots, roots.residuals):
+        if r > 0:
+            size = max(r ** (2 * depth - 2), math.sqrt(lam) * y * r ** (depth - 2), lam)
+            assert res <= 1e-12 * size
+    assert main(["roots", "--y", repr(y), "--lambda", repr(lam), "--L", str(depth)]) == 0
+    assert "residual" in capsys.readouterr().out
 
 
 def test_invalid_arguments():

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -346,8 +347,8 @@ def test_first_order_report_same_from_batched_run():
     batch = train_runs(ModelSpec(), inst.target, reg, cfgs, dims, [point.stack] * 2)
     for traj, cfg in zip(batch, cfgs):
         alone = train(ModelSpec(), inst.target, reg, cfg, dims, center=point.stack)
-        assert json.dumps(check_first_order_conditions(traj, inst).to_dict()) == json.dumps(
-            check_first_order_conditions(alone, inst).to_dict()
+        assert json.dumps(asdict(check_first_order_conditions(traj, inst))) == json.dumps(
+            asdict(check_first_order_conditions(alone, inst))
         )
 
 
