@@ -638,7 +638,7 @@ def tangent_basis(point: CriticalPoint, spectrum: "TargetSpectrum") -> np.ndarra
 
 
 def _polar(c: np.ndarray) -> np.ndarray:
-    if c.shape[0] == 0:
+    if c.shape[-2] == 0:
         return c
     u, _, vt = np.linalg.svd(c)
     return u @ vt
@@ -662,18 +662,22 @@ def mirsky_lower_bound(
     ``lower_p^2 = sum_k ||s_k - scale_k * pad(sigma_p, m_k)||^2``.  Given an
     enumeration, one pass over the layers bounds every profile and returns
     the vector of bounds; given one profile, it returns that profile's bound.
+    A batched stack adds a leading sample axis: (R, P) bounds, or R for one
+    profile.
     """
     single = isinstance(profiles, SigmaProfile)
     sigmas = np.array([profiles.sigma]) if single else profiles.sigmas
-    total = np.zeros(len(sigmas))
+    total = 0.0
     for s, scale in zip(layer_singular_values(stack), _layer_scales(reg, target)):
-        k = min(len(s), sigmas.shape[1])
-        ref = np.zeros((len(sigmas), len(s)))
+        k = min(s.shape[-1], sigmas.shape[1])
+        ref = np.zeros((len(sigmas), s.shape[-1]))
         ref[:, :k] = sigmas[:, :k] * scale
-        diff = s - ref
-        total += (diff * diff).sum(axis=1)
+        diff = s[..., None, :] - ref
+        total = total + (diff * diff).sum(axis=-1)
     lowers = np.sqrt(total)
-    return float(lowers[0]) if single else lowers
+    if not single:
+        return lowers
+    return lowers[..., 0] if lowers.ndim > 1 else float(lowers[0])
 
 
 @dataclass
@@ -687,7 +691,7 @@ class ComponentDistance:
 
 def distance_to_component(
     stack: WeightStack, profile: SigmaProfile, inst: "Instance", target: str = "F"
-) -> ComponentDistance:
+) -> ComponentDistance | list[ComponentDistance]:
     """Certified distance bracket from ``stack`` to one component.
 
     The upper bound comes from projecting onto the component: seed the free
@@ -698,6 +702,12 @@ def distance_to_component(
     internal error, and so is a projected point that is not critical.  At
     most ``PROJECTION_SWEEPS`` sweeps run; ``converged`` says whether the
     objective settled before the cap.
+
+    A batched stack (layers with a leading sample axis) returns one result
+    per sample.  The samples are projected together in stacked calls, but
+    each one leaves the batch when its own objective settles, so every
+    result equals the one for that sample alone; a 2-D stack is the batch of
+    one and returns its result.
     """
     spectrum, reg, L = inst.spectrum, inst.reg, inst.depth
     dims = stack.dim_chain()
@@ -705,12 +715,24 @@ def distance_to_component(
         raise ShapeError("stack endpoints do not match the target's shape")
     if dims.depth != L:
         raise ShapeError("stack depth does not match the instance")
+    batched = stack.layers[0].ndim > 2
+    if not batched:
+        stack = WeightStack.batch([stack])
     lower = mirsky_lower_bound(stack, profile, reg, target)
+    n = len(lower)
+
+    def results(nearest, dist, sweeps, converged):
+        out = [
+            ComponentDistance(max(d, lo), lo, member, s, c)
+            for d, lo, member, s, c in zip(
+                dist.tolist(), lower.tolist(), nearest.unbatch(), sweeps, converged
+            )
+        ]
+        return out if batched else out[0]
 
     if profile.is_zero or spectrum.rank == 0:
-        nearest = WeightStack.zeros(dims)
-        d = (stack - nearest).norm()
-        return ComponentDistance(max(d, lower), lower, nearest, 0, True)
+        nearest = WeightStack([np.zeros_like(w) for w in stack.layers])
+        return results(nearest, (stack - nearest).norm(), [0] * n, [True] * n)
 
     sig_mats = _sigma_matrices(profile, dims, reg, target)
     scales = _layer_scales(reg, target)
@@ -727,27 +749,27 @@ def distance_to_component(
     # parity-locked corner the coordinate descent cannot leave).
     def seeded_frame(layer_idx: int) -> np.ndarray:
         _, _, vt = np.linalg.svd(w[layer_idx], full_matrices=True)
-        v_full = vt.T
-        n = v_full.shape[0]
+        v_full = vt.swapaxes(-1, -2)
         diag = sig_eq * scales[layer_idx]
         order = np.argsort(-diag, kind="stable")
         ranks = np.empty(len(diag), dtype=int)
         ranks[order] = np.arange(len(diag))
-        perm = list(ranks) + list(range(len(diag), n))
-        return v_full[:, perm]
+        perm = list(ranks) + list(range(len(diag), v_full.shape[-1]))
+        return v_full[..., perm]
 
     # The iterate is the member's frames: left = [Q_2, ..., Q_L, U_Y M_out],
     # right = [M_in V_Y^T, Q_2^T, ..., Q_L^T]; the outer frames are set by
-    # the first block update.
+    # the first block update.  Every array carries the sample axis first.
     left = [seeded_frame(1)]
     for k in range(1, L - 1):
         left.append(_polar(w[k] @ left[k - 1] @ sig_mats[k].T))
     left.append(None)
-    right = [None] + [q.T for q in left[:-1]]
+    right = [None] + [q.swapaxes(-1, -2) for q in left[:-1]]
 
     # Block factors go straight into the mixers M_in, M_out (identity past the
     # rank); the blocks of one size h share n_h x h x h index arrays.
-    m_in, m_out = np.eye(dims.dims[0]), np.eye(dims.dims[-1])
+    m_in = np.tile(np.eye(dims.dims[0]), (n, 1, 1))
+    m_out = np.tile(np.eye(dims.dims[-1]), (n, 1, 1))
     sizes, starts = np.array(spectrum.multiplicities), np.array(spectrum.s_bounds[:-1])
     groups = []
     for h in sorted(set(spectrum.multiplicities)):
@@ -758,13 +780,13 @@ def distance_to_component(
     def update_blocks():
         # Block i's factor is the polar factor of D1 G1[i] + DL GL[i]^T (all
         # blocks of one size in one stacked SVD; Schoenemann 1966).
-        g1 = left[0].T @ w[0] @ v_y
+        g1 = left[0].swapaxes(-1, -2) @ w[0] @ v_y
         gl = u_y.T @ w[L - 1] @ left[-2]
         for rows, cols, d1, dl in groups:
-            u, _, vt = np.linalg.svd(d1 * g1[rows, cols] + dl * gl[cols, rows])
+            u, _, vt = np.linalg.svd(d1 * g1[..., rows, cols] + dl * gl[..., cols, rows])
             factors = u @ vt
-            m_in[rows, cols] = factors
-            m_out[cols, rows] = factors
+            m_in[..., rows, cols] = factors
+            m_out[..., cols, rows] = factors
         right[0], left[-1] = m_in @ v_y.T, u_y @ m_out
 
     def update_seams():
@@ -772,42 +794,63 @@ def distance_to_component(
         # right frame of layer k + 1.
         for k in range(L - 1):
             left[k] = _polar(
-                w[k] @ (sig_mats[k] @ right[k]).T + w[k + 1].T @ (left[k + 1] @ sig_mats[k + 1])
+                w[k] @ (sig_mats[k] @ right[k]).swapaxes(-1, -2)
+                + w[k + 1].swapaxes(-1, -2) @ (left[k + 1] @ sig_mats[k + 1])
             )
-            right[k + 1] = left[k].T
+            right[k + 1] = left[k].swapaxes(-1, -2)
 
+    # ``live`` holds the samples still sweeping; the iterate arrays hold only
+    # their rows, and a sample's rows are dropped once its own objective
+    # settles, so it runs exactly the sweeps it would run alone.
+    live = np.arange(n)
+    sweeps = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
     update_blocks()
-    obj = (stack - assemble(left, sig_mats, right)).norm() ** 2
-    sweeps = 0
-    converged = False
-    for sweeps in range(1, PROJECTION_SWEEPS + 1):
+    member = assemble(left, sig_mats, right)
+    nearest = [m.copy() for m in member.layers]
+    obj = (WeightStack(w) - member).norm() ** 2
+    for sweep in range(1, PROJECTION_SWEEPS + 1):
         update_seams()
         update_blocks()
-        new_obj = (stack - assemble(left, sig_mats, right)).norm() ** 2
-        if new_obj > obj + 1e-12 * max(1.0, obj):
+        member = assemble(left, sig_mats, right)
+        new_obj = (WeightStack(w) - member).norm() ** 2
+        rose = new_obj > obj + 1e-12 * np.maximum(1.0, obj)
+        if rose.any():
+            i = int(np.argmax(rose))
             raise InternalConsistencyError(
-                f"alternating projection increased the objective: {obj} -> {new_obj}"
+                f"alternating projection increased the objective: {obj[i]} -> {new_obj[i]}"
             )
-        improved = obj - new_obj
+        done = obj - new_obj < 1e-12
         obj = new_obj
-        if improved < 1e-12:
-            converged = True
-            break
+        for out, m in zip(nearest, member.layers):
+            out[live] = m
+        sweeps[live] = sweep
+        converged[live[done]] = True
+        if done.any():
+            keep = ~done
+            live, obj = live[keep], obj[keep]
+            if not len(live):
+                break
+            w, left, m_in, m_out = [x[keep] for x in w], [x[keep] for x in left], m_in[keep], m_out[keep]
+            right = [right[0][keep]] + [q.swapaxes(-1, -2) for q in left[:-1]]
 
-    nearest = assemble(left, sig_mats, right)
-    dist = (stack - nearest).norm()
+    nearest = WeightStack(nearest)
     y = spectrum.target
     gnorm = (grad_f if target == "F" else grad_g)(nearest, y, reg).norm()
-    if gnorm > 1e-9 * (1.0 + float(np.linalg.norm(y))):
+    bad = gnorm > 1e-9 * (1.0 + float(np.linalg.norm(y)))
+    if bad.any():
         raise InternalConsistencyError(
-            f"projected point is not critical: gradient norm {gnorm}"
+            f"projected point is not critical: gradient norm {gnorm[np.argmax(bad)]}"
         )
     # The bracket must be consistent; tolerate only roundoff inversion.
-    if dist < lower - 1e-9 * (1.0 + lower):
+    dist = (stack - nearest).norm()
+    inverted = dist < lower - 1e-9 * (1.0 + lower)
+    if inverted.any():
+        i = int(np.argmax(inverted))
         raise InternalConsistencyError(
-            f"distance upper bound {dist} fell below the certified lower {lower}"
+            f"distance upper bound {dist[i]} fell below the certified lower {lower[i]}"
         )
-    return ComponentDistance(max(dist, lower), lower, nearest, sweeps, converged)
+    return results(nearest, dist, sweeps.tolist(), converged.tolist())
 
 
 @dataclass
@@ -822,27 +865,51 @@ class SetDistance:
 
 def distance_to_critical_set(
     stack: WeightStack, inst: "Instance", target: str = "F"
-) -> SetDistance:
+) -> SetDistance | list[SetDistance]:
     """Minimum component distance over the instance's enumerated profiles.
 
     Profiles whose certified lower bound already exceeds the best upper bound
     are skipped.  Candidates are visited in order of their lower bound, with
     the enumeration index breaking ties so results are deterministic.
+
+    A batched stack returns one result per sample, each equal to the result
+    for that sample alone: every sample walks its own candidate order, and
+    each round projects the samples whose next candidate is the same profile
+    in one :func:`distance_to_component` call.
     """
+    batched = stack.layers[0].ndim > 2
+    if not batched:
+        stack = WeightStack.batch([stack])
     enum = inst.profiles
     lowers = mirsky_lower_bound(stack, enum, inst.reg, target)
-    best: ComponentDistance | None = None
-    best_idx = -1
-    converged = True
-    for k in np.argsort(lowers, kind="stable"):
-        if best is not None and lowers[k] >= best.distance:
-            break  # later bounds are no smaller, and best.distance only falls
-        cand = distance_to_component(stack, enum.profiles[k], inst, target=target)
-        converged = converged and cand.converged
-        if best is None or cand.distance < best.distance:
-            best = cand
-            best_idx = int(k)
-    assert best is not None
-    return SetDistance(
-        best.distance, float(lowers.min()), best_idx, best.nearest, enum.truncated, converged
-    )
+    order = np.argsort(lowers, axis=-1, kind="stable")
+    n, n_profiles = lowers.shape
+    best: list[ComponentDistance | None] = [None] * n
+    best_idx = [-1] * n
+    converged = [True] * n
+    visited = [0] * n  # candidates of each sample's order projected so far
+    active = list(range(n))
+    while active:
+        rounds: dict[int, list[int]] = {}
+        for i in active:
+            if visited[i] == n_profiles:
+                continue
+            k = int(order[i, visited[i]])
+            if best[i] is not None and lowers[i, k] >= best[i].distance:
+                continue  # later bounds are no smaller, and the best distance only falls
+            rounds.setdefault(k, []).append(i)
+        active = []
+        for k, rows in sorted(rounds.items()):
+            group = WeightStack([w[rows] for w in stack.layers])
+            cands = distance_to_component(group, enum.profiles[k], inst, target=target)
+            for i, cand in zip(rows, cands):
+                converged[i] = converged[i] and cand.converged
+                if best[i] is None or cand.distance < best[i].distance:
+                    best[i], best_idx[i] = cand, k
+                visited[i] += 1
+                active.append(i)
+    out = [
+        SetDistance(b.distance, float(lo.min()), k, b.nearest, enum.truncated, c)
+        for b, lo, k, c in zip(best, lowers, best_idx, converged)
+    ]
+    return out if batched else out[0]

@@ -104,7 +104,12 @@ class RegParams:
 
 @dataclass
 class WeightStack:
-    """The tuple W = (W_1, ..., W_L); layer l has shape d_l x d_{l-1}."""
+    """The tuple W = (W_1, ..., W_L); layer l has shape d_l x d_{l-1}.
+
+    Layers may carry a leading sample axis, shape ``(R, d_l, d_{l-1})``, to
+    hold R stacks of one shape (see :meth:`batch`); shapes are read from the
+    last two axes.
+    """
 
     layers: list[np.ndarray]
 
@@ -113,11 +118,22 @@ class WeightStack:
         if len(self.layers) < 2:
             raise ShapeError("a network needs at least 2 layers")
         for l in range(1, len(self.layers)):
-            if self.layers[l].shape[1] != self.layers[l - 1].shape[0]:
+            if self.layers[l].shape[-1] != self.layers[l - 1].shape[-2]:
                 raise ShapeError(
-                    f"layer {l + 1} has {self.layers[l].shape[1]} columns but "
-                    f"layer {l} has {self.layers[l - 1].shape[0]} rows"
+                    f"layer {l + 1} has {self.layers[l].shape[-1]} columns but "
+                    f"layer {l} has {self.layers[l - 1].shape[-2]} rows"
                 )
+            if self.layers[l].shape[:-2] != self.layers[0].shape[:-2]:
+                raise ShapeError("layers carry different leading sample axes")
+
+    @classmethod
+    def batch(cls, stacks: list["WeightStack"]) -> "WeightStack":
+        """One stack holding same-shape 2-D stacks along a leading sample axis."""
+        return cls([np.stack(ws) for ws in zip(*(s.layers for s in stacks))])
+
+    def unbatch(self) -> list["WeightStack"]:
+        """The 2-D stacks of a batched stack, in sample order."""
+        return [WeightStack(list(ws)) for ws in zip(*self.layers)]
 
     @property
     def depth(self) -> int:
@@ -125,7 +141,7 @@ class WeightStack:
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return (self.layers[0].shape[1],) + tuple(w.shape[0] for w in self.layers)
+        return (self.layers[0].shape[-1],) + tuple(w.shape[-2] for w in self.layers)
 
     def dim_chain(self) -> DimChain:
         return DimChain(self.dims)
@@ -133,8 +149,10 @@ class WeightStack:
     def copy(self) -> "WeightStack":
         return WeightStack([w.copy() for w in self.layers])
 
-    def norm(self) -> float:
-        return math.sqrt(sum(float(np.sum(w * w)) for w in self.layers))
+    def norm(self) -> float | np.ndarray:
+        """Frobenius norm: a float, or one per sample for a batched stack."""
+        total = np.sqrt(sum(np.add.reduce(w * w, axis=(-2, -1)) for w in self.layers))
+        return total if total.ndim else float(total)
 
     def __add__(self, other: "WeightStack") -> "WeightStack":
         return WeightStack([a + b for a, b in zip(self.layers, other.layers)])
@@ -160,7 +178,7 @@ class WeightStack:
 
 def _check_target(stack: WeightStack, target: np.ndarray) -> np.ndarray:
     target = np.asarray(target, dtype=float)
-    d_out, d_in = stack.layers[-1].shape[0], stack.layers[0].shape[1]
+    d_out, d_in = stack.layers[-1].shape[-2], stack.layers[0].shape[-1]
     if target.shape != (d_out, d_in):
         raise ShapeError(
             f"target has shape {target.shape}, expected ({d_out}, {d_in})"
@@ -285,8 +303,12 @@ def value_and_grad(
     return value, grads, gbias
 
 
-def loss_f(stack: WeightStack, target: np.ndarray, reg: RegParams) -> float:
-    """Squared residual of the end-to-end map plus per-layer Tikhonov terms."""
+def loss_f(stack: WeightStack, target: np.ndarray, reg: RegParams) -> float | np.ndarray:
+    """Squared residual of the end-to-end map plus per-layer Tikhonov terms.
+
+    A batched stack gives one value per sample, each bit-identical to a 2-D
+    call on its sample (as for :func:`value_and_grad` and :func:`grad_f`).
+    """
     target = _check_target(stack, target)
     _check_reg(stack, reg)
     return _forward(stack.layers, None, None, target, reg, "identity")[0]
@@ -305,7 +327,7 @@ def uniform_companion(target: np.ndarray, reg: RegParams) -> tuple[np.ndarray, R
     return math.sqrt(lam) * np.asarray(target, dtype=float), RegParams.uniform(lam, reg.depth)
 
 
-def loss_g(stack: WeightStack, target: np.ndarray, reg: RegParams) -> float:
+def loss_g(stack: WeightStack, target: np.ndarray, reg: RegParams) -> float | np.ndarray:
     """Uniform-regularizer loss with target scaled by sqrt of the product weight."""
     return loss_f(stack, *uniform_companion(target, reg))
 

@@ -132,6 +132,7 @@ class VerificationReport:
 
 
 def _grad_and_loss(stack, target_matrix, reg, target):
+    """Gradient norm and loss, one kernel call; per sample for a batched stack."""
     if target != "F":
         target_matrix, reg = uniform_companion(target_matrix, reg)
     value, grads, _ = value_and_grad(stack.layers, None, None, target_matrix, reg)
@@ -207,13 +208,15 @@ def _sweep(center, inst, cfg, target, direction_index):
     samples = []
     converged = True
     for radius in cfg.radii:
+        # The radius's samples are projected, and their gradients taken,
+        # together; each sample's numbers are those of its own 2-D call.
         in_regime = radius <= cutoff
-        for _ in range(cfg.samples_per_radius):
-            e = sampler(rng)
-            w = center.stack + e.scale(radius)
-            sd = distance_to_critical_set(w, inst, target=target)
+        es = WeightStack.batch([sampler(rng) for _ in range(cfg.samples_per_radius)])
+        w = center.stack + es.scale(radius)
+        sds = distance_to_critical_set(w, inst, target=target)
+        gnorms, lvals = _grad_and_loss(w, inst.target, inst.reg, target)
+        for sd, gnorm, lval in zip(sds, gnorms.tolist(), lvals.tolist()):
             converged = converged and sd.converged
-            gnorm, lval = _grad_and_loss(w, inst.target, inst.reg, target)
             ratio = sd.distance / gnorm if gnorm > 0 else math.inf
             samples.append(
                 SweepSample(radius, sd.lower_bound, sd.distance, gnorm, lval, ratio, in_regime)
@@ -358,11 +361,10 @@ def verify_pl_qg(
     # singular coordinate of the construction explicitly as well.
     r_probe = cfg.radii[0]
     d_min = min(center.stack.dims[0], center.stack.dims[-1])
-    for i in range(d_min):
-        e = singular_direction(center, i)
-        for sgn in (1.0, -1.0):
-            w = center.stack + e.scale(sgn * r_probe)
-            min_gap = min(min_gap, loss(w, y, reg) - f_center)
+    directions = [singular_direction(center, i) for i in range(d_min)]
+    probes = [center.stack + e.scale(sgn * r_probe) for e in directions for sgn in (1.0, -1.0)]
+    probe_losses = loss(WeightStack.batch(probes), y, reg)
+    min_gap = min(min_gap, float(probe_losses.min()) - f_center)
     is_minimizer = min_gap >= -1e-10
 
     per_radius = []
@@ -682,11 +684,13 @@ def check_first_order_conditions(
     if len(snaps) > max_distance_points:
         idx = np.linspace(0, len(snaps) - 1, max_distance_points).astype(int)
         snaps = [snaps[i] for i in idx]
-    end_sd = distance_to_critical_set(trajectory.final, inst, target="F")
+    # The final iterate and the snapshots are projected in one batch.
+    end_sd, *snap_sds = distance_to_critical_set(
+        WeightStack.batch([trajectory.final] + [stack for _, stack in snaps]), inst, target="F"
+    )
     f_star = loss_f(end_sd.nearest, inst.target, inst.reg)
     c2_vals = []
-    for k, stack in snaps:
-        sd = distance_to_critical_set(stack, inst, target="F")
+    for (k, _), sd in zip(snaps, snap_sds):
         denom = sd.distance**2 + step_sq[k]
         gap = f_vals[k + 1] - f_star
         if denom > 0:

@@ -363,3 +363,118 @@ def test_every_member_comes_from_the_one_assembler(target, values, depth):
         want = np.zeros(min(w.shape))
         want[: dims.d_min] = np.asarray(profile.sigma) * scale
         assert np.allclose(np.linalg.svd(w, compute_uv=False), want, rtol=0.0, atol=1e-10)
+
+
+def _assert_same_component_distance(a, b):
+    assert a.distance == b.distance and a.lower_bound == b.lower_bound
+    assert a.sweeps == b.sweeps and a.converged == b.converged
+    assert all(np.array_equal(x, y) for x, y in zip(a.nearest.layers, b.nearest.layers))
+
+
+def _assert_same_set_distance(a, b):
+    assert a.distance == b.distance and a.lower_bound == b.lower_bound
+    assert a.profile_index == b.profile_index
+    assert a.truncated == b.truncated and a.converged == b.converged
+    assert all(np.array_equal(x, y) for x, y in zip(a.nearest.layers, b.nearest.layers))
+
+
+def _batch_instance(target, values, depth):
+    rng = np.random.default_rng(10 * depth + len(values))
+    d = len(values)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    v, _ = np.linalg.qr(rng.standard_normal((d + 1, d + 1)))
+    dims = DimChain((d + 1,) + (d + 2,) * (depth - 1) + (d,))
+    reg = RegParams(tuple(float(x) for x in rng.uniform(0.4, 0.9, depth)))
+    return Instance(dims, reg, u @ np.diag(values) @ v[:d]), rng
+
+
+def _check_batch_matches_samples(inst, stacks, profile, target):
+    batch = WeightStack.batch(stacks)
+    lowers = mirsky_lower_bound(batch, inst.profiles, inst.reg, target)
+    assert lowers.shape == (len(stacks), len(inst.profiles.profiles))
+    for row, stack in zip(lowers, stacks):
+        assert np.array_equal(row, mirsky_lower_bound(stack, inst.profiles, inst.reg, target))
+    sets = distance_to_critical_set(batch, inst, target=target)
+    comps = distance_to_component(batch, profile, inst, target=target)
+    assert len(sets) == len(comps) == len(stacks)
+    for stack, sd, cd in zip(stacks, sets, comps):
+        _assert_same_set_distance(sd, distance_to_critical_set(stack, inst, target=target))
+        _assert_same_component_distance(cd, distance_to_component(stack, profile, inst, target=target))
+    return sets, comps
+
+
+BATCH_CASES = [
+    (target, values, depth)
+    for target in ("F", "G")
+    for values, depth in [((3.0, 2.0, 1.0), L) for L in (2, 3, 4, 5)]
+    + [((2.5, 2.5, 1.5, 1.5, 1.5), 3)]
+]
+
+
+@pytest.mark.parametrize("target, values, depth", BATCH_CASES)
+def test_batched_projection_matches_per_sample_calls(target, values, depth):
+    # Radii from 1e-6 to 1e-1 make the samples stop after different numbers
+    # of sweeps, so rows leave the batch at different times.
+    inst, rng = _batch_instance(target, values, depth)
+    profile = optimal_profile(inst)
+    center = construct_critical_point(profile, sample_random_params(inst, seed=depth), inst, target)
+    stacks = []
+    for radius in np.geomspace(1e-6, 1e-1, 6):
+        for _ in range(2):
+            e = WeightStack.gaussian(inst.dims, rng)
+            stacks.append(center.stack + e.scale(radius / e.norm()))
+    _, comps = _check_batch_matches_samples(inst, stacks, profile, target)
+    assert len({c.sweeps for c in comps}) > 1
+
+
+@pytest.mark.parametrize("target", ["F", "G"])
+def test_batched_projection_onto_the_zero_profile(target):
+    inst, rng = _batch_instance(target, (3.0, 2.0, 1.0), 3)
+    stacks = [WeightStack.gaussian(inst.dims, rng).scale(r) for r in (1e-4, 1e-3, 1e-2)]
+    sets, comps = _check_batch_matches_samples(inst, stacks, zero_profile(inst), target)
+    assert all(c.sweeps == 0 and c.converged for c in comps)
+    assert all(inst.profiles.profiles[s.profile_index].is_zero for s in sets)
+
+
+def test_batched_projection_with_some_samples_unconverged(monkeypatch):
+    # A low cap that the near samples reach convergence under and the far
+    # ones do not: both kinds sit in one batch.
+    monkeypatch.setattr(critical, "PROJECTION_SWEEPS", 3)
+    inst, rng = _batch_instance("F", (3.0, 2.0, 1.0), 4)
+    profile = optimal_profile(inst)
+    center = construct_critical_point(profile, sample_random_params(inst, seed=1), inst)
+    stacks = []
+    for radius in (1e-7, 1e-6, 3e-1, 5e-1):
+        e = WeightStack.gaussian(inst.dims, rng)
+        stacks.append(center.stack + e.scale(radius / e.norm()))
+    sets, comps = _check_batch_matches_samples(inst, stacks, profile, "F")
+    assert {c.converged for c in comps} == {True, False}
+    assert {s.converged for s in sets} == {True, False}
+
+
+def test_batched_set_distance_between_components(monkeypatch):
+    # Stacks halfway between the optimal component and the zero one, with
+    # their frames scrambled: their nearest candidate's projection leaves a
+    # gap above the next lower bound, so several candidates are projected.
+    inst, rng = _batch_instance("G", (2.0, 1.6, 1.2), 3)
+    center = construct_critical_point(optimal_profile(inst), sample_random_params(inst, seed=3), inst, "G")
+    stacks = []
+    for t in np.linspace(0.35, 0.65, 8):
+        e = WeightStack.gaussian(inst.dims, rng)
+        stacks.append(center.stack.scale(t) + e.scale(0.3 * center.stack.norm() / e.norm()))
+    rows = []
+    project = critical.distance_to_component
+
+    def counting(stack, *args, **kwargs):
+        rows.append(stack.layers[0].shape[0] if stack.layers[0].ndim > 2 else 1)
+        return project(stack, *args, **kwargs)
+
+    monkeypatch.setattr(critical, "distance_to_component", counting)
+    batch = WeightStack.batch(stacks)
+    sets = distance_to_critical_set(batch, inst, target="G")
+    projected = sum(rows)
+    rows.clear()
+    for stack, sd in zip(stacks, sets):
+        _assert_same_set_distance(sd, distance_to_critical_set(stack, inst, target="G"))
+    assert projected == sum(rows) > len(stacks)
+    assert len({s.profile_index for s in sets}) > 1

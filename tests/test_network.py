@@ -260,3 +260,26 @@ def test_stacked_kernel_equals_per_slice_calls(depth, name, with_bias, with_inpu
             if with_bias:
                 for a, b, c in zip(gbias, gb2, ref[2]):
                     assert np.array_equal(a[r], b) and np.array_equal(b, c)
+
+
+def test_batched_weight_stack(rng):
+    dims = DimChain((3, 5, 4, 2))
+    stacks = [WeightStack.gaussian(dims, rng) for _ in range(4)]
+    batch = WeightStack.batch(stacks)
+    assert batch.dims == dims.dims and batch.depth == 3
+    assert [w.shape for w in batch.layers] == [(4, 5, 3), (4, 4, 5), (4, 2, 4)]
+    norms = batch.norm()
+    assert isinstance(norms, np.ndarray) and norms.shape == (4,)
+    assert isinstance(stacks[0].norm(), float)
+    assert norms.tolist() == [s.norm() for s in stacks]
+    for a, b in zip(batch.unbatch(), stacks):
+        assert all(np.array_equal(x, y) for x, y in zip(a.layers, b.layers))
+    target, reg = rng.standard_normal((2, 3)), RegParams((0.5, 0.6, 0.7))
+    assert loss_f(batch, target, reg).tolist() == [loss_f(s, target, reg) for s in stacks]
+    assert loss_g(batch, target, reg).tolist() == [loss_g(s, target, reg) for s in stacks]
+    with pytest.raises(ShapeError):
+        WeightStack([np.zeros((4, 5, 3)), np.zeros((4, 4, 6))])  # 6 != 5
+    with pytest.raises(ShapeError):
+        WeightStack([np.zeros((4, 5, 3)), np.zeros((3, 4, 5))])  # 3 samples, not 4
+    with pytest.raises(ShapeError):
+        loss_f(batch, np.zeros((3, 2)), reg)

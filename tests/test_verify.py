@@ -370,3 +370,15 @@ def test_truncated_enumeration_is_tagged():
         # the tag qualifies the verdict without changing it
         assert report.passed
         assert report.tags == ["profiles-truncated"]
+
+
+@pytest.mark.parametrize("target", ["F", "G"])
+def test_batched_gradient_norms_and_losses_equal_2d_calls(target):
+    from deeplinear.verify import _grad_and_loss
+
+    inst, dims, reg = _generic_instance(seed=5, depth=3)
+    rng = np.random.default_rng(0)
+    stacks = [WeightStack.gaussian(dims, rng).scale(s) for s in (1e-3, 0.1, 1.0)]
+    gnorms, losses = _grad_and_loss(WeightStack.batch(stacks), inst.target, reg, target)
+    for stack, gnorm, loss in zip(stacks, gnorms.tolist(), losses.tolist()):
+        assert (gnorm, loss) == _grad_and_loss(stack, inst.target, reg, target)
