@@ -2,6 +2,7 @@
 
 from .network import (
     DimChain,
+    FlatParams,
     RegParams,
     ShapeError,
     WeightStack,

@@ -30,6 +30,7 @@ import numpy as np
 
 from .network import (
     DimChain,
+    FlatParams,
     RegParams,
     ShapeError,
     WeightStack,
@@ -586,13 +587,7 @@ def tangent_basis(point: CriticalPoint, spectrum: "TargetSpectrum") -> np.ndarra
     """
     L = point.depth
     layers = point.stack.layers
-    sizes = [w.size for w in layers]
-    total = sum(sizes)
-
-    def flatten(stack_layers) -> np.ndarray:
-        return np.concatenate([w.ravel() for w in stack_layers])
-
-    rows = []
+    rows = []  # each direction in the flat layout of FlatParams
 
     def skew_pairs(n):
         for a in range(n):
@@ -611,7 +606,7 @@ def tangent_basis(point: CriticalPoint, spectrum: "TargetSpectrum") -> np.ndarra
             d[l - 2] = point.left[l - 2] @ s @ point.sigma_mats[l - 2] @ point.right[l - 2]
             # layer l (0-based l-1): right factor is Q_l^T
             d[l - 1] = -point.left[l - 1] @ point.sigma_mats[l - 1] @ s @ point.right[l - 1]
-            rows.append(flatten(d))
+            rows.append(FlatParams.pack(d).flat)
 
     # Shared block factors touch the first and last layer only.
     for i, h in enumerate(spectrum.multiplicities):
@@ -627,10 +622,10 @@ def tangent_basis(point: CriticalPoint, spectrum: "TargetSpectrum") -> np.ndarra
             dm_out = np.zeros((layers[-1].shape[0], layers[-1].shape[0]))
             dm_out[sl, sl] = s_small.T @ point.params.blocks[i].T
             d[-1] = spectrum.u @ dm_out @ point.sigma_mats[-1] @ point.right[-1]
-            rows.append(flatten(d))
+            rows.append(FlatParams.pack(d).flat)
 
     if not rows:
-        return np.zeros((0, total))
+        return np.zeros((0, sum(w.size for w in layers)))
     mat = np.vstack(rows)
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
     keep = s > 1e-10 * max(1.0, s[0])

@@ -12,11 +12,14 @@ where lam is the product of the per-layer regularization weights.  The two
 problems share critical points up to the per-layer rescaling implemented by
 :func:`rescale_f_to_g`.  Both, and the extended objectives of gradient descent
 (input matrix, biases, activations), are evaluated by one kernel,
-:func:`value_and_grad`.
+:func:`value_and_grad`, on the layers and biases packed into one flat buffer
+(:class:`FlatParams`).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -235,8 +238,65 @@ def _act_deriv(z: np.ndarray, a: np.ndarray, name: str) -> np.ndarray:
     return 1.0 - a * a
 
 
-def _forward(layers, biases, x, target, reg, activation):
-    """Objective value, residual, pre-activations and activations of every layer."""
+class FlatParams:
+    """Layers and biases as views into one flat float array.
+
+    ``flat`` has shape ``(..., n)``: the layers and then the biases, each
+    raveled in C order, so a leading run axis holds R parameter sets of one
+    shape.  The views (``layers``, and ``biases`` or None) are cut once, when
+    the holder is made: :meth:`pack` copies arrays into a new buffer, and
+    :meth:`like` puts the same layout over another buffer.
+    """
+
+    def __init__(self, flat: np.ndarray, shapes, n_layers: int):
+        self.flat = flat
+        self.shapes = shapes
+        self.n_layers = n_layers
+        self.sizes = tuple(math.prod(s) for s in shapes)
+        ends = list(itertools.accumulate(self.sizes))
+        self.bounds = list(zip([0, *ends[:-1]], ends))
+        lead = flat.shape[:-1]
+        views = [flat[..., a:b].reshape(lead + s) for (a, b), s in zip(self.bounds, shapes)]
+        self.layers = views[:n_layers]
+        self.biases = views[n_layers:] or None
+
+    @classmethod
+    def pack(cls, layers, biases=None) -> "FlatParams":
+        """A new buffer holding copies of the layers and biases (leading axes shared)."""
+        parts = [np.asarray(a, dtype=float) for a in [*layers, *(biases or [])]]
+        lead = parts[0].shape[:-2]
+        flat = np.concatenate([a.reshape(lead + (-1,)) for a in parts], axis=-1)
+        return cls(flat, [a.shape[len(lead):] for a in parts], len(layers))
+
+    def like(self, flat: np.ndarray) -> "FlatParams":
+        """The same layout over ``flat`` (its leading axes may differ)."""
+        return FlatParams(flat, self.shapes, self.n_layers)
+
+    def reg_rows(self, reg: RegParams) -> tuple[np.ndarray, np.ndarray]:
+        """The per-entry row of 2 lambda_l over ``flat``, and the weights
+        (1, lambda_1, ..., lambda_L, lambda_1, ...) of the squared residual and
+        segment norms; built once per layout and weights."""
+        if reg.depth != self.n_layers:
+            raise ShapeError(
+                f"{reg.depth} regularization weights for a {self.n_layers}-layer network"
+            )
+        return _reg_rows(self.sizes, reg.lambdas * (1 if self.biases is None else 2))
+
+
+@functools.lru_cache(maxsize=64)
+def _reg_rows(sizes: tuple[int, ...], lams: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    two_lam = np.repeat(np.multiply(2.0, lams), sizes)
+    weights = np.array((1.0,) + lams)
+    two_lam.flags.writeable = weights.flags.writeable = False  # shared by every caller
+    return two_lam, weights
+
+
+def _forward(params: FlatParams, x, target, weights, activation):
+    """Objective value, residual, pre-activations and activations of every layer.
+
+    ``weights`` are the weights of the squared norms, ``params.reg_rows(reg)[1]``.
+    """
+    layers, biases = params.layers, params.biases
     L = len(layers)
     acts: list[np.ndarray | None] = [x]
     pre: list[np.ndarray] = []
@@ -249,58 +309,64 @@ def _forward(layers, biases, x, target, reg, activation):
         a = _act(z, activation) if l < L - 1 else z
         acts.append(a)
     resid = a - target
-    # The squared norms of the residual and of every layer and bias, weighted
-    # and then summed left to right by one accumulate along the last axis:
-    # the same roundings as adding the terms one by one, in fewer calls.
-    biases = biases or []
-    sq = np.empty(resid.shape[:-2] + (1 + L + len(biases),))
-    for i, m in enumerate([resid, *layers]):
-        np.add.reduce(m * m, axis=(-2, -1), out=sq[..., i])
-    for i, b in enumerate(biases, 1 + L):
-        np.add.reduce(b * b, axis=-1, out=sq[..., i])
-    sq *= (1.0,) + reg.lambdas + (reg.lambdas if biases else ())
+    # The squared norms of the residual and of every layer and bias (one
+    # reduce per segment of the squared flat buffer, which sums each segment
+    # as a reduce over the layer itself does), weighted and then summed left
+    # to right by one accumulate along the last axis: the same roundings as
+    # adding the terms one by one, in fewer calls.
+    sq = np.empty(resid.shape[:-2] + weights.shape)
+    np.add.reduce(resid * resid, axis=(-2, -1), out=sq[..., 0])
+    flat_sq = params.flat * params.flat
+    for i, (a, b) in enumerate(params.bounds, 1):
+        np.add.reduce(flat_sq[..., a:b], axis=-1, out=sq[..., i])
+    sq *= weights
     value = np.add.accumulate(sq, axis=-1)[..., -1]
     return (value if value.ndim else float(value)), resid, pre, acts
 
 
 def value_and_grad(
-    layers: list[np.ndarray],
-    biases: list[np.ndarray] | None,
+    params: FlatParams,
     x: np.ndarray | None,
     target: np.ndarray,
     reg: RegParams,
     activation: str = "identity",
-) -> tuple[float | np.ndarray, list[np.ndarray], list[np.ndarray] | None]:
-    """Objective value and exact layerwise gradients of the extended loss.
+    grad: FlatParams | None = None,
+) -> tuple[float | np.ndarray, FlatParams]:
+    """Objective value and exact gradient of the extended loss.
 
     The one gradient kernel: a forward pass, then backpropagation.  ``x is
     None`` means the identity input, which makes the objective ``loss_f``.
     Activations apply after every layer except the last; biases (when
     present) are regularized with the same per-layer weights as the matrices.
 
-    Layers may carry a leading run axis, shape ``(R, d_l, d_{l-1})`` (biases
-    ``(R, d_l)``), to evaluate R parameter sets of one shape at once; the
-    input matrix and the target are shared 2-D arrays.  The value is then an
-    array of R objectives and every gradient keeps the run axis.  Each run's
-    value and gradients are bit-identical to a 2-D call on its slice, and a
-    2-D call returns the value as a float.
+    The gradient is written in place into ``grad``, a holder of the layout
+    of ``params`` (allocated when None), and returned.  ``params.flat`` may
+    carry a leading run axis, shape ``(R, n)``, to evaluate R parameter sets
+    of one shape at once; the input matrix and the target are shared 2-D
+    arrays.  The value is then an array of R objectives.  Each run's value
+    and gradient are bit-identical to a call on its row, and a call on one
+    ``(n,)`` row returns the value as a float.
     """
-    value, resid, pre, acts = _forward(layers, biases, x, target, reg, activation)
-    L = len(layers)
-    grads: list[np.ndarray | None] = [None] * L
-    gbias: list[np.ndarray | None] | None = [None] * L if biases is not None else None
+    two_lam, weights = params.reg_rows(reg)
+    value, resid, pre, acts = _forward(params, x, target, weights, activation)
+    if grad is None:
+        grad = params.like(np.empty_like(params.flat))
+    layers = params.layers
     dz = 2.0 * resid
-    for l in range(L - 1, -1, -1):
-        gw = dz @ acts[l].swapaxes(-1, -2) if acts[l] is not None else dz.copy()
-        gw += 2.0 * reg.lambdas[l] * layers[l]
-        grads[l] = gw
-        if biases is not None:
-            gbias[l] = np.add.reduce(dz, axis=-1) + 2.0 * reg.lambdas[l] * biases[l]
+    for l in range(len(layers) - 1, -1, -1):
+        if acts[l] is None:
+            np.copyto(grad.layers[l], dz)
+        else:
+            np.matmul(dz, acts[l].swapaxes(-1, -2), out=grad.layers[l])
+        if params.biases is not None:
+            np.add.reduce(dz, axis=-1, out=grad.biases[l])
         if l > 0:
             dz = layers[l].swapaxes(-1, -2) @ dz
             if activation != "identity":
                 dz *= _act_deriv(pre[l - 1], acts[l], activation)
-    return value, grads, gbias
+    # the Tikhonov term of every layer and bias at once
+    grad.flat += two_lam * params.flat
+    return value, grad
 
 
 def loss_f(stack: WeightStack, target: np.ndarray, reg: RegParams) -> float | np.ndarray:
@@ -310,15 +376,14 @@ def loss_f(stack: WeightStack, target: np.ndarray, reg: RegParams) -> float | np
     call on its sample (as for :func:`value_and_grad` and :func:`grad_f`).
     """
     target = _check_target(stack, target)
-    _check_reg(stack, reg)
-    return _forward(stack.layers, None, None, target, reg, "identity")[0]
+    params = FlatParams.pack(stack.layers)
+    return _forward(params, None, target, params.reg_rows(reg)[1], "identity")[0]
 
 
 def grad_f(stack: WeightStack, target: np.ndarray, reg: RegParams) -> WeightStack:
     """Exact gradient of :func:`loss_f` with respect to every layer."""
     target = _check_target(stack, target)
-    _check_reg(stack, reg)
-    return WeightStack(value_and_grad(stack.layers, None, None, target, reg)[1])
+    return WeightStack(value_and_grad(FlatParams.pack(stack.layers), None, target, reg)[1].layers)
 
 
 def uniform_companion(target: np.ndarray, reg: RegParams) -> tuple[np.ndarray, RegParams]:

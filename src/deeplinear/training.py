@@ -13,6 +13,7 @@ one kernel call per step for all of them.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -23,6 +24,7 @@ from .critical import optimal_profile, profile_from_choices, sample_random_param
 from .network import (
     ACTIVATIONS,
     DimChain,
+    FlatParams,
     RegParams,
     ShapeError,
     WeightStack,
@@ -69,6 +71,10 @@ class ModelSpec:
         return self.kind in ("linear-with-bias", "nonlinear")
 
 
+def _finite_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass
 class TrainConfig:
     learning_rate: float = 4.5e-4
@@ -81,10 +87,16 @@ class TrainConfig:
     log_stride: int = 100
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.grad_sq_tol <= 0 or self.fval_change_tol <= 0:
-            raise ValueError("stopping tolerances must be positive")
+        for name in ("learning_rate", "grad_sq_tol", "fval_change_tol"):
+            value = getattr(self, name)
+            if not (_finite_real(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not (_finite_real(self.init_scale) and self.init_scale >= 0):
+            raise ValueError(f"init_scale must be finite and >= 0, got {self.init_scale!r}")
+        for name, least in (("max_iters", 0), ("log_stride", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.init not in INIT_SCHEMES:
             raise ValueError(f"init must be one of {INIT_SCHEMES}")
 
@@ -182,9 +194,8 @@ def train_runs(
     Run i starts from ``_init_state`` with ``cfgs[i]`` and ``centers[i]``;
     the runs may differ in seed, init and init_scale but must share the
     fields in ``SHARED_FIELDS`` (else ``ValueError``).  The parameters are
-    one ``(R, n)`` float64 array, and the layers (and biases) are views into
-    it with a leading run axis, so each step is one kernel call for every
-    live run.  Each run stops on its own when both stopping tolerances hold
+    one ``(R, n)`` :class:`FlatParams` buffer, one row per run, so each step
+    is one kernel call for every live run, writing the gradient in place.  Each run stops on its own when both stopping tolerances hold
     jointly (or at ``max_iters``) and is then dropped from the batch; its
     trajectory, snapshots and wall time are its own, and every iterate is
     bit-identical to the run trained alone.  The update is exactly
@@ -210,29 +221,16 @@ def train_runs(
             f"target shape {target.shape} does not match ({dims.dims[-1]}, {n_cols})"
         )
 
-    inits = [_init_state(model, dims, cfg, c) for cfg, c in zip(cfgs, centers)]
-    parts = inits[0][0] + (inits[0][1] or [])
-    ends = np.cumsum([a.size for a in parts]).tolist()
-    cuts = list(zip([0] + ends[:-1], ends, [a.shape for a in parts]))
-    n_layers = len(inits[0][0])
-
-    def views(mat):
-        out = [mat[:, a:b].reshape((len(mat),) + shape) for a, b, shape in cuts]
-        return out[:n_layers], out[n_layers:] or None
-
-    def unpack(vec):
-        out = [vec[a:b].reshape(shape) for a, b, shape in cuts]
-        return out[:n_layers], out[n_layers:] or None
-
-    # Two buffers take turns holding the iterate: each step writes the next
-    # iterate into the spare one, so the views are cut once, not every step.
-    # The spare buffer holds the previous iterate until the next update.
-    # Snapshots copy their row.  A run's final and last finite iterates stay
-    # views: when it stops, the live rows move to two new buffers, and the
-    # old ones are never written again.
-    params = np.stack([np.concatenate(l + (b or []), axis=None) for l, b in inits])
-    spare = np.empty_like(params)
-    current, other = views(params), views(spare)
+    # Three buffers of one layout: the iterate, the spare one the next
+    # iterate is written into (it holds the previous iterate until then),
+    # and the gradient the kernel writes in place, so the views are cut once
+    # per batch size, not every step.  Snapshots copy their row.  A run's
+    # final and last finite iterates stay views: when it stops, the live
+    # rows move to new buffers, and the old ones are never written again.
+    packed = [FlatParams.pack(*_init_state(model, dims, cfg, c)) for cfg, c in zip(cfgs, centers)]
+    params = packed[0].like(np.stack([p.flat for p in packed]))
+    spare = params.like(np.empty_like(params.flat))
+    grad = params.like(np.empty_like(params.flat))
     cfg = cfgs[0]
     lr = cfg.learning_rate
     live = list(range(len(cfgs)))  # the run held in each row of params
@@ -240,19 +238,19 @@ def train_runs(
     g_hist: list[list[float]] = [[] for _ in cfgs]
     s_hist: list[list[float]] = [[] for _ in cfgs]
     snapshots: list[list[tuple[int, WeightStack]]] = [[] for _ in cfgs]
-    snap_stride = max(1, cfg.log_stride)
+    snap_stride = cfg.log_stride
     out: list[Trajectory | None] = [None] * len(cfgs)
     errors: dict[int, DivergenceError] = {}
 
     def finish(run, row, termination):
-        final, final_biases = unpack(params[row])
+        final = params.like(params.flat[row])
         out[run] = Trajectory(
             f_values=np.asarray(f_hist[run]),
             grad_sq=np.asarray(g_hist[run]),
             step_norm_sq=np.asarray(s_hist[run]),
             snapshots=snapshots[run],
-            final=WeightStack(final),
-            final_biases=final_biases,
+            final=WeightStack(final.layers),
+            final_biases=final.biases,
             termination=termination,
             wall_time=time.perf_counter() - t0,
         )
@@ -260,28 +258,24 @@ def train_runs(
     t0 = time.perf_counter()
     k = 0
     while k < cfg.max_iters:
-        f_vals, grads, gbias = value_and_grad(
-            *current, x, target, reg, model.activation
-        )
-        g = np.concatenate([a.reshape(len(live), -1) for a in grads + (gbias or [])], axis=1)
+        f_vals, _ = value_and_grad(params, x, target, reg, model.activation, grad)
         keep = []
-        for row, (run, f_val) in enumerate(zip(live, f_vals.tolist())):
+        for row, (run, f_val, gsq) in enumerate(zip(live, f_vals.tolist(), _row_sq(grad.flat))):
             if not math.isfinite(f_val):
                 # the last finite iterate: the previous one, or the start
                 last = spare if k else params
                 errors[run] = DivergenceError(
                     f"objective became non-finite at iteration {k}",
-                    WeightStack(unpack(last[row])[0]),
+                    WeightStack(last.like(last.flat[row]).layers),
                 )
                 continue
-            gsq = float(g[row] @ g[row])
             f_run = f_hist[run]
             if f_run and gsq <= cfg.grad_sq_tol and abs(f_val - f_run[-1]) <= cfg.fval_change_tol:
                 f_run.append(f_val)
                 finish(run, row, "converged")
                 continue
             if k % snap_stride == 0:
-                snapshots[run].append((k, WeightStack(unpack(params[row].copy())[0])))
+                snapshots[run].append((k, WeightStack(params.like(params.flat[row].copy()).layers)))
             f_run.append(f_val)
             g_hist[run].append(gsq)
             keep.append(row)
@@ -289,29 +283,36 @@ def train_runs(
             live = [live[row] for row in keep]
             if not live or (errors and min(errors) < min(live)):
                 break  # every run stopped, or none left can raise an earlier error
-            params, g = params[keep], g[keep]
-            spare = np.empty_like(params)
-            current, other = views(params), views(spare)
+            params, grad = params.like(params.flat[keep]), grad.like(grad.flat[keep])
+            spare = params.like(np.empty_like(params.flat))
         if k % snap_stride == 0 and len(snapshots[live[0]]) > 128:
             snap_stride *= 2
             for run in live:
                 snapshots[run] = snapshots[run][::2]
-        delta = lr * g
-        np.subtract(params, delta, out=spare)
+        delta = lr * grad.flat
+        np.subtract(params.flat, delta, out=spare.flat)
         params, spare = spare, params
-        current, other = other, current
-        for run, d in zip(live, delta):
-            s_hist[run].append(float(d @ d))
+        for run, ssq in zip(live, _row_sq(delta)):
+            s_hist[run].append(ssq)
         k += 1
     if errors:
         raise errors[min(errors)]
     if live:
         # ran out of iterations: record the final value for a complete series
-        f_vals, _, _ = value_and_grad(*current, x, target, reg, model.activation)
+        f_vals, _ = value_and_grad(params, x, target, reg, model.activation, grad)
         for row, (run, f_val) in enumerate(zip(live, f_vals.tolist())):
             f_hist[run].append(f_val)
             finish(run, row, "max-iters")
     return out
+
+
+def _row_sq(mat: np.ndarray) -> list[float]:
+    """Squared norm of every row of an (R, n) array, one stacked matmul.
+
+    Each equals ``float(row @ row)`` bit for bit: both are one dot product
+    per row.  (``einsum`` and a reduce of ``mat * mat`` sum in another order.)
+    """
+    return (mat[:, None, :] @ mat[:, :, None]).ravel().tolist()
 
 
 def train(

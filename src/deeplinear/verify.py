@@ -34,6 +34,7 @@ from .critical import (
 )
 from .network import (
     DimChain,
+    FlatParams,
     RegParams,
     WeightStack,
     grad_g,
@@ -135,8 +136,8 @@ def _grad_and_loss(stack, target_matrix, reg, target):
     """Gradient norm and loss, one kernel call; per sample for a batched stack."""
     if target != "F":
         target_matrix, reg = uniform_companion(target_matrix, reg)
-    value, grads, _ = value_and_grad(stack.layers, None, None, target_matrix, reg)
-    return WeightStack(grads).norm(), value
+    value, grad = value_and_grad(FlatParams.pack(stack.layers), None, target_matrix, reg)
+    return WeightStack(grad.layers).norm(), value
 
 
 def _unit_gaussian(rng, dims) -> WeightStack:
@@ -160,13 +161,8 @@ def _make_sampler(center: CriticalPoint, inst, cfg, direction_index):
     def draw(rng):
         e = WeightStack.gaussian(dims, rng)
         if basis.shape[0]:
-            flat = np.concatenate([w.ravel() for w in e.layers])
-            flat = flat - basis.T @ (basis @ flat)
-            out, k = [], 0
-            for w in e.layers:
-                out.append(flat[k : k + w.size].reshape(w.shape))
-                k += w.size
-            e = WeightStack(out)
+            flat = FlatParams.pack(e.layers)
+            e = WeightStack(flat.like(flat.flat - basis.T @ (basis @ flat.flat)).layers)
         return e.scale(1.0 / e.norm())
 
     return draw

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from deeplinear import DimChain, RegParams, WeightStack, analyze_target
+from deeplinear import DimChain, FlatParams, RegParams, WeightStack, analyze_target, value_and_grad
+
+
+def list_kernel(layers, biases, x, target, reg, activation="identity"):
+    """The kernel on lists of layers (and biases): value, layer and bias gradients."""
+    value, grad = value_and_grad(FlatParams.pack(layers, biases), x, target, reg, activation)
+    return value, grad.layers, grad.biases
 
 
 def random_instance(rng, depth=None, max_dim=8, lam_lo=1e-3, lam_hi=1.0):

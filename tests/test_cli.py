@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -179,11 +180,29 @@ def test_reproduce_s4_command(tmp_path, monkeypatch, capsys):
     assert len(csv_lines) == 3  # header + optimal + saddle
 
 
+# TrainConfig values rejected as config errors (JSON allows NaN and Infinity).
+BAD_TRAIN_VALUES = {
+    "nan-learning-rate": {"learning_rate": math.nan},
+    "nan-grad-sq-tol": {"grad_sq_tol": math.nan},
+    "zero-fval-change-tol": {"fval_change_tol": 0.0},
+    "negative-max-iters": {"max_iters": -5},
+    "fractional-max-iters": {"max_iters": 2.5},
+    "bool-max-iters": {"max_iters": True},
+    "zero-log-stride": {"log_stride": 0},
+    "infinite-init-scale": {"init_scale": math.inf},
+    "negative-init-scale": {"init_scale": -0.1},
+}
+
+
 def _failing_call(tmp_path, case):
     if case == "divergent-train":
         cfg = _base_config(
             tmp_path, train={"learning_rate": 10, "max_iters": 500, "init": "gaussian"}
         )
+        return ["train", _write_config(tmp_path, cfg)]
+    if case in BAD_TRAIN_VALUES:
+        train = {"learning_rate": 1e-3, "max_iters": 50, "init": "gaussian"}
+        cfg = _base_config(tmp_path, train={**train, **BAD_TRAIN_VALUES[case]})
         return ["train", _write_config(tmp_path, cfg)]
     if case == "grouping-tol-key":
         cfg = _base_config(tmp_path)
@@ -220,6 +239,7 @@ def _failing_call(tmp_path, case):
         ("one-layer-roots", 2),
         ("zero-counterexample-target", 2),
         ("one-layer-s4", 2),
+        *[(case, 2) for case in BAD_TRAIN_VALUES],
     ],
 )
 def test_error_paths_exit_with_one_line(case, code, tmp_path, monkeypatch, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from deeplinear import (
     DimChain,
+    FlatParams,
     Instance,
     RegParams,
     ShapeError,
@@ -21,7 +22,7 @@ from deeplinear import (
     sample_random_params,
     value_and_grad,
 )
-from conftest import finite_difference_grad, random_instance
+from conftest import finite_difference_grad, list_kernel, random_instance
 
 
 def test_loss_zero_stack_is_target_norm():
@@ -88,7 +89,7 @@ def test_kernel_agrees_exactly_with_f_and_g_views(rng):
             (math.sqrt(lam) * target, RegParams.uniform(lam, depth), loss_g, grad_g),
         ]
         for y, kernel_reg, loss, grad in problems:
-            value, grads, gbias = value_and_grad(stack.layers, None, None, y, kernel_reg)
+            value, grads, gbias = list_kernel(stack.layers, None, None, y, kernel_reg)
             assert gbias is None
             assert value == loss(stack, target, reg)
             for a, b in zip(grads, grad(stack, target, reg).layers):
@@ -245,21 +246,74 @@ def test_stacked_kernel_equals_per_slice_calls(depth, name, with_bias, with_inpu
             for a, b, s in zip([0, *ends[:-1]], ends, shapes)
         ]
         layers, biases = parts[:depth], (parts[depth:] if with_bias else None)
-        value, grads, gbias = value_and_grad(layers, biases, x, target, reg, activation)
-        assert value.shape == (runs,)
-        assert (gbias is None) == (not with_bias)
-        for r in range(runs):
-            run_layers = [w[r] for w in layers]
-            run_biases = [b[r] for b in biases] if with_bias else None
-            v2, g2, gb2 = value_and_grad(run_layers, run_biases, x, target, reg, activation)
-            ref = _reference_kernel(run_layers, run_biases, x, target, reg, activation)
-            assert type(v2) is float
-            assert v2 == value[r] == ref[0]
-            for a, b, c in zip(grads, g2, ref[1]):
-                assert np.array_equal(a[r], b) and np.array_equal(b, c)
-            if with_bias:
-                for a, b, c in zip(gbias, gb2, ref[2]):
+        # Lists packed at the boundary, and the holder over the (R, n) array
+        # itself, writing into a gradient buffer of its layout.
+        packed = FlatParams(params, shapes, depth)
+        grad = packed.like(np.full_like(params, np.nan))  # every entry is written
+        packed_value, written = value_and_grad(packed, x, target, reg, activation, grad)
+        assert written is grad
+        for value, grads, gbias in [
+            list_kernel(layers, biases, x, target, reg, activation),
+            (packed_value, grad.layers, grad.biases),
+        ]:
+            assert value.shape == (runs,)
+            assert (gbias is None) == (not with_bias)
+            for r in range(runs):
+                run_layers = [w[r] for w in layers]
+                run_biases = [b[r] for b in biases] if with_bias else None
+                v2, g2, gb2 = list_kernel(run_layers, run_biases, x, target, reg, activation)
+                ref = _reference_kernel(run_layers, run_biases, x, target, reg, activation)
+                assert type(v2) is float
+                assert v2 == value[r] == ref[0]
+                for a, b, c in zip(grads, g2, ref[1]):
                     assert np.array_equal(a[r], b) and np.array_equal(b, c)
+                if with_bias:
+                    for a, b, c in zip(gbias, gb2, ref[2]):
+                        assert np.array_equal(a[r], b) and np.array_equal(b, c)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_flat_params_layout(lead, rng):
+    dims, reg, _ = random_instance(rng, depth=3, max_dim=6)
+    d = dims.dims
+    layers = [rng.standard_normal(lead + (d[l + 1], d[l])) for l in range(3)]
+    biases = [rng.standard_normal(lead + (d[l + 1],)) for l in range(3)]
+    for bs in (None, biases):
+        p = FlatParams.pack(layers, bs)
+        parts = layers + (bs or [])
+        assert p.flat.shape == lead + (sum(a[(0,) * len(lead)].size for a in parts),)
+        # pack, then views, round-trips, and every view shares the buffer
+        assert (p.biases is None) == (bs is None)
+        views = p.layers + (p.biases or [])
+        assert len(views) == len(parts)
+        for v, a in zip(views, parts):
+            assert v.shape == a.shape and np.array_equal(v, a)
+            assert np.shares_memory(v, p.flat)
+        # segments in order: the layers, then the biases, each raveled in C order
+        rows = p.flat.reshape(-1, p.flat.shape[-1])
+        for r, row in enumerate(rows):
+            run = np.unravel_index(r, lead) if lead else ()
+            expected = np.concatenate([a[run].ravel() for a in parts])
+            assert np.array_equal(row, expected)
+        # the same layout over another buffer cuts identical segments
+        other = p.like(np.arange(p.flat.size, dtype=float).reshape(p.flat.shape))
+        assert other.bounds == p.bounds and other.shapes == p.shapes
+        for v, (a, b), s in zip(other.layers + (other.biases or []), p.bounds, p.shapes):
+            assert np.shares_memory(v, other.flat)
+            assert np.array_equal(v, other.flat[..., a:b].reshape(lead + s))
+        row = p.like(p.flat[(0,) * len(lead)])
+        assert [v.shape for v in row.layers] == [w.shape[len(lead):] for w in layers]
+        # the Tikhonov row holds 2.0 * lambda of its segment in every entry,
+        # built once per layout and weights
+        two_lam, weights = p.reg_rows(reg)
+        lams = reg.lambdas + (reg.lambdas if bs is not None else ())
+        assert two_lam.shape == (p.flat.shape[-1],)
+        for (a, b), lam in zip(p.bounds, lams):
+            assert np.all(two_lam[a:b] == 2.0 * lam)
+        assert weights.tolist() == [1.0, *lams]
+        assert other.reg_rows(reg)[0] is two_lam
+    with pytest.raises(ShapeError):
+        p.reg_rows(RegParams((0.5, 0.6)))
 
 
 def test_batched_weight_stack(rng):

@@ -24,16 +24,15 @@ from deeplinear.training import (
     estimate_linear_rate,
     train,
     train_runs,
-    value_and_grad,
 )
-from conftest import random_instance
+from conftest import list_kernel, random_instance
 
 
 def test_linear_kind_matches_closed_form_gradient(rng):
     for _ in range(5):
         dims, reg, target = random_instance(rng, depth=3, max_dim=5)
         stack = WeightStack.gaussian(dims, rng)
-        value, grads, gbias = value_and_grad(
+        value, grads, gbias = list_kernel(
             stack.layers, None, None, target, reg, "identity"
         )
         assert gbias is None
@@ -44,7 +43,7 @@ def test_linear_kind_matches_closed_form_gradient(rng):
 
 
 def _fd_check(layers, biases, x, target, reg, activation, rng, step=1e-5):
-    value, gw, gb = value_and_grad(layers, biases, x, target, reg, activation)
+    value, gw, gb = list_kernel(layers, biases, x, target, reg, activation)
     arrays = list(layers) + (list(biases) if biases is not None else [])
     grads = list(gw) + (list(gb) if gb is not None else [])
     worst = 0.0
@@ -54,9 +53,9 @@ def _fd_check(layers, biases, x, target, reg, activation, rng, step=1e-5):
         for j in rng.choice(flat.size, size=min(6, flat.size), replace=False):
             orig = flat[j]
             flat[j] = orig + step
-            fp, _, _ = value_and_grad(layers, biases, x, target, reg, activation)
+            fp, _, _ = list_kernel(layers, biases, x, target, reg, activation)
             flat[j] = orig - step
-            fm, _, _ = value_and_grad(layers, biases, x, target, reg, activation)
+            fm, _, _ = list_kernel(layers, biases, x, target, reg, activation)
             flat[j] = orig
             fd = (fp - fm) / (2 * step)
             worst = max(worst, abs(fd - gf[j]) / max(1.0, abs(fd)))
@@ -121,10 +120,10 @@ def _per_layer_descent(model, target, reg, cfg, dims):
     stopped by the joint rule."""
     layers, biases = _init_state(model, dims, cfg, None)
     lr, x = cfg.learning_rate, model.input_matrix
-    iterates, f_values, grad_sq, step_sq = [], [], [], []
+    iterates, f_values, grad_sq, step_sq, dots = [], [], [], [], []
     termination = "max-iters"
     for _ in range(cfg.max_iters):
-        value, gw, gb = value_and_grad(layers, biases, x, target, reg, model.activation)
+        value, gw, gb = list_kernel(layers, biases, x, target, reg, model.activation)
         grads = gw + (gb or [])
         gsq = sum(float(np.sum(g * g)) for g in grads)
         if f_values and gsq <= cfg.grad_sq_tol and abs(value - f_values[-1]) <= cfg.fval_change_tol:
@@ -134,15 +133,19 @@ def _per_layer_descent(model, target, reg, cfg, dims):
         f_values.append(value)
         grad_sq.append(gsq)
         step_sq.append(sum(float(np.sum((lr * g) ** 2)) for g in grads))
+        # one dot product over the concatenated gradient, and over the step
+        g = np.concatenate([a.ravel() for a in grads])
+        d = lr * g
+        dots.append((float(g @ g), float(d @ d)))
         layers = [w - lr * g for w, g in zip(layers, gw)]
         if biases is not None:
             biases = [b - lr * g for b, g in zip(biases, gb)]
-    f_values.append(value_and_grad(layers, biases, x, target, reg, model.activation)[0])
-    return f_values, grad_sq, step_sq, iterates, layers, biases, termination
+    f_values.append(list_kernel(layers, biases, x, target, reg, model.activation)[0])
+    return f_values, grad_sq, step_sq, dots, iterates, layers, biases, termination
 
 
 def _assert_matches_reference(traj, model, target, reg, cfg, dims):
-    f_values, grad_sq, step_sq, iterates, layers, biases, termination = _per_layer_descent(
+    f_values, grad_sq, step_sq, dots, iterates, layers, biases, termination = _per_layer_descent(
         model, target, reg, cfg, dims
     )
     assert traj.termination == termination
@@ -157,6 +160,9 @@ def _assert_matches_reference(traj, model, target, reg, cfg, dims):
         assert all(np.array_equal(a, b) for a, b in zip(snap.layers, iterates[k]))
     np.testing.assert_allclose(traj.grad_sq, grad_sq, rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(traj.step_norm_sq, step_sq, rtol=1e-14, atol=0.0)
+    # The loop's stacked row dots are the per-row dot products bit for bit.
+    assert np.array_equal(traj.grad_sq, [gsq for gsq, _ in dots])
+    assert np.array_equal(traj.step_norm_sq, [ssq for _, ssq in dots])
 
 
 def _model_problem(kind, activation, rng):
@@ -192,6 +198,7 @@ BATCHES = {
     "linear": (1e-1, 100, [(6, "gaussian"), (3, "gaussian"), (4, "uniform-fan-based")]),
     "linear-with-bias": (1e-2, 200, [(3, "gaussian"), (4, "uniform-fan-based"), (6, "gaussian")]),
     "nonlinear": (1e-1, 200, [(5, "gaussian"), (4, "uniform-fan-based"), (6, "gaussian")]),
+    "relu": (1.0, 200, [(1, "gaussian"), (2, "uniform-fan-based"), (6, "gaussian")]),
 }
 
 
@@ -218,6 +225,30 @@ def test_batched_runs_match_serial_runs(kind, activation, rng):
         assert [k for k, _ in traj.snapshots] == [k for k, _ in alone.snapshots]
         assert np.array_equal(traj.grad_sq, alone.grad_sq)
         assert np.array_equal(traj.step_norm_sq, alone.step_norm_sq)
+
+
+@pytest.mark.parametrize(
+    "kind, activation",
+    [("linear", "identity"), ("linear-with-bias", "identity"), ("nonlinear", "tanh"),
+     ("nonlinear", "relu")],
+)
+def test_row_norms_are_per_row_dots(kind, activation, rng):
+    # grad_sq and step_norm_sq of every run of a batch whose runs stop at
+    # three different iterations, under per-layer weights that differ.
+    model, target, reg, dims = _model_problem(kind, activation, rng)
+    assert len(set(reg.lambdas)) == reg.depth
+    tol, max_iters, inits = BATCHES["relu" if activation == "relu" else kind]
+    cfgs = [
+        TrainConfig(
+            learning_rate=2e-2, max_iters=max_iters, grad_sq_tol=tol,
+            fval_change_tol=tol / 10, seed=seed, init=init, log_stride=50,
+        )
+        for seed, init in inits
+    ]
+    trajs = train_runs(model, target, reg, cfgs, dims, [None] * len(cfgs))
+    assert len({t.n_steps for t in trajs}) == len(trajs)
+    for traj, cfg in zip(trajs, cfgs):
+        _assert_matches_reference(traj, model, target, reg, cfg, dims)
 
 
 def test_batched_runs_must_share_step_and_stopping_rule(rng):
@@ -295,10 +326,10 @@ def test_divergence_raises_with_last_finite(rng):
     # last_finite is the final iterate with a finite objective: one more step
     # from it, at the same learning rate, diverges.
     with np.errstate(over="ignore", invalid="ignore"):
-        value, grads, _ = value_and_grad(last.layers, None, None, target, reg)
+        value, grads, _ = list_kernel(last.layers, None, None, target, reg)
         assert math.isfinite(value)
         step = [w - cfg.learning_rate * g for w, g in zip(last.layers, grads)]
-        value, _, _ = value_and_grad(step, None, None, target, reg)
+        value, _, _ = list_kernel(step, None, None, target, reg)
     assert not math.isfinite(value)
 
 
