@@ -9,6 +9,7 @@ command never perturbs another command's draws.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -165,27 +166,25 @@ def _sweep_config(cfg: dict, seed: int) -> tuple[RadiusSweepConfig, str, str]:
         "sweep",
     )
     radii = block.get("radii")
-    if isinstance(radii, dict):
-        _check_keys(radii, {"start", "stop", "num"}, "sweep.radii")
-        radii = tuple(
-            float(r)
-            for r in np.geomspace(
-                float(radii["start"]), float(radii["stop"]), int(radii["num"])
-            )
-        )
-    elif radii is not None:
-        radii = tuple(float(r) for r in radii)
     kwargs = {}
-    if radii is not None:
-        kwargs["radii"] = radii
-    if "samples_per_radius" in block:
-        kwargs["samples_per_radius"] = int(block["samples_per_radius"])
-    if "mode" in block:
-        kwargs["mode"] = str(block["mode"])
-    kwargs["seed"] = int(block.get("seed", named_seed(seed, "sweep")))
     try:
+        if isinstance(radii, dict):
+            _check_keys(radii, {"start", "stop", "num"}, "sweep.radii")
+            start, stop, num = (_require(radii, k, "sweep.radii") for k in ("start", "stop", "num"))
+            if isinstance(num, bool) or not isinstance(num, int):
+                raise ConfigError(f"sweep.radii num must be an integer, got {num!r}")
+            radii = tuple(float(r) for r in np.geomspace(float(start), float(stop), num))
+        elif radii is not None:
+            radii = tuple(float(r) for r in radii)
+        if radii is not None:
+            kwargs["radii"] = radii
+        if "samples_per_radius" in block:
+            kwargs["samples_per_radius"] = block["samples_per_radius"]
+        if "mode" in block:
+            kwargs["mode"] = str(block["mode"])
+        kwargs["seed"] = int(block.get("seed", named_seed(seed, "sweep")))
         sweep = RadiusSweepConfig(**kwargs)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     return sweep, str(block.get("center", "optimal")), str(block.get("target", "F"))
 
@@ -427,7 +426,14 @@ def cmd_reproduce_s4(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared.
+
+    Each ``parse_args`` call fills a fresh namespace from the defaults, so no
+    option of one command carries over to the next; callers must not modify
+    the parser.
+    """
     parser = argparse.ArgumentParser(
         prog="deeplinear",
         description="critical points, error-bound constants, and descent "

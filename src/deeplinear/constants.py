@@ -7,13 +7,14 @@ empirical counterparts are fitted separately by the verification module.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .critical import AssumptionError, SigmaProfile
+from .critical import AssumptionError, SigmaProfile, distinct_value_starts
 from .spectrum import Instance, build_root_value_set
 
 ASSUMPTION_REL_TOL = 1e-9
@@ -27,9 +28,10 @@ def phi(x: float, lam: float, depth: int) -> float:
     return (x ** (2 * L - 1) + lam * x) / (math.sqrt(lam) * x ** (L - 1))
 
 
-def phi_prime(x: float, lam: float, depth: int) -> float:
-    """Analytic derivative of :func:`phi`; its zeros mark degenerate instances."""
-    if x <= 0:
+def phi_prime(x, lam: float, depth: int):
+    """Analytic derivative of :func:`phi`, elementwise on an array; its zeros
+    mark degenerate instances."""
+    if np.any(np.asarray(x) <= 0):
         raise ValueError("phi_prime is defined for x > 0 only")
     L = depth
     return (L / math.sqrt(lam)) * x ** (L - 1) + math.sqrt(lam) * (2 - L) * x ** (1 - L)
@@ -96,36 +98,10 @@ def check_assumptions(inst: Instance) -> AssumptionReport:
     )
 
 
-LEDGER_COLUMNS = (
-    "delta_y",
-    "delta_sigma",
-    "d_max",
-    "eta1",
-    "eta2",
-    "eta3",
-    "eta4",
-    "eta5",
-    "c1",
-    "c2",
-    "c3",
-    "c4",
-    "c5",
-    "delta1",
-    "delta2",
-    "L_G",
-    "eps_zero",
-    "kappa_zero",
-    "eps_sigma",
-    "kappa_sigma",
-    "kappa",
-    "eps",
-    "kappa1",
-    "eps1",
-    "sigma_min_pos",
-    "sigma_max",
-    "r_sigma",
-    "g_max",
-    "p",
+# The ledger's per-profile constants, NaN for the zero profile.
+PROFILE_KEYS = (
+    "eta1", "eta2", "eta3", "eta4", "eta5", "c1", "c2", "c3", "c4", "c5",
+    "delta1", "delta2", "L_G", "eps_sigma", "kappa_sigma",
 )
 
 
@@ -190,6 +166,10 @@ class EbConstantsLedger:
         return ",".join(repr(getattr(self, name)) for name in LEDGER_COLUMNS)
 
 
+# Every field but the truncation flag, in field order: the CSV columns.
+LEDGER_COLUMNS = tuple(f.name for f in fields(EbConstantsLedger))[:-1]
+
+
 def _zero_profile_constants(inst: Instance) -> tuple[float, float]:
     spectrum, L = inst.spectrum, inst.depth
     lam = inst.reg.lambda_prod
@@ -209,38 +189,49 @@ def _zero_profile_constants(inst: Instance) -> tuple[float, float]:
 
 
 def _profile_constants(
-    inst: Instance, profile: SigmaProfile, d_max: int, delta_sigma: float
-) -> dict:
+    inst: Instance, sigmas: np.ndarray, d_max: int, delta_sigma: float
+) -> dict[str, np.ndarray]:
+    """Per-profile constants of the non-zero profiles whose sorted sigma
+    vectors are the rows of ``sigmas``: one (P,) array per name in
+    ``PROFILE_KEYS``, each constant one expression over every profile."""
     spectrum, L = inst.spectrum, inst.depth
     lam = inst.reg.lambda_prod
     rl = math.sqrt(lam)
-    smax = profile.sigma_max
-    smin = profile.sigma_min_pos
-    r_sig = profile.r_sigma
-    p = profile.p_distinct
-    gmax = profile.g_max
+    pos = sigmas > 0.0
+    starts = distinct_value_starts(sigmas)
+    smax = sigmas[:, 0]
+    smin = np.where(pos, sigmas, np.inf).min(axis=1)
+    r_sig = pos.sum(axis=1)
+    p = starts.sum(axis=1)
+    k = np.arange(sigmas.shape[1])
+    place = k - np.maximum.accumulate(np.where(starts, k, 0), axis=1)  # within its group
+    gmax = np.where(pos, place + 1, 0).max(axis=1)
     y1 = spectrum.y_top
     ysp = spectrum.y_smallest_positive
     py = spectrum.p_distinct
     dy = spectrum.delta_y
     ds = delta_sigma
-    minphi = profile.min_abs_phi_prime(lam, L)
-    if minphi == 0.0:
+    phi_abs = np.abs(phi_prime(np.where(pos, sigmas, 1.0), lam, L))
+    minphi = np.where(pos, phi_abs, np.inf).min(axis=1)
+    if L == 2:
+        gaps = [abs(rl - float(y)) for y in spectrum.y[: spectrum.rank]]
+        m2 = min(gaps + [rl])
+        # the first profile's own refusal comes first
+        if m2 == 0.0 and minphi[0] != 0.0:
+            raise AssumptionError(
+                "min{|sqrt(lam) - y_i|, sqrt(lam)} = 0: c3 is undefined"
+            )
+    if (minphi == 0.0).any():
         raise AssumptionError(
             "min |phi'(sigma*)| = 0: c5 and delta2 are undefined at this profile"
         )
 
-    c1 = max(
-        (1.5 * smax) ** (2 * L - 2)
-        * ((L - l) * (L - l + 1) + (l - 1) * l)
-        / (2.0 * math.sqrt(2.0) * lam)
-        + 0.5
-        for l in range(1, L + 1)
-    )
+    # (L-l)(L-l+1) + (l-1)l is convex in l = 1..L, largest (L(L-1)) at l = 1 and L.
+    c1 = (1.5 * smax) ** (2 * L - 2) * ((L - 1) * L) / (2.0 * math.sqrt(2.0) * lam) + 0.5
     eta1 = (smax / smin) * (
         3.0 * math.sqrt(2.0) * smin / (4.0 * lam)
         + 81.0 * smax**2 / (8.0 * ds * lam)
-        + 9.0 * math.sqrt(2.0 * gmax) * L * smax / (4.0 * lam)
+        + 9.0 * np.sqrt(2.0 * gmax) * L * smax / (4.0 * lam)
     )
     eta2 = c1 + (1.5 * smax) ** L * 3.0 * (L - 1) * y1 / (2.0 * ds * rl * smin)
     c2 = (
@@ -252,19 +243,12 @@ def _profile_constants(
         * (1.5 * smax) ** (L - 2)
         * (
             L**2 * eta1 / (2.0 * smin)
-            + 3.0 * math.sqrt(2.0 * gmax) * L**2 * smax / (2.0 * lam * smin)
+            + 3.0 * np.sqrt(2.0 * gmax) * L**2 * smax / (2.0 * lam * smin)
         )
     )
     if L == 2:
-        gaps = [abs(rl - float(y)) for y in spectrum.y[: spectrum.rank]]
-        m2 = min(gaps + [rl])
-        if m2 == 0.0:
-            raise AssumptionError(
-                "min{|sqrt(lam) - y_i|, sqrt(lam)} = 0: c3 is undefined"
-            )
         c3 = 6.0 * c2 * (y1 + rl) / (lam * m2)
     else:
-        m2 = math.nan
         c3 = 2.0 * eta2 / lam
 
     delta1 = dy / (
@@ -283,7 +267,7 @@ def _profile_constants(
         + p * eta1 * (2 * L - 1) * L / smin * (1.5 * smax) ** (2 * L - 2)
         + lam * p * eta1 * L / smin
     )
-    hyp = math.hypot(eta3, eta4)
+    hyp = np.hypot(eta3, eta4)
     if math.isinf(dy):
         # Single distinct value filling the whole spectrum: the gap-dependent
         # prefactor (6 y1 + dy) / dy tends to 1.
@@ -321,31 +305,19 @@ def _profile_constants(
         )
     else:
         radius_pieces.append((rl / (2.0 * y1)) ** (1.0 / (L - 2)))
-    eps_sigma = min(radius_pieces)
+    # fmin, like Python's min over the pieces, passes over a NaN piece
+    eps_sigma = functools.reduce(np.fmin, radius_pieces)
     kappa_sigma = math.sqrt(L) * (
         9.0 * smax**2 / (4.0 * ds * lam * smin)
-        + c3 * math.sqrt(max(d_max - r_sig, 0))
+        + c3 * np.sqrt(np.maximum(d_max - r_sig, 0))
         + c4 * smax
-        + c5 * math.sqrt(r_sig)
+        + c5 * np.sqrt(r_sig)
     )
 
-    return dict(
-        eta1=eta1,
-        eta2=eta2,
-        eta3=eta3,
-        eta4=eta4,
-        eta5=eta5,
-        c1=c1,
-        c2=c2,
-        c3=c3,
-        c4=c4,
-        c5=c5,
-        delta1=delta1,
-        delta2=delta2,
-        L_G=l_g,
-        eps_sigma=eps_sigma,
-        kappa_sigma=kappa_sigma,
-    )
+    return dict(zip(PROFILE_KEYS, (
+        eta1, eta2, eta3, eta4, eta5, c1, c2, c3, c4, c5,
+        delta1, delta2, l_g, eps_sigma, kappa_sigma,
+    )))
 
 
 def compute_ledger(inst: Instance, profile: SigmaProfile) -> EbConstantsLedger:
@@ -353,7 +325,9 @@ def compute_ledger(inst: Instance, profile: SigmaProfile) -> EbConstantsLedger:
 
     Refuses when the width or non-degeneracy assumptions fail, naming the
     constant that becomes undefined.  ``d_max`` is taken over the whole layer
-    chain; (kappa, eps) aggregate over the instance's profile enumeration.
+    chain.  (kappa, eps) aggregate over the instance's profile enumeration,
+    from one array pass over the sorted vectors of its non-zero profiles; the
+    requested profile's own constants are the same expressions on its row.
     """
     L = inst.depth
     report = check_assumptions(inst)
@@ -376,38 +350,23 @@ def compute_ledger(inst: Instance, profile: SigmaProfile) -> EbConstantsLedger:
     d_max = max(inst.dims.dims)
     eps0, kappa0 = _zero_profile_constants(inst)
 
-    kappa = kappa0
-    eps = eps0
-    for prof in inst.profiles.profiles:
-        if prof.is_zero:
-            continue
-        vals = _profile_constants(inst, prof, d_max, root_set.delta_sigma)
-        kappa = max(kappa, vals["kappa_sigma"])
-        eps = min(eps, vals["eps_sigma"])
+    kappa, eps = kappa0, eps0
+    sigmas = inst.profiles.sigmas
+    sigmas = sigmas[sigmas[:, 0] > 0.0]
+    if len(sigmas):
+        every = _profile_constants(inst, sigmas, d_max, root_set.delta_sigma)
+        # max/min of Python floats in enumeration order: a NaN value is passed over
+        kappa = max([kappa0] + every["kappa_sigma"].tolist())
+        eps = min([eps0] + every["eps_sigma"].tolist())
 
     if profile.is_zero:
-        own = {
-            key: math.nan
-            for key in (
-                "eta1",
-                "eta2",
-                "eta3",
-                "eta4",
-                "eta5",
-                "c1",
-                "c2",
-                "c3",
-                "c4",
-                "c5",
-                "delta1",
-                "delta2",
-                "L_G",
-                "eps_sigma",
-                "kappa_sigma",
-            )
-        }
+        own = dict.fromkeys(PROFILE_KEYS, math.nan)
     else:
-        own = _profile_constants(inst, profile, d_max, root_set.delta_sigma)
+        row = np.array([profile.sigma])
+        own = {
+            key: float(val[0])
+            for key, val in _profile_constants(inst, row, d_max, root_set.delta_sigma).items()
+        }
 
     reg = inst.reg
     lam = reg.lambda_prod

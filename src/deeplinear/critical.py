@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -265,29 +266,27 @@ class SigmaProfile:
         pos = [v for v in self.sigma if v > 0.0]
         return min(pos) if pos else 0.0
 
-    def min_abs_phi_prime(self, lam: float, depth: int) -> float:
-        from .constants import phi_prime
 
-        pos = [v for v in self.sigma if v > 0.0]
-        if not pos:
-            return math.inf
-        return min(abs(phi_prime(v, lam, depth)) for v in pos)
+def distinct_value_starts(sigmas: np.ndarray) -> np.ndarray:
+    """Where each distinct positive value begins, along rows of sorted sigma vectors.
+
+    ``sigmas`` is (P, d), each row sorted nonincreasing.  Entry k of a row is
+    True when sigma[k] > 0 and, for k > 0, sigma[k-1] - sigma[k] exceeds
+    1e-12 * max(1, sigma[0]).  Chosen roots of distinct equations never
+    coincide, so exact grouping with this tiny tolerance works.
+    """
+    starts = sigmas > 0.0
+    tol = 1e-12 * np.maximum(1.0, sigmas[:, :1])
+    starts[:, 1:] &= sigmas[:, :-1] - sigmas[:, 1:] > tol
+    return starts
 
 
 def _make_profile(sigma_eq, choice, d_min, degenerate) -> SigmaProfile:
     sigma = sorted((float(v) for v in sigma_eq), reverse=True)
     sigma += [0.0] * (d_min - len(sigma))
     r_sigma = sum(1 for v in sigma if v > 0.0)
-    # Distinct-value partition of the positive part; chosen roots of distinct
-    # equations never coincide, so exact grouping with a tiny tolerance works.
-    bounds = [0]
-    tol = 1e-12 * max(1.0, sigma[0] if sigma else 0.0)
-    for k in range(1, r_sigma):
-        if sigma[k - 1] - sigma[k] > tol:
-            bounds.append(k)
-    if r_sigma > 0:
-        bounds.append(r_sigma)
-    t_bounds = tuple(bounds) if r_sigma > 0 else (0,)
+    starts = np.flatnonzero(distinct_value_starts(np.array([sigma]))[0]).tolist()
+    t_bounds = (*starts, r_sigma) if r_sigma > 0 else (0,)
     mults = tuple(t_bounds[i + 1] - t_bounds[i] for i in range(len(t_bounds) - 1))
     return SigmaProfile(
         sigma=tuple(sigma),
@@ -334,70 +333,135 @@ def optimal_profile(inst: "Instance") -> SigmaProfile:
     return profile_from_choices(inst, [-1] * len(inst.roots))
 
 
+class ProfileList(Sequence):
+    """The profiles of an enumeration, each made when it is first indexed.
+
+    Row p of ``sigma_eq``, ``choice`` and ``degenerate`` describes profile p.
+    Length, indexing (negative indices, ``IndexError``, slices) and iteration
+    behave as on a list.
+    """
+
+    def __init__(self, sigma_eq: np.ndarray, choice: np.ndarray, degenerate: np.ndarray,
+                 d_min: int):
+        self._rows = (sigma_eq, choice, degenerate)
+        self._d_min = d_min
+        self._made: list[SigmaProfile | None] = [None] * len(choice)
+
+    def __len__(self) -> int:
+        return len(self._made)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        prof = self._made[k]
+        if prof is None:
+            sigma_eq, choice, degenerate = self._rows
+            prof = _make_profile(sigma_eq[k], choice[k], self._d_min, degenerate[k])
+            self._made[k] = prof
+        return prof
+
+
 @dataclass
 class ProfileEnumeration:
-    profiles: list[SigmaProfile]
+    profiles: ProfileList
     total_combinations: int
     truncated: bool
     sigmas: np.ndarray  # (P, d_min): row p is profiles[p].sigma
+
+
+ENUM_CHUNK_ROWS = 4096  # least number of product combinations per array pass
+
+
+def _dedup_keys(sigmas: np.ndarray) -> np.ndarray:
+    """Integer keys n of sorted rows, n / 1e12 == round(v / max(1, sigma_max), 12).
+
+    Python's round rounds the exact v' * 10^12 (v' <= 1 the scaled value) half
+    to even to n and returns the double nearest n * 10^-12, that is n / 1e12.
+    t = v' * 1e12 is within 2^-14 of the exact product, so rint(t) is n unless
+    t lies within 1e-3 of a half; there n is read back from Python's round
+    (its result times 1e12 is within 2^-13 of n).
+    """
+    x = sigmas / np.maximum(1.0, sigmas[:, :1])
+    t = x * 1e12
+    n = np.rint(t)
+    for i, j in zip(*np.nonzero(np.abs(t - n) > 0.5 - 1e-3)):
+        n[i, j] = round(round(float(x[i, j]), 12) * 1e12)
+    return n.astype(np.int64)
 
 
 def enumerate_sigma_profiles(inst: "Instance", cap: int = 1024) -> ProfileEnumeration:
     """All distinct sigma profiles (up to ``cap``), zero profile included.
 
     The Cartesian product over per-index root choices is walked largest-root
-    first so truncation keeps the low-loss profiles; profiles are
-    deduplicated on the sorted vector, since equal sorted vectors label the
-    same component.
+    first, in ``itertools.product`` order, so truncation keeps the low-loss
+    profiles.  Each chunk of the walk is one array pass: gather and sort the
+    roots, and keep the first occurrence of each key
+    ``round(v / max(1, sigma_max), 12)`` of the sorted vector (equal sorted
+    vectors label the same component).  ``truncated`` is set when more than
+    ``cap`` keys exist.  The zero profile is appended if absent, and profiles
+    are ordered by lexicographically decreasing sorted vector; ``profiles``
+    makes each ``SigmaProfile`` when it is first indexed.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     d_min = inst.dims.d_min
     per_index = inst.roots
     rank = len(per_index)
+    counts = [len(r.roots) for r in per_index]
+    total = math.prod(counts)
 
-    total = 1
-    for roots in per_index:
-        total *= len(roots.roots)
+    roots = np.zeros((rank, max(counts, default=1)))
+    flags = np.zeros(roots.shape, dtype=bool)
+    for i, r in enumerate(per_index):
+        roots[i, : counts[i]] = r.roots
+        flags[i, : counts[i]] = r.degenerate
+    cols = np.arange(rank)
 
-    profiles: list[SigmaProfile] = []
-    seen: set[tuple[float, ...]] = set()
+    def gather(choice):  # per-index roots and sorted zero-padded vectors
+        sigma_eq = roots[cols, choice]
+        sigmas = np.zeros((len(choice), d_min))
+        sigmas[:, :rank] = np.sort(sigma_eq, axis=1)[:, ::-1]
+        return sigma_eq, sigmas
+
+    # Chunks of the product: one choice for the leading indices times every
+    # choice for the trailing ones (at least ENUM_CHUNK_ROWS combinations),
+    # largest first, the last index fastest.
+    split, rows = rank, 1
+    while split > 0 and rows < ENUM_CHUNK_ROWS:
+        split -= 1
+        rows *= counts[split]
+    tail = np.indices(counts[split:]).reshape(rank - split, rows).T
+    tail = np.array(counts[split:], dtype=np.intp) - 1 - tail
+    kept_keys = np.zeros((0, d_min), dtype=np.int64)
+    kept = []
     truncated = False
-    # Descending root order per index: first combination is the all-largest
-    # profile, last is all-zero.
-    choice_lists = [
-        [(len(r.roots) - 1 - k) for k in range(len(r.roots))] for r in per_index
-    ]
-    for combo in itertools.product(*choice_lists):
-        sigma_eq = [per_index[i].roots[c] for i, c in enumerate(combo)]
-        degenerate = any(per_index[i].degenerate[c] for i, c in enumerate(combo))
-        prof = _make_profile(sigma_eq, combo, d_min, degenerate)
-        key = tuple(
-            round(v / max(1.0, prof.sigma_max), 12) for v in prof.sigma
-        )
-        if key in seen:
-            continue
-        if len(profiles) >= cap:
+    for head in itertools.product(*(range(n - 1, -1, -1) for n in counts[:split])):
+        choice = np.empty((rows, rank), dtype=np.intp)
+        choice[:, :split] = head
+        choice[:, split:] = tail
+        keys = _dedup_keys(gather(choice)[1])
+        # first occurrence of each key not kept from an earlier chunk
+        _, first = np.unique(np.vstack([kept_keys, keys]), axis=0, return_index=True)
+        first = np.sort(first[first >= len(kept_keys)]) - len(kept_keys)
+        room = cap - len(kept_keys)
+        if len(first) > room:
             truncated = True
+            first = first[:room]
+        kept_keys = np.vstack([kept_keys, keys[first]])
+        kept.append(choice[first])
+        if truncated:
             break
-        seen.add(key)
-        profiles.append(prof)
 
-    zero_key = tuple(0.0 for _ in range(d_min))
-    if zero_key not in seen:
-        profiles.append(
-            _make_profile(
-                [0.0] * rank,
-                [0] * rank,
-                d_min,
-                any(r.degenerate[0] for r in per_index),
-            )
-        )
+    choice = np.concatenate(kept)
+    if kept_keys.any(axis=1).all():  # no kept key is the zero vector
+        choice = np.vstack([choice, np.zeros(rank, dtype=np.intp)])
+    sigma_eq, sigmas = gather(choice)
+    degenerate = flags[cols, choice].any(axis=1)
 
     # Deterministic order: lexicographically decreasing sorted vectors.
-    profiles.sort(key=lambda p: tuple(-v for v in p.sigma))
-    sigmas = np.array([p.sigma for p in profiles]).reshape(len(profiles), d_min)
-    return ProfileEnumeration(profiles, total, truncated, sigmas)
+    order = np.lexsort(-sigmas[:, ::-1].T)
+    profiles = ProfileList(sigma_eq[order], choice[order], degenerate[order], d_min)
+    return ProfileEnumeration(profiles, total, truncated, sigmas[order])
 
 
 @dataclass

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,10 +63,12 @@ class RadiusSweepConfig:
 
     def __post_init__(self):
         self.radii = tuple(sorted(float(r) for r in self.radii))
-        if any(r <= 0 for r in self.radii):
-            raise ValueError("radii must be positive")
-        if self.samples_per_radius < 1:
-            raise ValueError("need at least one sample per radius")
+        for r in self.radii:
+            if not (math.isfinite(r) and r > 0):
+                raise ValueError(f"radii must be finite and positive, got {r!r}")
+        n = self.samples_per_radius
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"samples_per_radius must be an integer >= 1, got {n!r}")
         if self.mode not in PERTURBATION_MODES:
             raise ValueError(f"unknown perturbation mode {self.mode!r}")
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +196,18 @@ BAD_TRAIN_VALUES = {
     "negative-init-scale": {"init_scale": -0.1},
 }
 
+# Sweep blocks rejected as config errors.
+BAD_SWEEP_VALUES = {
+    "nan-radius": {"radii": [math.nan, 0.01]},
+    "infinite-radius": {"radii": [math.inf]},
+    "fractional-samples-per-radius": {"samples_per_radius": 2.5},
+    "zero-samples-per-radius": {"samples_per_radius": 0},
+    "non-numeric-radius": {"radii": ["abc"]},
+    "null-radius": {"radii": [1e-3, None]},
+    "radii-range-without-stop": {"radii": {"start": 1e-3, "num": 3}},
+    "fractional-radii-num": {"radii": {"start": 1e-3, "stop": 1e-2, "num": 2.5}},
+}
+
 
 def _failing_call(tmp_path, case):
     if case == "divergent-train":
@@ -204,6 +219,10 @@ def _failing_call(tmp_path, case):
         train = {"learning_rate": 1e-3, "max_iters": 50, "init": "gaussian"}
         cfg = _base_config(tmp_path, train={**train, **BAD_TRAIN_VALUES[case]})
         return ["train", _write_config(tmp_path, cfg)]
+    if case in BAD_SWEEP_VALUES:
+        sweep = {"radii": [1e-3, 1e-2], "samples_per_radius": 2}
+        cfg = _base_config(tmp_path, sweep={**sweep, **BAD_SWEEP_VALUES[case]})
+        return ["verify-eb", _write_config(tmp_path, cfg)]
     if case == "grouping-tol-key":
         cfg = _base_config(tmp_path)
         cfg["instance"]["grouping_tol"] = 0.5
@@ -240,6 +259,7 @@ def _failing_call(tmp_path, case):
         ("zero-counterexample-target", 2),
         ("one-layer-s4", 2),
         *[(case, 2) for case in BAD_TRAIN_VALUES],
+        *[(case, 2) for case in BAD_SWEEP_VALUES],
     ],
 )
 def test_error_paths_exit_with_one_line(case, code, tmp_path, monkeypatch, capsys):
@@ -248,6 +268,41 @@ def test_error_paths_exit_with_one_line(case, code, tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+    if case in BAD_SWEEP_VALUES:
+        assert err.startswith("config error: ")
+
+
+def test_parser_reused_across_calls_leaks_no_option(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    cfg = _base_config(tmp_path)
+    cfg["instance"]["dims"] = [2, 4, 4, 3]
+    cfg["instance"]["lambdas"] = [0.3, 0.4, 0.5]
+    cfg["instance"]["target"] = {"kind": "gaussian"}
+    path = _write_config(tmp_path, cfg)
+    calls = [
+        ("constants", path, "--profile", "1"),
+        ("constants", path),
+        ("roots", "--y", "2", "--lambda", "1", "--L", "3", "--json"),
+        ("check-assumptions", path),
+        ("constants", path, "--profile", "2"),
+        ("constants", path),
+    ]
+    in_process = []
+    for argv in calls:
+        code = main(list(argv))
+        in_process.append((code, capsys.readouterr().out))
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    fresh = {}
+    script = "import sys; from deeplinear.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv in dict.fromkeys(calls):
+        run = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
+        )
+        fresh[argv] = (run.returncode, run.stdout)
+    assert in_process == [fresh[argv] for argv in calls]
+    assert len({in_process[k] for k in (0, 1, 4)}) == 3  # the --profile values took effect
 
 
 @pytest.mark.parametrize(

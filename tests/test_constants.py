@@ -21,6 +21,7 @@ from deeplinear import (
     zero_profile,
 )
 from deeplinear.constants import LEDGER_COLUMNS
+from conftest import random_instance
 
 
 def _instance(values, depth, lam_each, hidden=None):
@@ -134,6 +135,22 @@ def test_global_constants_dominate_per_profile(rng):
             assert led.eps <= led.eps_sigma * (1 + 1e-12)
         assert led.kappa >= led.kappa_zero * (1 - 1e-12)
         assert led.eps <= led.eps_zero * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4, 6])
+def test_aggregates_equal_every_profile_ledger_bit_for_bit(depth, rng):
+    # (kappa, eps) come from one array pass over every profile, each
+    # profile's own constants from a one-row pass: the same expressions.
+    dims, reg, target = random_instance(rng, depth=depth, max_dim=5)
+    inst = Instance(dims, reg, target)
+    ledgers = [compute_ledger(inst, p) for p in inst.profiles.profiles]
+    own = [led for led in ledgers if not math.isnan(led.kappa_sigma)]
+    assert len(own) == len(ledgers) - 1  # the zero profile's entries are NaN
+    kappas = [ledgers[0].kappa_zero] + [led.kappa_sigma for led in own]
+    epss = [ledgers[0].eps_zero] + [led.eps_sigma for led in own]
+    for led in ledgers:
+        assert led.kappa == max(kappas)
+        assert led.eps == min(epss)
 
 
 def test_ledger_all_finite_positive_on_generic_instance(rng):

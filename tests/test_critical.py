@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -67,6 +68,124 @@ def test_enumeration_cap_sets_flag(rng):
     assert enum.truncated
     assert len(enum.profiles) <= 6  # cap plus the guaranteed zero profile
     assert any(p.is_zero for p in enum.profiles)
+
+
+def _scalar_enumeration(inst, cap=1024):
+    """Reference enumeration, one product combination at a time: a sorted
+    vector and its Python-rounded key per combination, first occurrences
+    kept up to ``cap``, the zero profile appended, then sorted."""
+    per_index, d_min = inst.roots, inst.dims.d_min
+    kept, seen, truncated = [], set(), False
+    for combo in itertools.product(*[range(len(r.roots) - 1, -1, -1) for r in per_index]):
+        sigma_eq = [r.roots[c] for r, c in zip(per_index, combo)]
+        sigma = sorted(sigma_eq, reverse=True) + [0.0] * (d_min - len(sigma_eq))
+        key = tuple(round(v / max(1.0, sigma[0]), 12) for v in sigma)
+        if key in seen:
+            continue
+        if len(kept) >= cap:
+            truncated = True
+            break
+        seen.add(key)
+        kept.append((tuple(sigma), tuple(sigma_eq), combo))
+    if (0.0,) * d_min not in seen:
+        kept.append(((0.0,) * d_min, (0.0,) * len(per_index), (0,) * len(per_index)))
+    kept.sort(key=lambda k: tuple(-v for v in k[0]))
+    return kept, truncated
+
+
+def _assert_matches_scalar_walk(inst, cap=1024):
+    enum = enumerate_sigma_profiles(inst, cap=cap)
+    kept, truncated = _scalar_enumeration(inst, cap)
+    assert enum.truncated == truncated
+    assert [(p.sigma, p.sigma_eq, p.choice) for p in enum.profiles] == kept
+    for p, profile in enumerate(enum.profiles):
+        assert tuple(enum.sigmas[p].tolist()) == profile.sigma
+        assert profile.degenerate == any(
+            r.degenerate[c] for r, c in zip(inst.roots, profile.choice)
+        )
+    return enum
+
+
+def test_repeated_block_with_bit_different_values_merges_as_scalar_walk():
+    # Three copies of 2.0, two of them one and two ulps below: one block of
+    # the spectrum, with roots that differ in their last bits.
+    y = [2.0, np.nextafter(2.0, 0.0), np.nextafter(np.nextafter(2.0, 0.0), 0.0), 1.2]
+    inst, *_ = _simple_instance(y, 3, 0.1)
+    assert inst.spectrum.multiplicities == (3, 1)
+    assert len({r.roots for r in inst.roots[:3]}) > 1
+    enum = _assert_matches_scalar_walk(inst)
+    # 3 roots per equation: multisets of 3 from 3 roots, times 3 for the last
+    assert len(enum.profiles) == 10 * 3 < enum.total_combinations
+
+
+def test_distinct_values_share_only_the_zero_root():
+    # Each positive root x belongs to the one y = phi(x), so distinct values
+    # share only the zero root: nothing merges, and the all-zero vector is
+    # the one combination choosing zero everywhere.
+    inst, *_ = _simple_instance([2.0, 1.5], 3, 0.1)
+    assert set(inst.roots[0].positive()).isdisjoint(inst.roots[1].positive())
+    enum = _assert_matches_scalar_walk(inst)
+    assert len(enum.profiles) == enum.total_combinations == 9
+    assert [p.choice for p in enum.profiles if p.is_zero] == [(0, 0)]
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5, 12])
+def test_cap_keeps_first_distinct_profiles_and_the_zero_profile(cap):
+    inst, *_ = _simple_instance([3.0, 2.5, 2.0, 2.0], 3, 0.3)
+    enum = _assert_matches_scalar_walk(inst, cap=cap)
+    assert enum.truncated
+    assert len(enum.profiles) == cap + 1
+    assert enum.profiles[-1].is_zero
+    # the largest-root-first walk keeps the all-largest profile first
+    assert enum.profiles[0].choice == optimal_profile(inst).choice
+
+
+@pytest.mark.parametrize("cap", [1, 7, 1024])
+def test_chunked_walk_matches_scalar_walk(cap, monkeypatch):
+    # Chunks of 4 combinations: keys repeat across chunks and truncation
+    # falls inside one.
+    monkeypatch.setattr(critical, "ENUM_CHUNK_ROWS", 4)
+    cases = (([2.0, 2.0, 2.0, 1.2], 3, 0.1), ([2.4, 1.7, 1.2], 4, 0.03), ([2.0, 2.0, 1.0], 2, 0.1))
+    for values, depth, lam in cases:
+        inst, *_ = _simple_instance(values, depth, lam)
+        assert all(len(r.roots) == (2 if depth == 2 else 3) for r in inst.roots)
+        _assert_matches_scalar_walk(inst, cap=cap)
+
+
+def test_random_instances_match_scalar_walk(rng):
+    for depth in (2, 3, 4, 5, 6):
+        dims, reg, target = random_instance(rng, depth=depth, max_dim=5)
+        _assert_matches_scalar_walk(Instance(dims, reg, target))
+
+
+def test_dedup_keys_equal_python_round():
+    # Scaled values at and one ulp around the halves between 12-digit decimals.
+    halves = (np.arange(1, 2001) * 7919 % 10**12 + 0.5) * 1e-12
+    x = np.concatenate([
+        halves, np.nextafter(halves, 0.0), np.nextafter(halves, 1.0),
+        np.random.default_rng(3).uniform(0.0, 1.0, 2000), [0.0, 1.0, 5e-324],
+    ])
+    rows = np.sort(x.reshape(-1, 1), axis=0)[::-1]
+    keys = critical._dedup_keys(rows) / 1e12
+    expected = [round(v, 12) for v in rows[:, 0].tolist()]
+    assert keys[:, 0].tolist() == expected
+    # rows scaled by their largest value above one
+    rows = np.array([[3.0, 1.5 + 1.5e-12, 1e-13], [3.0, 3.0 * (0.5 + 0.5e-12), 0.0]])
+    expected = [[round(v / 3.0, 12) for v in row] for row in rows.tolist()]
+    assert (critical._dedup_keys(rows) / 1e12).tolist() == expected
+
+
+def test_profile_list_has_list_semantics():
+    inst, *_ = _simple_instance([2.0, 1.5], 3, 0.1)
+    profiles = enumerate_sigma_profiles(inst).profiles
+    every = list(profiles)
+    assert len(profiles) == len(every) == 9
+    assert profiles[-1] is every[-1] and profiles[-9] is every[0]
+    assert profiles[2:5] == every[2:5]
+    assert profiles[np.int64(3)] is every[3]
+    for k in (9, -10):
+        with pytest.raises(IndexError):
+            profiles[k]
 
 
 def test_zero_profile_gives_zero_stack():
