@@ -71,6 +71,14 @@ def _require(block: dict, key: str, context: str):
     return block[key]
 
 
+def _seed(block: dict, default, context: str) -> int:
+    """The block's ``seed`` (``default`` when absent): an integer, else a config error."""
+    seed = block.get("seed", default)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"{context} must be an integer, got {seed!r}")
+    return seed
+
+
 def load_config(path: str) -> dict:
     p = Path(path)
     if not p.exists():
@@ -118,7 +126,7 @@ def build_instance(cfg: dict, seed: int) -> Instance:
     _check_keys(tblock, {"kind", "scale", "values", "path", "seed"}, "instance.target")
     kind = _require(tblock, "kind", "instance.target")
     if kind == "gaussian":
-        rng = named_stream(int(tblock.get("seed", seed)), "instance")
+        rng = named_stream(_seed(tblock, seed, "instance.target.seed"), "instance")
         target = rng.standard_normal((dims.d_out, dims.d_in))
         target *= float(tblock.get("scale", 1.0))
     elif kind == "diagonal":
@@ -182,7 +190,7 @@ def _sweep_config(cfg: dict, seed: int) -> tuple[RadiusSweepConfig, str, str]:
             kwargs["samples_per_radius"] = block["samples_per_radius"]
         if "mode" in block:
             kwargs["mode"] = str(block["mode"])
-        kwargs["seed"] = int(block.get("seed", named_seed(seed, "sweep")))
+        kwargs["seed"] = _seed(block, named_seed(seed, "sweep"), "sweep.seed")
         sweep = RadiusSweepConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -233,7 +241,7 @@ def cmd_roots(args) -> int:
 
 def cmd_check_assumptions(args) -> int:
     cfg = load_config(args.config)
-    seed = int(cfg.get("seed", 0))
+    seed = _seed(cfg, 0, "seed")
     inst = build_instance(cfg, seed)
     report = check_assumptions(inst)
     payload = asdict(report)
@@ -245,7 +253,7 @@ def cmd_check_assumptions(args) -> int:
 
 def cmd_constants(args) -> int:
     cfg = load_config(args.config)
-    seed = int(cfg.get("seed", 0))
+    seed = _seed(cfg, 0, "seed")
     inst = build_instance(cfg, seed)
     if args.profile is None:
         profile = optimal_profile(inst)
@@ -287,7 +295,7 @@ def _finish_report(report, out: Path, name: str) -> int:
 
 def cmd_verify_eb(args) -> int:
     cfg = load_config(args.config)
-    seed = int(cfg.get("seed", 0))
+    seed = _seed(cfg, 0, "seed")
     inst = build_instance(cfg, seed)
     sweep, center_spec, target = _sweep_config(cfg, seed)
     point = _resolve_center(inst, center_spec, seed, target)
@@ -297,7 +305,7 @@ def cmd_verify_eb(args) -> int:
 
 def cmd_verify_plqg(args) -> int:
     cfg = load_config(args.config)
-    seed = int(cfg.get("seed", 0))
+    seed = _seed(cfg, 0, "seed")
     inst = build_instance(cfg, seed)
     sweep, center_spec, target = _sweep_config(cfg, seed)
     point = _resolve_center(inst, center_spec, seed, target)
@@ -328,7 +336,7 @@ def cmd_counterexample(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    seed = int(cfg.get("seed", 0))
+    seed = _seed(cfg, 0, "seed")
     inst = build_instance(cfg, seed)
 
     mblock = cfg.get("model", {})
@@ -340,7 +348,7 @@ def cmd_train(args) -> int:
         ikind = _require(iblock, "kind", "model.input")
         if ikind == "uniform":
             cols = int(iblock.get("cols", inst.dims.d_in))
-            rng = named_stream(int(iblock.get("seed", seed)), "input")
+            rng = named_stream(_seed(iblock, seed, "model.input.seed"), "input")
             bound = math.sqrt(6.0 / (inst.dims.d_in + cols))
             input_matrix = rng.uniform(-bound, bound, size=(inst.dims.d_in, cols))
         elif ikind != "identity":
@@ -404,7 +412,7 @@ def cmd_reproduce_s4(args) -> int:
         cfg = load_config(args.config)
     else:
         cfg = {}
-    seed = int(cfg.get("seed", 0))
+    seed = _seed(cfg, 0, "seed")
     depths = cfg.get("depths", (2, 4, 6))
     if args.depths:
         try:

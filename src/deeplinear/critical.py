@@ -60,6 +60,7 @@ BISECT_TOL = 1e-14
 DEGENERACY_TOL = 1e-7  # |r q'(r)| below this times q's largest term flags a multiple root
 _EPS = float(np.finfo(float).eps)
 PROJECTION_SWEEPS = 200  # cap on alternating-Procrustes sweeps per projection
+BATCH_ENTRIES = 2**16  # entries per array pass of the lower bound and of a sweep's projections
 
 
 @dataclass(frozen=True)
@@ -723,17 +724,27 @@ def mirsky_lower_bound(
     the vector of bounds; given one profile, it returns that profile's bound.
     A batched stack adds a leading sample axis: (R, P) bounds, or R for one
     profile.
+
+    The (R, P, m_k) gaps are squared in place and reduced over the last axis
+    in chunks of at most ``BATCH_ENTRIES`` entries: the same sums as the
+    whole array gives, in O(R P) memory.
     """
     single = isinstance(profiles, SigmaProfile)
     sigmas = np.array([profiles.sigma]) if single else profiles.sigmas
-    total = 0.0
-    for s, scale in zip(layer_singular_values(stack), _layer_scales(reg, target)):
+    svals = layer_singular_values(stack)
+    lead = svals[0].shape[:-1]
+    total = np.zeros((math.prod(lead), len(sigmas)))
+    for s, scale in zip(svals, _layer_scales(reg, target)):
+        s = s.reshape(len(total), -1)
         k = min(s.shape[-1], sigmas.shape[1])
         ref = np.zeros((len(sigmas), s.shape[-1]))
         ref[:, :k] = sigmas[:, :k] * scale
-        diff = s[..., None, :] - ref
-        total = total + (diff * diff).sum(axis=-1)
-    lowers = np.sqrt(total)
+        step = max(1, BATCH_ENTRIES // ref.size)
+        for a in range(0, len(s), step):
+            diff = s[a : a + step, None, :] - ref
+            np.multiply(diff, diff, out=diff)
+            total[a : a + step] += np.add.reduce(diff, axis=-1)
+    lowers = np.sqrt(total, out=total).reshape(lead + (len(sigmas),))
     if not single:
         return lowers
     return lowers[..., 0] if lowers.ndim > 1 else float(lowers[0])
@@ -749,7 +760,7 @@ class ComponentDistance:
 
 
 def distance_to_component(
-    stack: WeightStack, profile: SigmaProfile, inst: "Instance", target: str = "F"
+    stack: WeightStack, profile: SigmaProfile, inst: "Instance", target: str = "F", lower=None
 ) -> ComponentDistance | list[ComponentDistance]:
     """Certified distance bracket from ``stack`` to one component.
 
@@ -766,7 +777,8 @@ def distance_to_component(
     per sample.  The samples are projected together in stacked calls, but
     each one leaves the batch when its own objective settles, so every
     result equals the one for that sample alone; a 2-D stack is the batch of
-    one and returns its result.
+    one and returns its result.  ``lower`` passes in the samples' bounds
+    from :func:`mirsky_lower_bound` when the caller has them already.
     """
     spectrum, reg, L = inst.spectrum, inst.reg, inst.depth
     dims = stack.dim_chain()
@@ -777,7 +789,8 @@ def distance_to_component(
     batched = stack.layers[0].ndim > 2
     if not batched:
         stack = WeightStack.batch([stack])
-    lower = mirsky_lower_bound(stack, profile, reg, target)
+    if lower is None:
+        lower = mirsky_lower_bound(stack, profile, reg, target)
     n = len(lower)
 
     def results(nearest, dist, sweeps, converged):
@@ -934,7 +947,8 @@ def distance_to_critical_set(
     A batched stack returns one result per sample, each equal to the result
     for that sample alone: every sample walks its own candidate order, and
     each round projects the samples whose next candidate is the same profile
-    in one :func:`distance_to_component` call.
+    in one :func:`distance_to_component` call, handing it their rows of the
+    bounds computed here, so each layer's singular values are taken once.
     """
     batched = stack.layers[0].ndim > 2
     if not batched:
@@ -960,7 +974,9 @@ def distance_to_critical_set(
         active = []
         for k, rows in sorted(rounds.items()):
             group = WeightStack([w[rows] for w in stack.layers])
-            cands = distance_to_component(group, enum.profiles[k], inst, target=target)
+            cands = distance_to_component(
+                group, enum.profiles[k], inst, target=target, lower=lowers[rows, k]
+            )
             for i, cand in zip(rows, cands):
                 converged[i] = converged[i] and cand.converged
                 if best[i] is None or cand.distance < best[i].distance:

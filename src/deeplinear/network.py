@@ -163,7 +163,9 @@ class WeightStack:
     def __sub__(self, other: "WeightStack") -> "WeightStack":
         return WeightStack([a - b for a, b in zip(self.layers, other.layers)])
 
-    def scale(self, c: float) -> "WeightStack":
+    def scale(self, c: float | np.ndarray) -> "WeightStack":
+        """Multiply by c: a float, or one factor per sample for a batched stack."""
+        c = np.asarray(c)[..., None, None]
         return WeightStack([c * w for w in self.layers])
 
     @classmethod

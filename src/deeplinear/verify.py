@@ -11,6 +11,7 @@ sufficient-decrease / cost-to-go / safeguard conditions.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import critical
 from .constants import check_assumptions, compute_ledger, excluded_lambda
 from .critical import (
     CriticalPoint,
@@ -143,30 +145,38 @@ def _grad_and_loss(stack, target_matrix, reg, target):
     return WeightStack(grad.layers).norm(), value
 
 
-def _unit_gaussian(rng, dims) -> WeightStack:
-    e = WeightStack.gaussian(dims, rng)
-    return e.scale(1.0 / e.norm())
-
-
 def _make_sampler(center: CriticalPoint, inst, cfg, direction_index):
-    dims = center.stack.dim_chain()
+    """``draw(rng, count)``: ``count`` unit directions as one batched stack.
+
+    Its stream and directions are those of ``count`` one-sample draws; each
+    singular direction is built once.
+    """
+    layout = FlatParams.pack(center.stack.layers)
+    n = layout.flat.shape[-1]
+
+    def unit(flat):
+        e = WeightStack(layout.like(flat).layers)
+        return e.scale(1.0 / e.norm())
+
     if cfg.mode == "gaussian-all-layers":
-        return lambda rng: _unit_gaussian(rng, dims)
+        return lambda rng, count: unit(rng.standard_normal((count, n)))
     if cfg.mode == "singular-direction":
-        d_min = min(dims.dims[0], dims.dims[-1])
         if direction_index is not None:
             fixed = singular_direction(center, direction_index)
-            return lambda rng: fixed
-        return lambda rng: singular_direction(center, int(rng.integers(d_min)))
-    # tangent-removed: project a Gaussian draw off the component's tangent space
+            return lambda rng, count: WeightStack.batch([fixed] * count)
+        d_min = min(center.stack.dims[0], center.stack.dims[-1])
+        direction = functools.cache(lambda i: singular_direction(center, i))
+        return lambda rng, count: WeightStack.batch(
+            [direction(int(rng.integers(d_min))) for _ in range(count)]
+        )
+    # tangent-removed: project each Gaussian draw off the component's tangent space
     basis = tangent_basis(center, inst.spectrum)
 
-    def draw(rng):
-        e = WeightStack.gaussian(dims, rng)
+    def draw(rng, count):
+        flat = rng.standard_normal((count, n))
         if basis.shape[0]:
-            flat = FlatParams.pack(e.layers)
-            e = WeightStack(flat.like(flat.flat - basis.T @ (basis @ flat.flat)).layers)
-        return e.scale(1.0 / e.norm())
+            flat = np.stack([row - basis.T @ (basis @ row) for row in flat])
+        return unit(flat)
 
     return draw
 
@@ -187,6 +197,10 @@ def _regime_cutoff(cfg, inst, ledger, target) -> tuple[float, str]:
 def _sweep(center, inst, cfg, target, direction_index):
     """The steps both sweeps share, from the center check to the samples.
 
+    The samples of every radius are drawn, projected and differentiated as
+    one batch, cut into chunks of at most ``critical.BATCH_ENTRIES``
+    parameters; the chunking changes no reported number.
+
     Returns the assumption report, the ledger (None when an assumption
     fails), the regime cutoff and its source, the samples with
     ``in_regime`` marked, the samples grouped by radius and ``finish``.
@@ -203,20 +217,21 @@ def _sweep(center, inst, cfg, target, direction_index):
     ledger = compute_ledger(inst, center.profile) if assumptions.ok else None
     cutoff, regime_source = _regime_cutoff(cfg, inst, ledger, target)
     rng = np.random.default_rng(cfg.seed)
-    sampler = _make_sampler(center, inst, cfg, direction_index)
+    draw = _make_sampler(center, inst, cfg, direction_index)
+    # One row per sample, radius-major, with the numbers of its own 2-D call.
+    radii = np.repeat(cfg.radii, cfg.samples_per_radius)
+    rows = max(1, critical.BATCH_ENTRIES // sum(w.size for w in center.stack.layers))
     samples = []
     converged = True
-    for radius in cfg.radii:
-        # The radius's samples are projected, and their gradients taken,
-        # together; each sample's numbers are those of its own 2-D call.
-        in_regime = radius <= cutoff
-        es = WeightStack.batch([sampler(rng) for _ in range(cfg.samples_per_radius)])
-        w = center.stack + es.scale(radius)
+    for start in range(0, len(radii), rows):
+        chunk = radii[start : start + rows]
+        w = center.stack + draw(rng, len(chunk)).scale(chunk)
         sds = distance_to_critical_set(w, inst, target=target)
         gnorms, lvals = _grad_and_loss(w, inst.target, inst.reg, target)
-        for sd, gnorm, lval in zip(sds, gnorms.tolist(), lvals.tolist()):
+        for radius, sd, gnorm, lval in zip(chunk.tolist(), sds, gnorms.tolist(), lvals.tolist()):
             converged = converged and sd.converged
             ratio = sd.distance / gnorm if gnorm > 0 else math.inf
+            in_regime = radius <= cutoff
             samples.append(
                 SweepSample(radius, sd.lower_bound, sd.distance, gnorm, lval, ratio, in_regime)
             )

@@ -208,8 +208,39 @@ BAD_SWEEP_VALUES = {
     "fractional-radii-num": {"radii": {"start": 1e-3, "stop": 1e-2, "num": 2.5}},
 }
 
+# Seeds that are not integers, by the block that carries them: each is a
+# config error, not truncated to an integer.
+BAD_SEEDS = {
+    "fractional-seed": ("config", 1.5),
+    "bool-seed": ("config", True),
+    "string-seed": ("config", "7"),
+    "fractional-sweep-seed": ("sweep", 2.5),
+    "bool-sweep-seed": ("sweep", False),
+    "fractional-target-seed": ("target", 0.5),
+    "bool-target-seed": ("target", True),
+    "fractional-input-seed": ("input", 4.5),
+}
+
+
+def _bad_seed_call(tmp_path, case):
+    block, seed = BAD_SEEDS[case]
+    cfg = _base_config(tmp_path, sweep={"radii": [1e-3, 1e-2], "samples_per_radius": 2})
+    if block == "config":
+        cfg["seed"] = seed
+    elif block == "sweep":
+        cfg["sweep"]["seed"] = seed
+    elif block == "target":
+        cfg["instance"]["target"] = {"kind": "gaussian", "seed": seed}
+    else:
+        cfg["model"] = {"input": {"kind": "uniform", "seed": seed}}
+        cfg["train"] = {"learning_rate": 1e-3, "max_iters": 5, "init": "gaussian"}
+        return ["train", _write_config(tmp_path, cfg)]
+    return ["verify-eb", _write_config(tmp_path, cfg)]
+
 
 def _failing_call(tmp_path, case):
+    if case in BAD_SEEDS:
+        return _bad_seed_call(tmp_path, case)
     if case == "divergent-train":
         cfg = _base_config(
             tmp_path, train={"learning_rate": 10, "max_iters": 500, "init": "gaussian"}
@@ -260,6 +291,7 @@ def _failing_call(tmp_path, case):
         ("one-layer-s4", 2),
         *[(case, 2) for case in BAD_TRAIN_VALUES],
         *[(case, 2) for case in BAD_SWEEP_VALUES],
+        *[(case, 2) for case in BAD_SEEDS],
     ],
 )
 def test_error_paths_exit_with_one_line(case, code, tmp_path, monkeypatch, capsys):
@@ -268,7 +300,7 @@ def test_error_paths_exit_with_one_line(case, code, tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
-    if case in BAD_SWEEP_VALUES:
+    if case in BAD_SWEEP_VALUES or case in BAD_SEEDS:
         assert err.startswith("config error: ")
 
 

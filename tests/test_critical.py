@@ -597,3 +597,55 @@ def test_batched_set_distance_between_components(monkeypatch):
         _assert_same_set_distance(sd, distance_to_critical_set(stack, inst, target="G"))
     assert projected == sum(rows) > len(stacks)
     assert len({s.profile_index for s in sets}) > 1
+
+
+def _materialized_lower_bound(stack, enum, reg, target):
+    """The bound from the whole (R, P, m) array of squared gaps per layer."""
+    scales = [1.0 / math.sqrt(lam) for lam in reg.lambdas] if target == "F" else [1.0] * reg.depth
+    total = 0.0
+    for w, scale in zip(stack.layers, scales):
+        s = np.linalg.svd(w, compute_uv=False)
+        k = min(s.shape[-1], enum.sigmas.shape[1])
+        ref = np.zeros((len(enum.sigmas), s.shape[-1]))
+        ref[:, :k] = enum.sigmas[:, :k] * scale
+        diff = s[..., None, :] - ref
+        total = total + (diff * diff).sum(axis=-1)
+    return np.sqrt(total)
+
+
+@pytest.mark.parametrize("width", [3, 7, 8, 9, 16, 32])
+def test_chunked_lower_bound_equals_materialized_formula(width, monkeypatch):
+    inst, dims, reg, _ = _simple_instance([2.5, 1.8, 1.2], 3, 0.3, hidden=width)
+    rng = np.random.default_rng(width)
+    center = construct_critical_point(optimal_profile(inst), sample_random_params(inst, seed=2), inst)
+    batch = WeightStack.batch(
+        [center.stack + WeightStack.gaussian(dims, rng).scale(r) for r in np.geomspace(1e-4, 1.0, 11)]
+    )
+    enum = inst.profiles
+    for target in ("F", "G"):
+        want = _materialized_lower_bound(batch, enum, reg, target)
+        assert np.array_equal(mirsky_lower_bound(batch, enum, reg, target), want)
+        for entries in (1, 3 * enum.sigmas.size * width):  # 1-row and 3-row chunks
+            monkeypatch.setattr(critical, "BATCH_ENTRIES", entries)
+            assert np.array_equal(mirsky_lower_bound(batch, enum, reg, target), want)
+        monkeypatch.undo()
+
+
+def test_lower_bound_memory_is_linear_in_samples_times_profiles():
+    import tracemalloc
+
+    inst = Instance(DimChain((6, 7, 7, 6)), RegParams((0.5, 0.6, 0.7)),
+                    np.diag([3.0, 3.0, 2.0, 2.0, 1.5, 1.5]))
+    enum = inst.profiles
+    n_samples, n_profiles = 576, len(enum.profiles)
+    assert n_profiles == 216
+    rng = np.random.default_rng(0)
+    batch = WeightStack([rng.standard_normal((n_samples,) + w.shape) for w in WeightStack.zeros(inst.dims).layers])
+    tracemalloc.start()
+    try:
+        lowers = mirsky_lower_bound(batch, enum, inst.reg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lowers.shape == (n_samples, n_profiles)
+    assert peak < 3 * n_samples * n_profiles * 8 + 8 * critical.BATCH_ENTRIES

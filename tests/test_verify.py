@@ -382,3 +382,79 @@ def test_batched_gradient_norms_and_losses_equal_2d_calls(target):
     gnorms, losses = _grad_and_loss(WeightStack.batch(stacks), inst.target, reg, target)
     for stack, gnorm, loss in zip(stacks, gnorms.tolist(), losses.tolist()):
         assert (gnorm, loss) == _grad_and_loss(stack, inst.target, reg, target)
+
+
+def _one_draw(center, inst, mode, direction_index):
+    """One unit direction drawn as the sweep drew one sample at a time."""
+    from deeplinear import FlatParams
+    from deeplinear.critical import singular_direction, tangent_basis
+
+    dims = center.stack.dim_chain()
+    if mode == "singular-direction":
+        if direction_index is not None:
+            return lambda rng: singular_direction(center, direction_index)
+        return lambda rng: singular_direction(center, int(rng.integers(dims.d_min)))
+    basis = tangent_basis(center, inst.spectrum)
+
+    def draw(rng):
+        e = WeightStack.gaussian(dims, rng)
+        if mode == "tangent-removed":
+            flat = FlatParams.pack(e.layers)
+            e = WeightStack(flat.like(flat.flat - basis.T @ (basis @ flat.flat)).layers)
+        return e.scale(1.0 / e.norm())
+
+    return draw
+
+
+@pytest.mark.parametrize("direction_index", [None, 1])
+@pytest.mark.parametrize("mode", ["gaussian-all-layers", "singular-direction", "tangent-removed"])
+def test_batched_draw_equals_one_at_a_time_draws(mode, direction_index, monkeypatch):
+    from deeplinear import verify
+    from deeplinear.critical import tangent_basis
+
+    inst, dims, reg = _generic_instance(seed=5, depth=3)
+    center = _center(inst)
+    assert tangent_basis(center, inst.spectrum).shape[0] > 0
+    built = []
+    make_direction = verify.singular_direction
+    monkeypatch.setattr(
+        verify, "singular_direction", lambda *a: built.append(a[1]) or make_direction(*a)
+    )
+    draw = verify._make_sampler(center, inst, RadiusSweepConfig(mode=mode), direction_index)
+    one = _one_draw(center, inst, mode, direction_index)
+    count = 9
+    batch_rng, single_rng, unit_rng = (np.random.default_rng(4) for _ in range(3))
+    batch = draw(batch_rng, count)
+    singles = WeightStack.batch([one(single_rng) for _ in range(count)])
+    units = WeightStack.batch([draw(unit_rng, 1).unbatch()[0] for _ in range(count)])
+    for got, want, unit in zip(batch.layers, singles.layers, units.layers):
+        assert got.shape == (count,) + want.shape[1:]
+        assert np.array_equal(got, want) and np.array_equal(unit, want)
+    assert batch_rng.bit_generator.state == single_rng.bit_generator.state
+    assert unit_rng.bit_generator.state == single_rng.bit_generator.state
+    if mode == "singular-direction":
+        assert len(built) == len(set(built)) <= dims.d_min
+
+
+@pytest.mark.parametrize("mode", ["gaussian-all-layers", "singular-direction", "tangent-removed"])
+def test_sweep_reports_do_not_depend_on_the_chunking(mode, monkeypatch):
+    # 5 radii x 6 samples of a 60-parameter stack: one chunk by default,
+    # then 1-row chunks and 4-row chunks that straddle the radii.
+    inst, dims, reg = _generic_instance(seed=5, depth=3)
+    center = _center(inst)
+    cfg = RadiusSweepConfig(
+        radii=tuple(np.geomspace(1e-4, 1e-1, 5)), samples_per_radius=6, seed=3, mode=mode
+    )
+    n = sum(w.size for w in center.stack.layers)
+    assert critical.BATCH_ENTRIES // n >= 30
+
+    def reports():
+        return (
+            verify_error_bound(center, inst, cfg).to_json(),
+            verify_pl_qg(center, inst, cfg).to_json(),
+        )
+
+    default = reports()
+    for entries in (1, 4 * n):
+        monkeypatch.setattr(critical, "BATCH_ENTRIES", entries)
+        assert reports() == default
