@@ -198,8 +198,10 @@ def _sweep(center, inst, cfg, target, direction_index):
     """The steps both sweeps share, from the center check to the samples.
 
     The samples of every radius are drawn, projected and differentiated as
-    one batch, cut into chunks of at most ``critical.BATCH_ENTRIES``
-    parameters; the chunking changes no reported number.
+    one radius-major batch, cut into chunks of at most
+    ``critical.BATCH_ENTRIES`` parameters but never fewer samples than one
+    radius has, so a sweep makes at most one set-distance call per radius;
+    the chunking changes no reported number.
 
     Returns the assumption report, the ledger (None when an assumption
     fails), the regime cutoff and its source, the samples with
@@ -220,7 +222,8 @@ def _sweep(center, inst, cfg, target, direction_index):
     draw = _make_sampler(center, inst, cfg, direction_index)
     # One row per sample, radius-major, with the numbers of its own 2-D call.
     radii = np.repeat(cfg.radii, cfg.samples_per_radius)
-    rows = max(1, critical.BATCH_ENTRIES // sum(w.size for w in center.stack.layers))
+    n = sum(w.size for w in center.stack.layers)
+    rows = max(cfg.samples_per_radius, critical.BATCH_ENTRIES // n)
     samples = []
     converged = True
     for start in range(0, len(radii), rows):

@@ -438,8 +438,11 @@ def test_batched_draw_equals_one_at_a_time_draws(mode, direction_index, monkeypa
 
 @pytest.mark.parametrize("mode", ["gaussian-all-layers", "singular-direction", "tangent-removed"])
 def test_sweep_reports_do_not_depend_on_the_chunking(mode, monkeypatch):
-    # 5 radii x 6 samples of a 60-parameter stack: one chunk by default,
-    # then 1-row chunks and 4-row chunks that straddle the radii.
+    # 5 radii x 6 samples of a 60-parameter stack: one chunk by default; then
+    # one radius per chunk (the floor) with 1-row lower-bound chunks, and
+    # 9-row chunks that straddle the radii.
+    from deeplinear import verify
+
     inst, dims, reg = _generic_instance(seed=5, depth=3)
     center = _center(inst)
     cfg = RadiusSweepConfig(
@@ -447,14 +450,23 @@ def test_sweep_reports_do_not_depend_on_the_chunking(mode, monkeypatch):
     )
     n = sum(w.size for w in center.stack.layers)
     assert critical.BATCH_ENTRIES // n >= 30
+    calls = []
+    monkeypatch.setattr(
+        verify,
+        "distance_to_critical_set",
+        lambda w, *a, **k: calls.append(len(w.layers[0])) or distance_to_critical_set(w, *a, **k),
+    )
 
     def reports():
+        calls.clear()
         return (
             verify_error_bound(center, inst, cfg).to_json(),
             verify_pl_qg(center, inst, cfg).to_json(),
         )
 
     default = reports()
-    for entries in (1, 4 * n):
+    assert calls == [30, 30]
+    for entries, chunks in ((1, [6] * 5), (9 * n, [9, 9, 9, 3])):
         monkeypatch.setattr(critical, "BATCH_ENTRIES", entries)
         assert reports() == default
+        assert calls == chunks * 2
