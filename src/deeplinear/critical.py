@@ -31,7 +31,6 @@ import numpy as np
 
 from .network import (
     DimChain,
-    FlatParams,
     RegParams,
     ShapeError,
     WeightStack,
@@ -650,49 +649,45 @@ def tangent_basis(point: CriticalPoint, spectrum: "TargetSpectrum") -> np.ndarra
     Directions come from perturbing each free orthogonal factor along its
     skew-symmetric tangent; the zero profile has an empty tangent space.
     """
-    L = point.depth
     layers = point.stack.layers
-    rows = []  # each direction in the flat layout of FlatParams
-
-    def skew_pairs(n):
-        for a in range(n):
-            for b in range(a + 1, n):
-                yield a, b
+    # One row per direction, written through the center's layer views; the
+    # entries of the layers a direction does not touch stay zero.
+    seams = [q.shape[0] for q in point.params.inner]
+    count = sum(math.comb(n, 2) for n in [*seams, *spectrum.multiplicities])
+    rows = np.zeros((count, point.stack.params.flat.shape[-1]))
+    d = point.stack.like(rows).layers
+    i = 0
 
     # Seam factors Q_l touch layers l-1 (left side) and l (right side).
-    for l in range(2, L + 1):
-        n = point.params.inner[l - 2].shape[0]
-        for a, b in skew_pairs(n):
+    for l, n in enumerate(seams, 2):
+        for a, b in itertools.combinations(range(n), 2):
             s = np.zeros((n, n))
             s[a, b] = 1.0
             s[b, a] = -1.0
-            d = [np.zeros_like(w) for w in layers]
             # layer l-1 (0-based l-2): left factor is Q_l
-            d[l - 2] = point.left[l - 2] @ s @ point.sigma_mats[l - 2] @ point.right[l - 2]
+            d[l - 2][i] = point.left[l - 2] @ s @ point.sigma_mats[l - 2] @ point.right[l - 2]
             # layer l (0-based l-1): right factor is Q_l^T
-            d[l - 1] = -point.left[l - 1] @ point.sigma_mats[l - 1] @ s @ point.right[l - 1]
-            rows.append(FlatParams.pack(d).flat)
+            d[l - 1][i] = -point.left[l - 1] @ point.sigma_mats[l - 1] @ s @ point.right[l - 1]
+            i += 1
 
     # Shared block factors touch the first and last layer only.
-    for i, h in enumerate(spectrum.multiplicities):
-        sl = spectrum.block_slice(i)
-        for a, b in skew_pairs(h):
+    for k, h in enumerate(spectrum.multiplicities):
+        sl = spectrum.block_slice(k)
+        for a, b in itertools.combinations(range(h), 2):
             s_small = np.zeros((h, h))
             s_small[a, b] = 1.0
             s_small[b, a] = -1.0
-            d = [np.zeros_like(w) for w in layers]
             dm_in = np.zeros((layers[0].shape[1], layers[0].shape[1]))
-            dm_in[sl, sl] = point.params.blocks[i] @ s_small
-            d[0] = point.left[0] @ point.sigma_mats[0] @ dm_in @ spectrum.v.T
+            dm_in[sl, sl] = point.params.blocks[k] @ s_small
+            d[0][i] = point.left[0] @ point.sigma_mats[0] @ dm_in @ spectrum.v.T
             dm_out = np.zeros((layers[-1].shape[0], layers[-1].shape[0]))
-            dm_out[sl, sl] = s_small.T @ point.params.blocks[i].T
-            d[-1] = spectrum.u @ dm_out @ point.sigma_mats[-1] @ point.right[-1]
-            rows.append(FlatParams.pack(d).flat)
+            dm_out[sl, sl] = s_small.T @ point.params.blocks[k].T
+            d[-1][i] = spectrum.u @ dm_out @ point.sigma_mats[-1] @ point.right[-1]
+            i += 1
 
-    if not rows:
-        return np.zeros((0, sum(w.size for w in layers)))
-    mat = np.vstack(rows)
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
+    if not count:
+        return rows
+    u, s, vt = np.linalg.svd(rows, full_matrices=False)
     keep = s > 1e-10 * max(1.0, s[0])
     return vt[keep]
 
@@ -786,9 +781,8 @@ def distance_to_component(
         raise ShapeError("stack endpoints do not match the target's shape")
     if dims.depth != L:
         raise ShapeError("stack depth does not match the instance")
-    batched = stack.layers[0].ndim > 2
-    if not batched:
-        stack = WeightStack.batch([stack])
+    batched = stack.params.flat.ndim > 1
+    stack = stack if batched else WeightStack.batch([stack])
     if lower is None:
         lower = mirsky_lower_bound(stack, profile, reg, target)
     n = len(lower)
@@ -803,13 +797,13 @@ def distance_to_component(
         return out if batched else out[0]
 
     if profile.is_zero or spectrum.rank == 0:
-        nearest = WeightStack([np.zeros_like(w) for w in stack.layers])
+        nearest = stack.like(np.zeros_like(stack.params.flat))
         return results(nearest, (stack - nearest).norm(), [0] * n, [True] * n)
 
     sig_mats = _sigma_matrices(profile, dims, reg, target)
     scales = _layer_scales(reg, target)
     sig_eq = np.asarray(profile.sigma_eq)
-    w = stack.layers
+    w = stack
     u_y, v_y = spectrum.u, spectrum.v
 
     # Seed the first seam from the right singular frame of layer 2 (columns
@@ -820,7 +814,7 @@ def distance_to_component(
     # per-layer SVD seeds do not (their arbitrary signs can create a
     # parity-locked corner the coordinate descent cannot leave).
     def seeded_frame(layer_idx: int) -> np.ndarray:
-        _, _, vt = np.linalg.svd(w[layer_idx], full_matrices=True)
+        _, _, vt = np.linalg.svd(w.layers[layer_idx], full_matrices=True)
         v_full = vt.swapaxes(-1, -2)
         diag = sig_eq * scales[layer_idx]
         order = np.argsort(-diag, kind="stable")
@@ -834,7 +828,7 @@ def distance_to_component(
     # the first block update.  Every array carries the sample axis first.
     left = [seeded_frame(1)]
     for k in range(1, L - 1):
-        left.append(_polar(w[k] @ left[k - 1] @ sig_mats[k].T))
+        left.append(_polar(w.layers[k] @ left[k - 1] @ sig_mats[k].T))
     left.append(None)
     right = [None] + [q.swapaxes(-1, -2) for q in left[:-1]]
 
@@ -852,8 +846,8 @@ def distance_to_component(
     def update_blocks():
         # Block i's factor is the polar factor of D1 G1[i] + DL GL[i]^T (all
         # blocks of one size in one stacked SVD; Schoenemann 1966).
-        g1 = left[0].swapaxes(-1, -2) @ w[0] @ v_y
-        gl = u_y.T @ w[L - 1] @ left[-2]
+        g1 = left[0].swapaxes(-1, -2) @ w.layers[0] @ v_y
+        gl = u_y.T @ w.layers[L - 1] @ left[-2]
         for rows, cols, d1, dl in groups:
             u, _, vt = np.linalg.svd(d1 * g1[..., rows, cols] + dl * gl[..., cols, rows])
             factors = u @ vt
@@ -866,26 +860,26 @@ def distance_to_component(
         # right frame of layer k + 1.
         for k in range(L - 1):
             left[k] = _polar(
-                w[k] @ (sig_mats[k] @ right[k]).swapaxes(-1, -2)
-                + w[k + 1].swapaxes(-1, -2) @ (left[k + 1] @ sig_mats[k + 1])
+                w.layers[k] @ (sig_mats[k] @ right[k]).swapaxes(-1, -2)
+                + w.layers[k + 1].swapaxes(-1, -2) @ (left[k + 1] @ sig_mats[k + 1])
             )
             right[k + 1] = left[k].swapaxes(-1, -2)
 
-    # ``live`` holds the samples still sweeping; the iterate arrays hold only
-    # their rows, and a sample's rows are dropped once its own objective
-    # settles, so it runs exactly the sweeps it would run alone.
+    # ``live`` holds the samples still sweeping; ``w`` and the frames hold
+    # only their rows, and a sample's rows are dropped once its own
+    # objective settles, so it runs exactly the sweeps it would run alone.
     live = np.arange(n)
     sweeps = np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)
     update_blocks()
     member = assemble(left, sig_mats, right)
-    nearest = [m.copy() for m in member.layers]
-    obj = (WeightStack(w) - member).norm() ** 2
+    nearest = member.params.flat.copy()
+    obj = (w - member).norm() ** 2
     for sweep in range(1, PROJECTION_SWEEPS + 1):
         update_seams()
         update_blocks()
         member = assemble(left, sig_mats, right)
-        new_obj = (WeightStack(w) - member).norm() ** 2
+        new_obj = (w - member).norm() ** 2
         rose = new_obj > obj + 1e-12 * np.maximum(1.0, obj)
         if rose.any():
             i = int(np.argmax(rose))
@@ -894,8 +888,7 @@ def distance_to_component(
             )
         done = obj - new_obj < 1e-12
         obj = new_obj
-        for out, m in zip(nearest, member.layers):
-            out[live] = m
+        nearest[live] = member.params.flat
         sweeps[live] = sweep
         converged[live[done]] = True
         if done.any():
@@ -903,10 +896,10 @@ def distance_to_component(
             live, obj = live[keep], obj[keep]
             if not len(live):
                 break
-            w, left, m_in, m_out = [x[keep] for x in w], [x[keep] for x in left], m_in[keep], m_out[keep]
+            w, left, m_in, m_out = w[keep], [x[keep] for x in left], m_in[keep], m_out[keep]
             right = [right[0][keep]] + [q.swapaxes(-1, -2) for q in left[:-1]]
 
-    nearest = WeightStack(nearest)
+    nearest = stack.like(nearest)
     y = spectrum.target
     gnorm = (grad_f if target == "F" else grad_g)(nearest, y, reg).norm()
     bad = gnorm > 1e-9 * (1.0 + float(np.linalg.norm(y)))
@@ -950,9 +943,8 @@ def distance_to_critical_set(
     in one :func:`distance_to_component` call, handing it their rows of the
     bounds computed here, so each layer's singular values are taken once.
     """
-    batched = stack.layers[0].ndim > 2
-    if not batched:
-        stack = WeightStack.batch([stack])
+    batched = stack.params.flat.ndim > 1
+    stack = stack if batched else WeightStack.batch([stack])
     enum = inst.profiles
     lowers = mirsky_lower_bound(stack, enum, inst.reg, target)
     order = np.argsort(lowers, axis=-1, kind="stable")
@@ -973,9 +965,8 @@ def distance_to_critical_set(
             rounds.setdefault(k, []).append(i)
         active = []
         for k, rows in sorted(rounds.items()):
-            group = WeightStack([w[rows] for w in stack.layers])
             cands = distance_to_component(
-                group, enum.profiles[k], inst, target=target, lower=lowers[rows, k]
+                stack[rows], enum.profiles[k], inst, target=target, lower=lowers[rows, k]
             )
             for i, cand in zip(rows, cands):
                 converged[i] = converged[i] and cand.converged

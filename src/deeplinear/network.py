@@ -12,8 +12,8 @@ where lam is the product of the per-layer regularization weights.  The two
 problems share critical points up to the per-layer rescaling implemented by
 :func:`rescale_f_to_g`.  Both, and the extended objectives of gradient descent
 (input matrix, biases, activations), are evaluated by one kernel,
-:func:`value_and_grad`, on the layers and biases packed into one flat buffer
-(:class:`FlatParams`).
+:func:`value_and_grad`, on one flat buffer of the layers and biases
+(:class:`FlatParams`); a :class:`WeightStack` is such a buffer without biases.
 """
 
 from __future__ import annotations
@@ -105,68 +105,92 @@ class RegParams:
         return max(self.lambdas)
 
 
-@dataclass
 class WeightStack:
     """The tuple W = (W_1, ..., W_L); layer l has shape d_l x d_{l-1}.
 
-    Layers may carry a leading sample axis, shape ``(R, d_l, d_{l-1})``, to
-    hold R stacks of one shape (see :meth:`batch`); shapes are read from the
-    last two axes.
+    ``layers`` are the views of ``params``, a :class:`FlatParams` with no
+    biases: ``WeightStack(layers)`` copies them into a new buffer, and
+    :meth:`over` wraps a holder's buffer.  A leading sample axis, ``(R, n)``,
+    holds R stacks of one shape (see :meth:`batch`).
     """
 
-    layers: list[np.ndarray]
-
-    def __post_init__(self):
-        self.layers = [np.asarray(w, dtype=float) for w in self.layers]
-        if len(self.layers) < 2:
+    def __init__(self, layers):
+        layers = [np.asarray(w, dtype=float) for w in layers]
+        if len(layers) < 2:
             raise ShapeError("a network needs at least 2 layers")
-        for l in range(1, len(self.layers)):
-            if self.layers[l].shape[-1] != self.layers[l - 1].shape[-2]:
+        for l in range(1, len(layers)):
+            if layers[l].shape[-1] != layers[l - 1].shape[-2]:
                 raise ShapeError(
-                    f"layer {l + 1} has {self.layers[l].shape[-1]} columns but "
-                    f"layer {l} has {self.layers[l - 1].shape[-2]} rows"
+                    f"layer {l + 1} has {layers[l].shape[-1]} columns but "
+                    f"layer {l} has {layers[l - 1].shape[-2]} rows"
                 )
-            if self.layers[l].shape[:-2] != self.layers[0].shape[:-2]:
+            if layers[l].shape[:-2] != layers[0].shape[:-2]:
                 raise ShapeError("layers carry different leading sample axes")
+        self.params = FlatParams.pack(layers)
+
+    @classmethod
+    def over(cls, params: "FlatParams") -> "WeightStack":
+        """The stack of a holder's layers over its buffer (biases left out)."""
+        if params.biases is not None:
+            n = params.n_layers
+            params = FlatParams(params.flat[..., : params.bounds[n - 1][1]], params.shapes[:n], n)
+        stack = cls.__new__(cls)
+        stack.params = params
+        return stack
+
+    def like(self, flat: np.ndarray) -> "WeightStack":
+        """The same layout over ``flat`` (its leading axes may differ)."""
+        return WeightStack.over(self.params.like(flat))
 
     @classmethod
     def batch(cls, stacks: list["WeightStack"]) -> "WeightStack":
         """One stack holding same-shape 2-D stacks along a leading sample axis."""
-        return cls([np.stack(ws) for ws in zip(*(s.layers for s in stacks))])
+        if not stacks or any(s.params.shapes != stacks[0].params.shapes for s in stacks):
+            raise ShapeError("batch needs one or more stacks of one shape")
+        return stacks[0].like(np.stack([s.params.flat for s in stacks]))
 
     def unbatch(self) -> list["WeightStack"]:
         """The 2-D stacks of a batched stack, in sample order."""
-        return [WeightStack(list(ws)) for ws in zip(*self.layers)]
+        return [self.like(row) for row in self.params.flat]
+
+    def __getitem__(self, rows) -> "WeightStack":
+        """The samples ``rows`` (an index array or mask) of a batched stack."""
+        return self.like(self.params.flat[rows])
+
+    @property
+    def layers(self) -> list[np.ndarray]:
+        return self.params.layers
 
     @property
     def depth(self) -> int:
-        return len(self.layers)
+        return self.params.n_layers
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return (self.layers[0].shape[-1],) + tuple(w.shape[-2] for w in self.layers)
+        return (self.params.shapes[0][1],) + tuple(s[0] for s in self.params.shapes)
 
     def dim_chain(self) -> DimChain:
         return DimChain(self.dims)
 
     def copy(self) -> "WeightStack":
-        return WeightStack([w.copy() for w in self.layers])
+        return self.like(self.params.flat.copy())
 
     def norm(self) -> float | np.ndarray:
         """Frobenius norm: a float, or one per sample for a batched stack."""
-        total = np.sqrt(sum(np.add.reduce(w * w, axis=(-2, -1)) for w in self.layers))
+        # a reduce per layer's segment, summed layer by layer: the per-layer roundings
+        sq = self.params.flat * self.params.flat
+        total = np.sqrt(sum(np.add.reduce(sq[..., a:b], axis=-1) for a, b in self.params.bounds))
         return total if total.ndim else float(total)
 
     def __add__(self, other: "WeightStack") -> "WeightStack":
-        return WeightStack([a + b for a, b in zip(self.layers, other.layers)])
+        return self.like(self.params.flat + other.params.flat)
 
     def __sub__(self, other: "WeightStack") -> "WeightStack":
-        return WeightStack([a - b for a, b in zip(self.layers, other.layers)])
+        return self.like(self.params.flat - other.params.flat)
 
     def scale(self, c: float | np.ndarray) -> "WeightStack":
         """Multiply by c: a float, or one factor per sample for a batched stack."""
-        c = np.asarray(c)[..., None, None]
-        return WeightStack([c * w for w in self.layers])
+        return self.like(np.asarray(c)[..., None] * self.params.flat)
 
     @classmethod
     def zeros(cls, dims) -> "WeightStack":
@@ -175,27 +199,17 @@ class WeightStack:
 
     @classmethod
     def gaussian(cls, dims, rng: np.random.Generator) -> "WeightStack":
-        dims = dims.dims if isinstance(dims, DimChain) else tuple(dims)
-        return cls(
-            [rng.standard_normal((dims[l + 1], dims[l])) for l in range(len(dims) - 1)]
-        )
+        """Standard normal entries: the stream of one draw per layer, in order."""
+        stack = cls.zeros(dims)
+        return stack.like(rng.standard_normal(stack.params.flat.shape))
 
 
 def _check_target(stack: WeightStack, target: np.ndarray) -> np.ndarray:
     target = np.asarray(target, dtype=float)
-    d_out, d_in = stack.layers[-1].shape[-2], stack.layers[0].shape[-1]
-    if target.shape != (d_out, d_in):
-        raise ShapeError(
-            f"target has shape {target.shape}, expected ({d_out}, {d_in})"
-        )
+    expected = (stack.dims[-1], stack.dims[0])
+    if target.shape != expected:
+        raise ShapeError(f"target has shape {target.shape}, expected {expected}")
     return target
-
-
-def _check_reg(stack: WeightStack, reg: RegParams) -> None:
-    if reg.depth != stack.depth:
-        raise ShapeError(
-            f"{reg.depth} regularization weights for a {stack.depth}-layer network"
-        )
 
 
 def partial_product(stack: WeightStack, i: int, j: int) -> np.ndarray:
@@ -251,16 +265,11 @@ class FlatParams:
     """
 
     def __init__(self, flat: np.ndarray, shapes, n_layers: int):
-        self.flat = flat
-        self.shapes = shapes
-        self.n_layers = n_layers
-        self.sizes = tuple(math.prod(s) for s in shapes)
-        ends = list(itertools.accumulate(self.sizes))
-        self.bounds = list(zip([0, *ends[:-1]], ends))
+        self.flat, self.shapes, self.n_layers = flat, tuple(shapes), n_layers
+        self.sizes, self.bounds = _layout(self.shapes)
         lead = flat.shape[:-1]
-        views = [flat[..., a:b].reshape(lead + s) for (a, b), s in zip(self.bounds, shapes)]
-        self.layers = views[:n_layers]
-        self.biases = views[n_layers:] or None
+        views = [flat[..., a:b].reshape(lead + s) for (a, b), s in zip(self.bounds, self.shapes)]
+        self.layers, self.biases = views[:n_layers], views[n_layers:] or None
 
     @classmethod
     def pack(cls, layers, biases=None) -> "FlatParams":
@@ -283,6 +292,14 @@ class FlatParams:
                 f"{reg.depth} regularization weights for a {self.n_layers}-layer network"
             )
         return _reg_rows(self.sizes, reg.lambdas * (1 if self.biases is None else 2))
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(shapes: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tuple]:
+    """Segment sizes and (start, end) bounds, computed once per layout."""
+    sizes = tuple(math.prod(s) for s in shapes)
+    ends = list(itertools.accumulate(sizes))
+    return sizes, tuple(zip([0, *ends[:-1]], ends))
 
 
 @functools.lru_cache(maxsize=64)
@@ -378,14 +395,14 @@ def loss_f(stack: WeightStack, target: np.ndarray, reg: RegParams) -> float | np
     call on its sample (as for :func:`value_and_grad` and :func:`grad_f`).
     """
     target = _check_target(stack, target)
-    params = FlatParams.pack(stack.layers)
-    return _forward(params, None, target, params.reg_rows(reg)[1], "identity")[0]
+    return _forward(stack.params, None, target, stack.params.reg_rows(reg)[1], "identity")[0]
 
 
 def grad_f(stack: WeightStack, target: np.ndarray, reg: RegParams) -> WeightStack:
-    """Exact gradient of :func:`loss_f` with respect to every layer."""
+    """Exact gradient of :func:`loss_f` with respect to every layer, over the
+    kernel's own gradient buffer."""
     target = _check_target(stack, target)
-    return WeightStack(value_and_grad(FlatParams.pack(stack.layers), None, target, reg)[1].layers)
+    return WeightStack.over(value_and_grad(stack.params, None, target, reg)[1])
 
 
 def uniform_companion(target: np.ndarray, reg: RegParams) -> tuple[np.ndarray, RegParams]:
@@ -400,20 +417,17 @@ def loss_g(stack: WeightStack, target: np.ndarray, reg: RegParams) -> float | np
 
 
 def grad_g(stack: WeightStack, target: np.ndarray, reg: RegParams) -> WeightStack:
+    """Exact gradient of :func:`loss_g` with respect to every layer."""
     return grad_f(stack, *uniform_companion(target, reg))
 
 
 def rescale_f_to_g(stack: WeightStack, reg: RegParams) -> WeightStack:
     """Map a point of the per-layer problem to the uniform problem: W_l -> sqrt(lambda_l) W_l."""
-    _check_reg(stack, reg)
-    return WeightStack(
-        [math.sqrt(lam) * w for lam, w in zip(reg.lambdas, stack.layers)]
-    )
+    two_lam = stack.params.reg_rows(reg)[0]  # checks the depth; halved exactly
+    return stack.like(stack.params.flat * np.sqrt(0.5 * two_lam))
 
 
 def rescale_g_to_f(stack: WeightStack, reg: RegParams) -> WeightStack:
     """Inverse of :func:`rescale_f_to_g`."""
-    _check_reg(stack, reg)
-    return WeightStack(
-        [w / math.sqrt(lam) for lam, w in zip(reg.lambdas, stack.layers)]
-    )
+    two_lam = stack.params.reg_rows(reg)[0]  # checks the depth; halved exactly
+    return stack.like(stack.params.flat / np.sqrt(0.5 * two_lam))

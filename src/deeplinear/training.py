@@ -2,8 +2,8 @@
 
 Plain full-batch gradient descent with the joint stopping rule
 ``grad_sq <= tol`` and ``|F change| <= tol`` reproduces the convergence
-experiments: linear rates near critical points, escape from two-layer
-saddles, trapping at deeper non-optimal components.  The extended objectives
+experiments: linear rates near critical points, escape from two- and
+three-layer saddles, trapping at depths 4 and 6.  The extended objectives
 add an input matrix, per-layer biases, and elementwise activations; every
 objective is evaluated by the one gradient kernel, :func:`network.value_and_grad`.
 Runs of one shape and step size are stepped together by :func:`train_runs`,
@@ -151,9 +151,8 @@ def _init_state(model, dims: DimChain, cfg: TrainConfig, center):
         if center is None:
             raise ValueError("near-critical initialization needs a center stack")
         stack = center if isinstance(center, WeightStack) else center.stack
-        layers = [
-            w + cfg.init_scale * rng.standard_normal(w.shape) for w in stack.layers
-        ]
+        noise = stack.like(rng.standard_normal(stack.params.flat.shape))
+        layers = (stack + noise.scale(cfg.init_scale)).layers
     elif cfg.init == "uniform-fan-based":
         layers = []
         for l in range(dims.depth):
@@ -195,8 +194,9 @@ def train_runs(
     the runs may differ in seed, init and init_scale but must share the
     fields in ``SHARED_FIELDS`` (else ``ValueError``).  The parameters are
     one ``(R, n)`` :class:`FlatParams` buffer, one row per run, so each step
-    is one kernel call for every live run, writing the gradient in place.  Each run stops on its own when both stopping tolerances hold
-    jointly (or at ``max_iters``) and is then dropped from the batch; its
+    is one kernel call for every live run, writing the gradient in place.
+    Each run stops on its own when both stopping tolerances hold jointly
+    (or at ``max_iters``) and is then dropped from the batch; its
     trajectory, snapshots and wall time are its own, and every iterate is
     bit-identical to the run trained alone.  The update is exactly
     W <- W - lr * grad for every entry, which downstream diagnostics rely on
@@ -224,7 +224,7 @@ def train_runs(
     # Three buffers of one layout: the iterate, the spare one the next
     # iterate is written into (it holds the previous iterate until then),
     # and the gradient the kernel writes in place, so the views are cut once
-    # per batch size, not every step.  Snapshots copy their row.  A run's
+    # per batch size, not every step.  Snapshots copy their row's layers.  A run's
     # final and last finite iterates stay views: when it stops, the live
     # rows move to new buffers, and the old ones are never written again.
     packed = [FlatParams.pack(*_init_state(model, dims, cfg, c)) for cfg, c in zip(cfgs, centers)]
@@ -249,7 +249,7 @@ def train_runs(
             grad_sq=np.asarray(g_hist[run]),
             step_norm_sq=np.asarray(s_hist[run]),
             snapshots=snapshots[run],
-            final=WeightStack(final.layers),
+            final=WeightStack.over(final),
             final_biases=final.biases,
             termination=termination,
             wall_time=time.perf_counter() - t0,
@@ -266,7 +266,7 @@ def train_runs(
                 last = spare if k else params
                 errors[run] = DivergenceError(
                     f"objective became non-finite at iteration {k}",
-                    WeightStack(last.like(last.flat[row]).layers),
+                    WeightStack.over(last.like(last.flat[row])),
                 )
                 continue
             f_run = f_hist[run]
@@ -275,7 +275,7 @@ def train_runs(
                 finish(run, row, "converged")
                 continue
             if k % snap_stride == 0:
-                snapshots[run].append((k, WeightStack(params.like(params.flat[row].copy()).layers)))
+                snapshots[run].append((k, WeightStack.over(params.like(params.flat[row])).copy()))
             f_run.append(f_val)
             g_hist[run].append(gsq)
             keep.append(row)
@@ -427,9 +427,11 @@ def reproduce_section4(
 
     A fixed Gaussian target is fitted from initializations near an optimal
     component and near a non-optimal one (the smallest target singular value
-    dropped).  Two layers escape the saddle; deeper stacks stay trapped.
-    The two runs of a depth share every shape and the step size, so they
-    are trained together by one :func:`train_runs` call.
+    dropped).  Two and three layers escape the saddle (at depth 3,
+    ``init_scale`` 0.01 exceeds a basin of curvature only 2 lambda = 2e-4);
+    the default depths 4 and 6 stay trapped.  The two runs of a depth share
+    every shape and the step size, so they are trained together by one
+    :func:`train_runs` call.
     """
     rng = named_stream(seed, "instance")
     target = rng.standard_normal((d_out, d_in))

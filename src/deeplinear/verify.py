@@ -11,7 +11,6 @@ sufficient-decrease / cost-to-go / safeguard conditions.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
@@ -37,7 +36,6 @@ from .critical import (
 )
 from .network import (
     DimChain,
-    FlatParams,
     RegParams,
     WeightStack,
     grad_g,
@@ -141,42 +139,37 @@ def _grad_and_loss(stack, target_matrix, reg, target):
     """Gradient norm and loss, one kernel call; per sample for a batched stack."""
     if target != "F":
         target_matrix, reg = uniform_companion(target_matrix, reg)
-    value, grad = value_and_grad(FlatParams.pack(stack.layers), None, target_matrix, reg)
-    return WeightStack(grad.layers).norm(), value
+    value, grad = value_and_grad(stack.params, None, target_matrix, reg)
+    return WeightStack.over(grad).norm(), value
 
 
 def _make_sampler(center: CriticalPoint, inst, cfg, direction_index):
     """``draw(rng, count)``: ``count`` unit directions as one batched stack.
 
     Its stream and directions are those of ``count`` one-sample draws; each
-    singular direction is built once.
+    singular direction is built once, and a draw gathers its rows.
     """
-    layout = FlatParams.pack(center.stack.layers)
-    n = layout.flat.shape[-1]
+    n = center.stack.params.flat.shape[-1]
 
     def unit(flat):
-        e = WeightStack(layout.like(flat).layers)
+        e = center.stack.like(flat)
         return e.scale(1.0 / e.norm())
 
     if cfg.mode == "gaussian-all-layers":
         return lambda rng, count: unit(rng.standard_normal((count, n)))
     if cfg.mode == "singular-direction":
         if direction_index is not None:
-            fixed = singular_direction(center, direction_index)
-            return lambda rng, count: WeightStack.batch([fixed] * count)
+            fixed = WeightStack.batch([singular_direction(center, direction_index)])
+            return lambda rng, count: fixed[np.zeros(count, dtype=int)]
         d_min = min(center.stack.dims[0], center.stack.dims[-1])
-        direction = functools.cache(lambda i: singular_direction(center, i))
-        return lambda rng, count: WeightStack.batch(
-            [direction(int(rng.integers(d_min))) for _ in range(count)]
-        )
+        directions = WeightStack.batch([singular_direction(center, i) for i in range(d_min)])
+        return lambda rng, count: directions[[int(rng.integers(d_min)) for _ in range(count)]]
     # tangent-removed: project each Gaussian draw off the component's tangent space
     basis = tangent_basis(center, inst.spectrum)
 
     def draw(rng, count):
         flat = rng.standard_normal((count, n))
-        if basis.shape[0]:
-            flat = np.stack([row - basis.T @ (basis @ row) for row in flat])
-        return unit(flat)
+        return unit(np.stack([row - basis.T @ (basis @ row) for row in flat]))
 
     return draw
 
@@ -222,7 +215,7 @@ def _sweep(center, inst, cfg, target, direction_index):
     draw = _make_sampler(center, inst, cfg, direction_index)
     # One row per sample, radius-major, with the numbers of its own 2-D call.
     radii = np.repeat(cfg.radii, cfg.samples_per_radius)
-    n = sum(w.size for w in center.stack.layers)
+    n = center.stack.params.flat.shape[-1]
     rows = max(cfg.samples_per_radius, critical.BATCH_ENTRIES // n)
     samples = []
     converged = True
@@ -376,11 +369,10 @@ def verify_pl_qg(
     min_gap = min(s.loss - f_center for s in samples)
     # Random draws can miss a low-dimensional descent cone, so probe every
     # singular coordinate of the construction explicitly as well.
-    r_probe = cfg.radii[0]
     d_min = min(center.stack.dims[0], center.stack.dims[-1])
-    directions = [singular_direction(center, i) for i in range(d_min)]
-    probes = [center.stack + e.scale(sgn * r_probe) for e in directions for sgn in (1.0, -1.0)]
-    probe_losses = loss(WeightStack.batch(probes), y, reg)
+    units = WeightStack.batch([singular_direction(center, i) for i in range(d_min)])
+    signed = units.like(np.concatenate([units.params.flat, -units.params.flat]))
+    probe_losses = loss(center.stack + signed.scale(cfg.radii[0]), y, reg)
     min_gap = min(min_gap, float(probe_losses.min()) - f_center)
     is_minimizer = min_gap >= -1e-10
 

@@ -394,6 +394,61 @@ def test_tangent_basis_matches_orbit_finite_differences():
         assert np.linalg.norm(residual) <= 1e-6 * max(1.0, np.linalg.norm(vec))
 
 
+def _skew(n, a, b):
+    s = np.zeros((n, n))
+    s[a, b], s[b, a] = 1.0, -1.0
+    return s
+
+
+def _tangent_rows_packed_one_by_one(point, spectrum):
+    """Each tangent direction as a list of layers, packed on its own, then stacked."""
+    from deeplinear import FlatParams
+
+    layers, rows = point.stack.layers, []
+    for l in range(2, point.depth + 1):
+        n = point.params.inner[l - 2].shape[0]
+        for a, b in itertools.combinations(range(n), 2):
+            d = [np.zeros_like(w) for w in layers]
+            s = _skew(n, a, b)
+            d[l - 2] = point.left[l - 2] @ s @ point.sigma_mats[l - 2] @ point.right[l - 2]
+            d[l - 1] = -point.left[l - 1] @ point.sigma_mats[l - 1] @ s @ point.right[l - 1]
+            rows.append(FlatParams.pack(d).flat)
+    for i, h in enumerate(spectrum.multiplicities):
+        sl = spectrum.block_slice(i)
+        for a, b in itertools.combinations(range(h), 2):
+            d = [np.zeros_like(w) for w in layers]
+            dm_in = np.zeros((layers[0].shape[1],) * 2)
+            dm_in[sl, sl] = point.params.blocks[i] @ _skew(h, a, b)
+            d[0] = point.left[0] @ point.sigma_mats[0] @ dm_in @ spectrum.v.T
+            dm_out = np.zeros((layers[-1].shape[0],) * 2)
+            dm_out[sl, sl] = _skew(h, a, b).T @ point.params.blocks[i].T
+            d[-1] = spectrum.u @ dm_out @ point.sigma_mats[-1] @ point.right[-1]
+            rows.append(FlatParams.pack(d).flat)
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize("depth", [3, 4])
+@pytest.mark.parametrize("center", ["optimal", "saddle"])
+def test_tangent_rows_equal_directions_packed_one_by_one(depth, center, monkeypatch):
+    # A repeated target block (2.0 twice) gives block-factor directions too.
+    inst, dims, reg, target = _simple_instance([2.0, 2.0, 1.4], depth, 0.8, hidden=4)
+    profile = optimal_profile(inst)
+    if center == "saddle":
+        profile = profile_from_choices(inst, [-1, -1, 0])
+    assert not profile.is_zero and inst.spectrum.multiplicities[0] == 2
+    point = construct_critical_point(profile, sample_random_params(inst, seed=depth), inst)
+    assert point.stack.norm() > 0
+    want = _tangent_rows_packed_one_by_one(point, inst.spectrum)
+    seen = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(a.copy()) or svd(a, **kw))
+    basis = critical.tangent_basis(point, inst.spectrum)
+    monkeypatch.undo()
+    assert len(seen) == 1 and np.array_equal(seen[0], want)
+    u, s, vt = np.linalg.svd(want, full_matrices=False)
+    assert basis.shape[0] > 0 and np.array_equal(basis, vt[s > 1e-10 * max(1.0, s[0])])
+
+
 def test_profile_partition_fields():
     inst, dims, reg, target = _simple_instance([2.0, 2.0, 1.2], 2, 1.0)
     profile = optimal_profile(inst)

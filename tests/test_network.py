@@ -7,8 +7,10 @@ from deeplinear import (
     DimChain,
     FlatParams,
     Instance,
+    ModelSpec,
     RegParams,
     ShapeError,
+    TrainConfig,
     WeightStack,
     construct_critical_point,
     grad_f,
@@ -20,8 +22,10 @@ from deeplinear import (
     rescale_f_to_g,
     rescale_g_to_f,
     sample_random_params,
+    train,
     value_and_grad,
 )
+from deeplinear import network
 from conftest import finite_difference_grad, list_kernel, random_instance
 
 
@@ -316,24 +320,80 @@ def test_flat_params_layout(lead, rng):
         p.reg_rows(RegParams((0.5, 0.6)))
 
 
-def test_batched_weight_stack(rng):
+def _same_layers(got, want) -> bool:
+    return len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_batched_weight_stack(rng, monkeypatch):
     dims = DimChain((3, 5, 4, 2))
     stacks = [WeightStack.gaussian(dims, rng) for _ in range(4)]
     batch = WeightStack.batch(stacks)
     assert batch.dims == dims.dims and batch.depth == 3
     assert [w.shape for w in batch.layers] == [(4, 5, 3), (4, 4, 5), (4, 2, 4)]
+    assert _same_layers(batch.layers, [np.stack(ws) for ws in zip(*(s.layers for s in stacks))])
     norms = batch.norm()
     assert isinstance(norms, np.ndarray) and norms.shape == (4,)
     assert isinstance(stacks[0].norm(), float)
     assert norms.tolist() == [s.norm() for s in stacks]
     for a, b in zip(batch.unbatch(), stacks):
-        assert all(np.array_equal(x, y) for x, y in zip(a.layers, b.layers))
+        assert _same_layers(a.layers, b.layers)
+        assert np.shares_memory(a.params.flat, batch.params.flat)  # rows, not copies
+    # One layout: the layers are views of one buffer with no biases, and a
+    # stack made from a list copies the list into a new buffer.
+    layers = [rng.standard_normal((5, 3)), rng.standard_normal((4, 5)), rng.standard_normal((2, 4))]
+    stack = WeightStack(layers)
+    assert stack.params.biases is None and stack.params.flat.shape == (15 + 20 + 8,)
+    assert _same_layers(stack.layers, layers)
+    assert all(np.shares_memory(w, stack.params.flat) for w in stack.layers)
+    assert not any(np.shares_memory(w, v) for w, v in zip(stack.layers, layers))
+    # Every operation is one flat operation, bit-equal to the per-layer formula.
     target, reg = rng.standard_normal((2, 3)), RegParams((0.5, 0.6, 0.7))
+    roots = [math.sqrt(lam) for lam in reg.lambdas]
+    factors = rng.uniform(0.5, 2.0, 4)
+    for a, b, c in [(stack, stacks[1], 0.3), (batch, WeightStack.batch(stacks[::-1]), factors)]:
+        c_layer = np.asarray(c)[..., None, None]
+        assert _same_layers((a + b).layers, [x + y for x, y in zip(a.layers, b.layers)])
+        assert _same_layers((a - b).layers, [x - y for x, y in zip(a.layers, b.layers)])
+        assert _same_layers(a.scale(c).layers, [c_layer * x for x in a.layers])
+        assert _same_layers(a.scale(2.5).layers, [2.5 * x for x in a.layers])
+        copied = a.copy()
+        assert _same_layers(copied.layers, a.layers)
+        assert not np.shares_memory(copied.params.flat, a.params.flat)
+        per_layer = np.sqrt(sum(np.add.reduce(w * w, axis=(-2, -1)) for w in a.layers))
+        assert np.array_equal(a.norm(), per_layer)
+        assert _same_layers(rescale_f_to_g(a, reg).layers, [r * w for r, w in zip(roots, a.layers)])
+        assert _same_layers(rescale_g_to_f(a, reg).layers, [w / r for r, w in zip(roots, a.layers)])
     assert loss_f(batch, target, reg).tolist() == [loss_f(s, target, reg) for s in stacks]
     assert loss_g(batch, target, reg).tolist() == [loss_g(s, target, reg) for s in stacks]
+    # grad_f hands back the kernel's own gradient buffer, not a copy of it.
+    holders = []
+    kernel = network.value_and_grad
+
+    def recording_kernel(*args):
+        value, grad = kernel(*args)
+        holders.append(grad)
+        return value, grad
+
+    monkeypatch.setattr(network, "value_and_grad", recording_kernel)
+    for s in (stack, batch):
+        g = grad_f(s, target, reg)
+        assert g.params is holders[-1] and np.shares_memory(g.layers[0], holders[-1].flat)
+    monkeypatch.undo()
+    # A trained run with biases ends on a stack over its layers only: the
+    # prefix of the run's row, whose biases follow in the same buffer.
+    model = ModelSpec(kind="linear-with-bias")
+    traj = train(model, target, reg, TrainConfig(init="gaussian", max_iters=3), dims)
+    final = traj.final.params
+    assert final.biases is None and final.flat.shape == (15 + 20 + 8,)
+    assert [w.shape for w in traj.final.layers] == [(5, 3), (4, 5), (2, 4)]
+    for b in traj.final_biases:
+        assert b.base is final.flat.base and not np.shares_memory(b, final.flat)
     with pytest.raises(ShapeError):
         WeightStack([np.zeros((4, 5, 3)), np.zeros((4, 4, 6))])  # 6 != 5
     with pytest.raises(ShapeError):
         WeightStack([np.zeros((4, 5, 3)), np.zeros((3, 4, 5))])  # 3 samples, not 4
+    for bad in ([stacks[0], WeightStack.gaussian((3, 4, 5, 2), rng)], []):
+        with pytest.raises(ShapeError):
+            WeightStack.batch(bad)
     with pytest.raises(ShapeError):
         loss_f(batch, np.zeros((3, 2)), reg)

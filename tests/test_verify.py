@@ -386,7 +386,6 @@ def test_batched_gradient_norms_and_losses_equal_2d_calls(target):
 
 def _one_draw(center, inst, mode, direction_index):
     """One unit direction drawn as the sweep drew one sample at a time."""
-    from deeplinear import FlatParams
     from deeplinear.critical import singular_direction, tangent_basis
 
     dims = center.stack.dim_chain()
@@ -399,8 +398,7 @@ def _one_draw(center, inst, mode, direction_index):
     def draw(rng):
         e = WeightStack.gaussian(dims, rng)
         if mode == "tangent-removed":
-            flat = FlatParams.pack(e.layers)
-            e = WeightStack(flat.like(flat.flat - basis.T @ (basis @ flat.flat)).layers)
+            e = e.like(e.params.flat - basis.T @ (basis @ e.params.flat))
         return e.scale(1.0 / e.norm())
 
     return draw
