@@ -222,8 +222,8 @@ def _resolve_center(inst: Instance, center_spec: str, seed: int, target: str):
 
 def cmd_roots(args) -> int:
     lam, y, L = args.lam, args.y, args.L
-    if not (y >= 0 and lam > 0 and L >= 2):
-        raise ConfigError(f"need --y >= 0, --lambda > 0 and --L >= 2; got {y}, {lam}, {L}")
+    if not (0 <= y < math.inf and 0 < lam < math.inf and L >= 2):
+        raise ConfigError(f"need finite --y >= 0 and --lambda > 0, --L >= 2; got {y}, {lam}, {L}")
     roots = solve_scalar_equation(y, lam, L)
     rows = []
     for r, deg, res in zip(roots.roots, roots.degenerate, roots.residuals):

@@ -58,6 +58,7 @@ GRID_CELLS = 4096
 BISECT_TOL = 1e-14
 DEGENERACY_TOL = 1e-7  # |r q'(r)| below this times q's largest term flags a multiple root
 _EPS = float(np.finfo(float).eps)
+_GRID_STEPS = np.arange(GRID_CELLS + 1.0)  # grid point k of the root scan sits at k * cell
 PROJECTION_SWEEPS = 200  # cap on alternating-Procrustes sweeps per projection
 BATCH_ENTRIES = 2**16  # entries per array pass of the lower bound and of a sweep's projections
 
@@ -113,7 +114,9 @@ def solve_scalar_equation(y: float, lam: float, depth: int) -> ScalarRoots:
     can differ from libm ``pow`` by an ulp, so x_min and every point where q
     is within 64 eps of its terms (with its two neighbours) are evaluated
     with the scalar q: the grid's signs and exact zeros, and so the roots,
-    are those of a point-by-point scalar scan.
+    are those of a point-by-point scalar scan.  The scalar work runs on Python
+    floats: numpy scalars' IEEE operations and libm ``pow``, without their
+    call cost.  Inputs whose q overflows on the bracket raise ``SolverError``.
     """
     y = float(y)
     lam = float(lam)
@@ -146,7 +149,16 @@ def solve_scalar_equation(y: float, lam: float, depth: int) -> ScalarRoots:
 
     if y > 0.0:
         bracket = (root_lam * y) ** (1.0 / L)
-        grid = np.linspace(0.0, bracket, GRID_CELLS + 1)
+        # q's terms are largest at the bracket, and the sign test multiplies
+        # two values of q: past this, overflow loses signs (a float ** raises).
+        try:
+            top = size(bracket)
+        except OverflowError:
+            top = math.inf
+        if not 4.0 * top * top < math.inf:
+            raise SolverError(f"q's terms overflow on (0, {bracket}] for (y={y}, lam={lam}, L={L})")
+        grid = _GRID_STEPS * (bracket / GRID_CELLS)  # np.linspace's formula
+        grid[-1] = bracket
         # For L >= 3, q decreases then increases; x_min is its only interior
         # critical point (for L = 2 it is 0 and q only increases).
         x_min = ((L - 2) * root_lam * y / (2 * L - 2)) ** (1.0 / L)
@@ -154,7 +166,7 @@ def solve_scalar_equation(y: float, lam: float, depth: int) -> ScalarRoots:
         if interior:
             q_min = q(x_min)
             k_min = np.searchsorted(grid, x_min, side="right")
-            grid = np.insert(grid, k_min, x_min)
+            grid = np.concatenate((grid[:k_min], [x_min], grid[k_min:]))
         high = grid ** (2 * L - 2)
         low = root_lam * y * grid ** (L - 2)
         qvals = high - low + lam
@@ -169,18 +181,16 @@ def solve_scalar_equation(y: float, lam: float, depth: int) -> ScalarRoots:
         near = ~(np.abs(qvals) > 64 * _EPS * (high + low + lam) + 1e-150)
         near[1:] |= near[:-1].copy()
         near[:-1] |= near[1:].copy()
-        for k in np.flatnonzero(near):
-            qvals[k] = q(grid[k])
+        for k in np.flatnonzero(near).tolist():
+            qvals[k] = q(float(grid[k]))
 
         qa, qb = qvals[:-1], qvals[1:]
         found: list[float] = []
-        for k in np.flatnonzero(((qa == 0.0) & (grid[:-1] > 0.0)) | (qa * qb < 0.0)):
-            if qa[k] == 0.0:
-                found.append(grid[k])
-            else:
-                found.append(_bisect(q, grid[k], grid[k + 1], qa[k], qb[k]))
+        for k in np.flatnonzero(((qa == 0.0) & (grid[:-1] > 0.0)) | (qa * qb < 0.0)).tolist():
+            (lo, hi), (q_lo, q_hi) = grid[k : k + 2].tolist(), qvals[k : k + 2].tolist()
+            found.append(lo if q_lo == 0.0 else _bisect(q, lo, hi, q_lo, q_hi))
         if qvals[-1] == 0.0:
-            found.append(grid[-1])
+            found.append(bracket)
         # A tangential root leaves no sign change and can only sit at x_min.
         # No other grid point is accepted on its residual alone: when
         # sqrt(lam) is below about 1e-12 * y, every point below the small
@@ -216,12 +226,7 @@ def solve_scalar_equation(y: float, lam: float, depth: int) -> ScalarRoots:
             flags.append(abs(r * qp(r)) <= DEGENERACY_TOL * size(r))
             residuals.append(res)
 
-    order = np.argsort(roots)
-    return ScalarRoots(
-        tuple(float(roots[k]) for k in order),
-        tuple(bool(flags[k]) for k in order),
-        tuple(float(residuals[k]) for k in order),
-    )
+    return ScalarRoots(*zip(*sorted(zip(roots, flags, residuals))))
 
 
 @dataclass(frozen=True)
@@ -693,6 +698,8 @@ def tangent_basis(point: CriticalPoint, spectrum: "TargetSpectrum") -> np.ndarra
 
 
 def _polar(c: np.ndarray) -> np.ndarray:
+    if c.shape[-2:] == (1, 1):  # the sign: LAPACK's u @ vt bit for bit, without the SVD
+        return np.copysign(1.0, c)
     if c.shape[-2] == 0:
         return c
     u, _, vt = np.linalg.svd(c)
@@ -845,12 +852,12 @@ def distance_to_component(
 
     def update_blocks():
         # Block i's factor is the polar factor of D1 G1[i] + DL GL[i]^T (all
-        # blocks of one size in one stacked SVD; Schoenemann 1966).
+        # blocks of one size in one stacked SVD, 1x1 blocks by their sign;
+        # Schoenemann 1966).
         g1 = left[0].swapaxes(-1, -2) @ w.layers[0] @ v_y
         gl = u_y.T @ w.layers[L - 1] @ left[-2]
         for rows, cols, d1, dl in groups:
-            u, _, vt = np.linalg.svd(d1 * g1[..., rows, cols] + dl * gl[..., cols, rows])
-            factors = u @ vt
+            factors = _polar(d1 * g1[..., rows, cols] + dl * gl[..., cols, rows])
             m_in[..., rows, cols] = factors
             m_out[..., cols, rows] = factors
         right[0], left[-1] = m_in @ v_y.T, u_y @ m_out

@@ -128,8 +128,9 @@ class Trajectory:
 
     def to_csv(self, stride: int = 1) -> str:
         lines = ["iter,F,grad_sq"]
+        f_values, grad_sq = self.f_values.tolist(), self.grad_sq.tolist()
         for k in range(0, self.n_steps, stride):
-            lines.append(f"{k},{self.f_values[k]!r},{self.grad_sq[k]!r}")
+            lines.append(f"{k},{f_values[k]!r},{grad_sq[k]!r}")
         return "\n".join(lines) + "\n"
 
     def summary(self) -> dict:

@@ -1,7 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from deeplinear import DimChain, FlatParams, RegParams, WeightStack, analyze_target, value_and_grad
+from deeplinear.critical import (
+    _EPS,
+    BISECT_TOL,
+    DEGENERACY_TOL,
+    GRID_CELLS,
+    ScalarRoots,
+    SolverError,
+)
 
 
 def list_kernel(layers, biases, x, target, reg, activation="identity"):
@@ -77,6 +87,110 @@ def scan_roots_oracle(y, lam, depth, cells=1_000_000):
     exact = xs[1:][np.abs(vals[1:]) == 0.0]
     roots.extend(float(x) for x in exact)
     return sorted(set(roots))
+
+
+def _grid_bisect(q, lo, hi, qlo, qhi):
+    if qlo == 0.0:
+        return lo
+    if qhi == 0.0:
+        return hi
+    if qlo * qhi > 0.0:
+        raise SolverError(f"root not bracketed on [{lo}, {hi}]: q={qlo}, {qhi}")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        qmid = q(mid)
+        if qmid == 0.0 or hi - lo < BISECT_TOL * max(1.0, hi):
+            return mid
+        if (qmid < 0.0) == (qlo < 0.0):
+            lo, qlo = mid, qmid
+        else:
+            hi, qhi = mid, qmid
+    raise SolverError(f"bisection did not converge on [{lo}, {hi}] (q values {qlo}, {qhi})")
+
+
+def grid_solver_oracle(y, lam, depth):
+    """The grid root solver as written with numpy throughout.
+
+    ``np.linspace`` grid, ``np.insert`` of the interior minimizer, and
+    bisection, polish, dedup and residual checks on the ``np.float64`` grid
+    scalars.  ``solve_scalar_equation`` does the same IEEE operations on
+    Python floats, so the two must agree bit for bit wherever q's terms stay
+    finite.
+    """
+    y, lam, L = float(y), float(lam), int(depth)
+    root_lam = math.sqrt(lam)
+    scale = lam + root_lam * y
+    res_tol = 1e-12 * scale
+
+    def q(x):
+        return x ** (2 * L - 2) - root_lam * y * x ** (L - 2) + lam
+
+    def qp(x):
+        if L == 2:
+            return 2.0 * x
+        return (2 * L - 2) * x ** (2 * L - 3) - (L - 2) * root_lam * y * x ** (L - 3)
+
+    def size(x):
+        return max(x ** (2 * L - 2), root_lam * y * x ** (L - 2), lam)
+
+    roots, flags, residuals = [0.0], [abs(q(0.0)) <= 1e-12 * size(0.0)], [0.0]
+    if y > 0.0:
+        bracket = (root_lam * y) ** (1.0 / L)
+        grid = np.linspace(0.0, bracket, GRID_CELLS + 1)
+        x_min = ((L - 2) * root_lam * y / (2 * L - 2)) ** (1.0 / L)
+        interior = 0.0 < x_min < bracket
+        if interior:
+            q_min = q(x_min)
+            k_min = np.searchsorted(grid, x_min, side="right")
+            grid = np.insert(grid, k_min, x_min)
+        high = grid ** (2 * L - 2)
+        low = root_lam * y * grid ** (L - 2)
+        qvals = high - low + lam
+        if interior:
+            qvals[k_min] = q_min
+        near = ~(np.abs(qvals) > 64 * _EPS * (high + low + lam) + 1e-150)
+        near[1:] |= near[:-1].copy()
+        near[:-1] |= near[1:].copy()
+        for k in np.flatnonzero(near):
+            qvals[k] = q(grid[k])
+        qa, qb = qvals[:-1], qvals[1:]
+        found = []
+        for k in np.flatnonzero(((qa == 0.0) & (grid[:-1] > 0.0)) | (qa * qb < 0.0)):
+            if qa[k] == 0.0:
+                found.append(grid[k])
+            else:
+                found.append(_grid_bisect(q, grid[k], grid[k + 1], qa[k], qb[k]))
+        if qvals[-1] == 0.0:
+            found.append(grid[-1])
+        if (
+            interior
+            and abs(q_min) <= res_tol
+            and not any(abs(x_min - r) <= 1e-9 * max(1.0, bracket) for r in found)
+        ):
+            found.append(x_min)
+        polished = []
+        for r in sorted(found):
+            d = qp(r)
+            if abs(d) > DEGENERACY_TOL * scale:
+                step = q(r) / d
+                if abs(step) < 1e-6 * max(1.0, bracket):
+                    r = r - step
+            polished.append(r)
+        for r in polished:
+            if any(abs(r - prev) <= 1e-9 * max(1.0, bracket) for prev in roots):
+                continue
+            res = abs(q(r))
+            if res > 10 * max(res_tol, 1e-12 * size(r)):
+                raise SolverError(f"root {r} of (y={y}, lam={lam}, L={L}) has residual {res}")
+            roots.append(r)
+            flags.append(abs(r * qp(r)) <= DEGENERACY_TOL * size(r))
+            residuals.append(res)
+    order = np.argsort(roots)
+    return ScalarRoots(
+        tuple(float(roots[k]) for k in order),
+        tuple(bool(flags[k]) for k in order),
+        tuple(float(residuals[k]) for k in order),
+    )
 
 
 @pytest.fixture

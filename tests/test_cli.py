@@ -145,7 +145,14 @@ def test_counterexample_command(tmp_path, monkeypatch, capsys):
     assert "grad_norm" in out
 
 
-def test_train_command(tmp_path, capsys):
+def test_train_command(tmp_path, monkeypatch, capsys):
+    train, runs = cli.train, []
+
+    def recorded(*args, **kwargs):
+        runs.append(train(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "train", recorded)
     cfg = _base_config(tmp_path)
     cfg["train"] = {
         "learning_rate": 1e-3,
@@ -157,6 +164,11 @@ def test_train_command(tmp_path, capsys):
     assert "train:" in capsys.readouterr().out
     csv_lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
     assert csv_lines[0] == "iter,F,grad_sq"
+    # the file holds plain numbers, the trajectory's own values
+    (traj,) = runs
+    rows = [line.split(",") for line in csv_lines[1:]]
+    assert [float(r[1]) for r in rows] == traj.f_values[: traj.n_steps].tolist()
+    assert [float(r[2]) for r in rows] == traj.grad_sq.tolist()
     summary = json.loads((tmp_path / "out" / "train-summary.json").read_text())
     assert summary["termination"] in ("converged", "max-iters")
 
@@ -272,6 +284,10 @@ def _failing_call(tmp_path, case):
         return ["check-assumptions", _write_config(tmp_path, cfg)]
     return {
         "negative-root-target": ["roots", "--y", "-1", "--lambda", "1", "--L", "2"],
+        "infinite-root-target": ["roots", "--y", "inf", "--lambda", "1", "--L", "6", "--json"],
+        "infinite-root-lambda": ["roots", "--y", "1", "--lambda", "inf", "--L", "6", "--json"],
+        "huge-root-target": ["roots", "--y", "1e150", "--lambda", "1", "--L", "6", "--json"],
+        "overflowing-root-target": ["roots", "--y", "1e200", "--lambda", "1", "--L", "6"],
         "one-layer-roots": ["roots", "--y", "2", "--lambda", "1", "--L", "1"],
         "zero-counterexample-target": ["counterexample", "--kind", "l2", "--y", "0"],
         "one-layer-s4": ["reproduce-s4", "--depths", "1"],
@@ -286,6 +302,10 @@ def _failing_call(tmp_path, case):
         ("grouping-tol-key", 2),
         ("too-many-diagonal-values", 2),
         ("negative-root-target", 2),
+        ("infinite-root-target", 2),
+        ("infinite-root-lambda", 2),
+        ("huge-root-target", 1),
+        ("overflowing-root-target", 1),
         ("one-layer-roots", 2),
         ("zero-counterexample-target", 2),
         ("one-layer-s4", 2),

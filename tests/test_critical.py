@@ -704,3 +704,19 @@ def test_lower_bound_memory_is_linear_in_samples_times_profiles():
         tracemalloc.stop()
     assert lowers.shape == (n_samples, n_profiles)
     assert peak < 3 * n_samples * n_profiles * 8 + 8 * critical.BATCH_ENTRIES
+
+
+def test_sign_is_the_polar_factor_of_a_1x1_block():
+    # The projection takes a 1x1 block's Procrustes factor as its sign;
+    # LAPACK's u @ vt must give the same values, signed zeros included.
+    rng = np.random.default_rng(5)
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300]
+    values = np.concatenate([special, rng.standard_normal(4 * 64 - len(special))])
+    c = values.reshape(4, 64, 1, 1)
+    u, _, vt = np.linalg.svd(c)
+    polar = u @ vt
+    signs = np.copysign(1.0, c)
+    assert np.array_equal(signs, polar)
+    assert np.array_equal(np.signbit(signs), np.signbit(polar))
+    assert np.array_equal(np.signbit(critical._polar(c)), np.signbit(polar))
+    assert np.array_equal(critical._polar(c), polar)

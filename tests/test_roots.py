@@ -16,7 +16,7 @@ from deeplinear import (
 )
 from deeplinear.cli import main
 from deeplinear.critical import DEGENERACY_TOL, GRID_CELLS, ScalarRoots, _bisect
-from conftest import scan_roots_oracle
+from conftest import grid_solver_oracle, scan_roots_oracle
 
 
 def _scalar_scan_reference(y, lam, depth):
@@ -93,15 +93,17 @@ def _scalar_scan_reference(y, lam, depth):
     )
 
 
-def _assert_same_as_scalar_scan(y, lam, depth):
-    def outcome(solve):
-        try:
-            r = solve(y, lam, depth)
-        except SolverError as exc:
-            return str(exc)
-        return r.roots, r.degenerate, r.residuals
+def _outcome(solve, y, lam, depth):
+    try:
+        r = solve(y, lam, depth)
+    except SolverError as exc:
+        return str(exc)
+    return r.roots, r.degenerate, r.residuals
 
-    assert outcome(solve_scalar_equation) == outcome(_scalar_scan_reference), (y, lam, depth)
+
+def _assert_same_as_scalar_scan(y, lam, depth):
+    expected = _outcome(_scalar_scan_reference, y, lam, depth)
+    assert _outcome(solve_scalar_equation, y, lam, depth) == expected, (y, lam, depth)
 
 
 def test_two_layer_closed_form():
@@ -278,6 +280,48 @@ def test_array_grid_pass_matches_scalar_scan_with_roots_on_grid_points():
 )
 def test_array_grid_pass_matches_scalar_scan_generic(y, lam, depth):
     _assert_same_as_scalar_scan(y, lam, depth)
+
+
+def _oracle_cases():
+    """2,140 seeded solver inputs: random triples, and weights at or near the
+    excluded value (where the double roots sit), exactly and at margins."""
+    rng = np.random.default_rng(20261019)
+    margins = (0.0, 1e-6, -1e-6, 1e-9, -1e-9, 1e-12, -1e-12)
+    cases = [
+        (y, excluded_lambda(y, depth) * (1.0 + m), depth)
+        for depth in range(2, 7)
+        for y in (0.3, 1.0, 2.0, 5.0)
+        for m in margins
+    ]
+    for _ in range(1000):
+        depth = int(rng.integers(2, 8))
+        cases.append((10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-8, 2), depth))
+    for _ in range(1000):
+        depth, y = int(rng.integers(2, 7)), 10.0 ** rng.uniform(-2, 2)
+        cases.append((y, excluded_lambda(y, depth) * (1.0 + rng.choice(margins)), depth))
+    return cases
+
+
+def test_solver_matches_numpy_grid_oracle_bit_for_bit():
+    # Python-float bisection, polish and checks, and the precomputed grid,
+    # are the numpy-scalar solver's operations: roots, flags, residuals and
+    # SolverError messages must be equal, not close.
+    cases = _oracle_cases()
+    assert len(cases) >= 2000
+    for y, lam, depth in cases:
+        expected = _outcome(grid_solver_oracle, y, lam, depth)
+        assert _outcome(solve_scalar_equation, y, lam, depth) == expected, (y, lam, depth)
+
+
+@pytest.mark.parametrize(
+    "y, lam, depth",
+    [(1e150, 1.0, 6), (1e200, 1.0, 6), (math.inf, 1.0, 6), (1.0, math.inf, 6), (1e308, 1.0, 2)],
+)
+def test_overflowing_terms_raise_solver_error(y, lam, depth):
+    # Past about 1e154, the product of two grid values of q overflows and the
+    # sign changes (so the roots) are lost; the solver says so.
+    with pytest.raises(SolverError, match="overflow"):
+        solve_scalar_equation(y, lam, depth)
 
 
 @pytest.mark.xfail(

@@ -406,3 +406,8 @@ def test_trajectory_csv_stream(rng):
     lines = traj.to_csv().splitlines()
     assert lines[0] == "iter,F,grad_sq"
     assert len(lines) == 1 + traj.n_steps
+    # every field is a plain number, the trajectory's own value
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(r[0]) for r in rows] == list(range(traj.n_steps))
+    assert [float(r[1]) for r in rows] == traj.f_values[: traj.n_steps].tolist()
+    assert [float(r[2]) for r in rows] == traj.grad_sq.tolist()
