@@ -277,8 +277,9 @@ def distinct_value_starts(sigmas: np.ndarray) -> np.ndarray:
 
     ``sigmas`` is (P, d), each row sorted nonincreasing.  Entry k of a row is
     True when sigma[k] > 0 and, for k > 0, sigma[k-1] - sigma[k] exceeds
-    1e-12 * max(1, sigma[0]).  Chosen roots of distinct equations never
-    coincide, so exact grouping with this tiny tolerance works.
+    1e-12 * max(1, sigma[0]).  Only the same root of the equations of
+    nearly equal target values (inside one block) can come this close, so
+    grouping with this tiny tolerance is exact.
     """
     starts = sigmas > 0.0
     tol = 1e-12 * np.maximum(1.0, sigmas[:, :1])
@@ -374,38 +375,18 @@ class ProfileEnumeration:
     sigmas: np.ndarray  # (P, d_min): row p is profiles[p].sigma
 
 
-ENUM_CHUNK_ROWS = 4096  # least number of product combinations per array pass
-
-
-def _dedup_keys(sigmas: np.ndarray) -> np.ndarray:
-    """Integer keys n of sorted rows, n / 1e12 == round(v / max(1, sigma_max), 12).
-
-    Python's round rounds the exact v' * 10^12 (v' <= 1 the scaled value) half
-    to even to n and returns the double nearest n * 10^-12, that is n / 1e12.
-    t = v' * 1e12 is within 2^-14 of the exact product, so rint(t) is n unless
-    t lies within 1e-3 of a half; there n is read back from Python's round
-    (its result times 1e12 is within 2^-13 of n).
-    """
-    x = sigmas / np.maximum(1.0, sigmas[:, :1])
-    t = x * 1e12
-    n = np.rint(t)
-    for i, j in zip(*np.nonzero(np.abs(t - n) > 0.5 - 1e-3)):
-        n[i, j] = round(round(float(x[i, j]), 12) * 1e12)
-    return n.astype(np.int64)
-
-
 def enumerate_sigma_profiles(inst: "Instance", cap: int = 1024) -> ProfileEnumeration:
-    """All distinct sigma profiles (up to ``cap``), zero profile included.
+    """One sigma profile per component (up to ``cap``), zero profile included.
 
-    The Cartesian product over per-index root choices is walked largest-root
-    first, in ``itertools.product`` order, so truncation keeps the low-loss
-    profiles.  Each chunk of the walk is one array pass: gather and sort the
-    roots, and keep the first occurrence of each key
-    ``round(v / max(1, sigma_max), 12)`` of the sorted vector (equal sorted
-    vectors label the same component).  ``truncated`` is set when more than
-    ``cap`` keys exist.  The zero profile is appended if absent, and profiles
-    are ordered by lexicographically decreasing sorted vector; ``profiles``
-    makes each ``SigmaProfile`` when it is first indexed.
+    Choices that only permute the roots of indices inside one ``spectrum``
+    block whose equations have equally many roots give the same component,
+    so each such run of indices takes one nonincreasing tuple of root
+    indices.  The runs are walked largest root first, in ``itertools.product``
+    order, so truncation keeps the low-loss profiles.  ``truncated`` is set
+    when more than ``cap`` profiles exist, and the zero profile (last in the
+    walk) is then appended.  Profiles are ordered by lexicographically
+    decreasing sorted vector; ``profiles`` makes each ``SigmaProfile`` when it
+    is first indexed.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -422,45 +403,20 @@ def enumerate_sigma_profiles(inst: "Instance", cap: int = 1024) -> ProfileEnumer
         flags[i, : counts[i]] = r.degenerate
     cols = np.arange(rank)
 
-    def gather(choice):  # per-index roots and sorted zero-padded vectors
-        sigma_eq = roots[cols, choice]
-        sigmas = np.zeros((len(choice), d_min))
-        sigmas[:, :rank] = np.sort(sigma_eq, axis=1)[:, ::-1]
-        return sigma_eq, sigmas
-
-    # Chunks of the product: one choice for the leading indices times every
-    # choice for the trailing ones (at least ENUM_CHUNK_ROWS combinations),
-    # largest first, the last index fastest.
-    split, rows = rank, 1
-    while split > 0 and rows < ENUM_CHUNK_ROWS:
-        split -= 1
-        rows *= counts[split]
-    tail = np.indices(counts[split:]).reshape(rank - split, rows).T
-    tail = np.array(counts[split:], dtype=np.intp) - 1 - tail
-    kept_keys = np.zeros((0, d_min), dtype=np.int64)
-    kept = []
-    truncated = False
-    for head in itertools.product(*(range(n - 1, -1, -1) for n in counts[:split])):
-        choice = np.empty((rows, rank), dtype=np.intp)
-        choice[:, :split] = head
-        choice[:, split:] = tail
-        keys = _dedup_keys(gather(choice)[1])
-        # first occurrence of each key not kept from an earlier chunk
-        _, first = np.unique(np.vstack([kept_keys, keys]), axis=0, return_index=True)
-        first = np.sort(first[first >= len(kept_keys)]) - len(kept_keys)
-        room = cap - len(kept_keys)
-        if len(first) > room:
-            truncated = True
-            first = first[:room]
-        kept_keys = np.vstack([kept_keys, keys[first]])
-        kept.append(choice[first])
-        if truncated:
-            break
-
-    choice = np.concatenate(kept)
-    if kept_keys.any(axis=1).all():  # no kept key is the zero vector
-        choice = np.vstack([choice, np.zeros(rank, dtype=np.intp)])
-    sigma_eq, sigmas = gather(choice)
+    spectrum = inst.spectrum
+    runs = [
+        itertools.combinations_with_replacement(range(n - 1, -1, -1), len(list(run)))
+        for b in range(spectrum.p_distinct)
+        for n, run in itertools.groupby(counts[spectrum.block_slice(b)])
+    ]
+    walk = itertools.islice(itertools.product(*runs), cap + 1)
+    choice = np.array([sum(combo, ()) for combo in walk], dtype=np.intp)
+    truncated = len(choice) > cap
+    if truncated:
+        choice[cap] = 0
+    sigma_eq = roots[cols, choice]
+    sigmas = np.zeros((len(choice), d_min))
+    sigmas[:, :rank] = np.sort(sigma_eq, axis=1)[:, ::-1]
     degenerate = flags[cols, choice].any(axis=1)
 
     # Deterministic order: lexicographically decreasing sorted vectors.

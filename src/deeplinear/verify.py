@@ -135,6 +135,12 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
+def _degeneracy_tags(slope: float) -> list[str]:
+    """Tags for a log-log slope within 0.05 of a cubic (3) or quadratic (2) degeneracy."""
+    orders = ((3.0, "cubic-degeneracy"), (2.0, "quadratic-degeneracy"))
+    return [tag for order, tag in orders if abs(slope - order) <= 0.05]
+
+
 def _grad_and_loss(stack, target_matrix, reg, target):
     """Gradient norm and loss, one kernel call; per sample for a batched stack."""
     if target != "F":
@@ -312,11 +318,7 @@ def verify_error_bound(
             tags.append("kappa1-exceeded")
 
     if not assumptions.assumption2:
-        tags.append("assumption2-violated")
-        if not math.isnan(slope) and abs(slope - 3.0) <= 0.05:
-            tags.append("cubic-degeneracy")
-        if not math.isnan(slope) and abs(slope - 2.0) <= 0.05:
-            tags.append("quadratic-degeneracy")
+        tags += ["assumption2-violated", *_degeneracy_tags(slope)]
     verdict = finish(verdict, tags)
 
     constants = {}
@@ -625,11 +627,7 @@ def fit_counterexample_scaling(
     ys = [s.grad_norm for s in samples]
     slope, r2 = fit_line(np.log(xs), np.log(ys)) if len(xs) >= 2 else (math.nan, math.nan)
     ok = abs(slope - family.expected_slope) <= 0.05
-    tags = ["fail-by-design"]
-    if abs(slope - 3.0) <= 0.05:
-        tags.append("cubic-degeneracy")
-    if abs(slope - 2.0) <= 0.05:
-        tags.append("quadratic-degeneracy")
+    tags = ["fail-by-design", *_degeneracy_tags(slope)]
     return VerificationReport(
         kind=f"counterexample:{kind}",
         verdict="PASS" if ok else "FAIL",

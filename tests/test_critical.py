@@ -12,10 +12,12 @@ from deeplinear import (
     RegParams,
     WeightStack,
     build_root_value_set,
+    check_assumptions,
     construct_critical_point,
     distance_to_component,
     distance_to_critical_set,
     enumerate_sigma_profiles,
+    excluded_lambda,
     grad_f,
     grad_g,
     mirsky_lower_bound,
@@ -70,24 +72,37 @@ def test_enumeration_cap_sets_flag(rng):
     assert any(p.is_zero for p in enum.profiles)
 
 
+def _component_key(inst, combo):
+    """The component of a product combination: per block of the target, the
+    multiset of (root count, chosen root index) of its indices.  Permuting
+    choices between indices whose equations have equally many roots keeps
+    the component."""
+    counts = [len(r.roots) for r in inst.roots]
+    spectrum = inst.spectrum
+    return tuple(
+        tuple(sorted(zip(counts[spectrum.block_slice(b)], combo[spectrum.block_slice(b)])))
+        for b in range(spectrum.p_distinct)
+    )
+
+
 def _scalar_enumeration(inst, cap=1024):
-    """Reference enumeration, one product combination at a time: a sorted
-    vector and its Python-rounded key per combination, first occurrences
-    kept up to ``cap``, the zero profile appended, then sorted."""
+    """Reference enumeration, one product combination at a time: the first
+    combination of each component (``_component_key``) kept up to ``cap``,
+    the zero profile appended, then sorted by decreasing sorted vector."""
     per_index, d_min = inst.roots, inst.dims.d_min
     kept, seen, truncated = [], set(), False
     for combo in itertools.product(*[range(len(r.roots) - 1, -1, -1) for r in per_index]):
-        sigma_eq = [r.roots[c] for r, c in zip(per_index, combo)]
-        sigma = sorted(sigma_eq, reverse=True) + [0.0] * (d_min - len(sigma_eq))
-        key = tuple(round(v / max(1.0, sigma[0]), 12) for v in sigma)
+        key = _component_key(inst, combo)
         if key in seen:
             continue
         if len(kept) >= cap:
             truncated = True
             break
         seen.add(key)
+        sigma_eq = [r.roots[c] for r, c in zip(per_index, combo)]
+        sigma = sorted(sigma_eq, reverse=True) + [0.0] * (d_min - len(sigma_eq))
         kept.append((tuple(sigma), tuple(sigma_eq), combo))
-    if (0.0,) * d_min not in seen:
+    if _component_key(inst, (0,) * len(per_index)) not in seen:
         kept.append(((0.0,) * d_min, (0.0,) * len(per_index), (0,) * len(per_index)))
     kept.sort(key=lambda k: tuple(-v for v in k[0]))
     return kept, truncated
@@ -129,27 +144,24 @@ def test_distinct_values_share_only_the_zero_root():
     assert [p.choice for p in enum.profiles if p.is_zero] == [(0, 0)]
 
 
-@pytest.mark.parametrize("cap", [1, 2, 5, 12])
+@pytest.mark.parametrize("cap", [1, 2, 5, 7, 12, 1024])
 def test_cap_keeps_first_distinct_profiles_and_the_zero_profile(cap):
-    inst, *_ = _simple_instance([3.0, 2.5, 2.0, 2.0], 3, 0.3)
-    enum = _assert_matches_scalar_walk(inst, cap=cap)
-    assert enum.truncated
-    assert len(enum.profiles) == cap + 1
-    assert enum.profiles[-1].is_zero
-    # the largest-root-first walk keeps the all-largest profile first
-    assert enum.profiles[0].choice == optimal_profile(inst).choice
-
-
-@pytest.mark.parametrize("cap", [1, 7, 1024])
-def test_chunked_walk_matches_scalar_walk(cap, monkeypatch):
-    # Chunks of 4 combinations: keys repeat across chunks and truncation
-    # falls inside one.
-    monkeypatch.setattr(critical, "ENUM_CHUNK_ROWS", 4)
-    cases = (([2.0, 2.0, 2.0, 1.2], 3, 0.1), ([2.4, 1.7, 1.2], 4, 0.03), ([2.0, 2.0, 1.0], 2, 0.1))
+    cases = (
+        ([3.0, 2.5, 2.0, 2.0], 3, 0.3),
+        ([2.0, 2.0, 2.0, 1.2], 3, 0.1),
+        ([2.4, 1.7, 1.2], 4, 0.03),
+        ([2.0, 2.0, 1.0], 2, 0.1),
+    )
     for values, depth, lam in cases:
         inst, *_ = _simple_instance(values, depth, lam)
         assert all(len(r.roots) == (2 if depth == 2 else 3) for r in inst.roots)
-        _assert_matches_scalar_walk(inst, cap=cap)
+        components = len(_scalar_enumeration(inst)[0])
+        enum = _assert_matches_scalar_walk(inst, cap=cap)
+        assert enum.truncated == (components > cap)
+        assert len(enum.profiles) == min(cap + 1, components)
+        assert enum.profiles[-1].is_zero
+        # the largest-root-first walk keeps the all-largest profile first
+        assert enum.profiles[0].choice == optimal_profile(inst).choice
 
 
 def test_random_instances_match_scalar_walk(rng):
@@ -158,21 +170,71 @@ def test_random_instances_match_scalar_walk(rng):
         _assert_matches_scalar_walk(Instance(dims, reg, target))
 
 
-def test_dedup_keys_equal_python_round():
-    # Scaled values at and one ulp around the halves between 12-digit decimals.
-    halves = (np.arange(1, 2001) * 7919 % 10**12 + 0.5) * 1e-12
-    x = np.concatenate([
-        halves, np.nextafter(halves, 0.0), np.nextafter(halves, 1.0),
-        np.random.default_rng(3).uniform(0.0, 1.0, 2000), [0.0, 1.0, 5e-324],
-    ])
-    rows = np.sort(x.reshape(-1, 1), axis=0)[::-1]
-    keys = critical._dedup_keys(rows) / 1e12
-    expected = [round(v, 12) for v in rows[:, 0].tolist()]
-    assert keys[:, 0].tolist() == expected
-    # rows scaled by their largest value above one
-    rows = np.array([[3.0, 1.5 + 1.5e-12, 1e-13], [3.0, 3.0 * (0.5 + 0.5e-12), 0.0]])
-    expected = [[round(v / 3.0, 12) for v in row] for row in rows.tolist()]
-    assert (critical._dedup_keys(rows) / 1e12).tolist() == expected
+def test_scale_alone_does_not_merge_components():
+    # (sqrt 2, 0) and (1, 0) are the same vector up to scale; both are
+    # components of their own, and a member of the second is on the set.
+    inst, dims, reg, target = _simple_instance([3.0, 2.0], 2, 1.0)
+    enum = enumerate_sigma_profiles(inst)
+    assert [p.sigma for p in enum.profiles] == [
+        (math.sqrt(2.0), 1.0), (math.sqrt(2.0), 0.0), (1.0, 0.0), (0.0, 0.0)
+    ]
+    point = construct_critical_point(
+        profile_from_choices(inst, [0, 1]), sample_random_params(inst, seed=0), inst
+    )
+    assert distance_to_critical_set(point.stack, inst).distance <= 1e-12
+
+
+def _haar_block_instance(rng):
+    """Random instance at depth 2-6 with rectangular ends, a Haar-framed
+    target with repeated singular values, and weights whose roots reach
+    above 1."""
+    depth = int(rng.integers(2, 7))
+    d0, dl = (int(d) for d in rng.integers(2, 6, size=2))
+    d_min = min(d0, dl)
+    hidden = tuple(int(h) for h in rng.integers(d_min, 6, size=depth - 1))
+    y = np.sort(np.repeat(rng.uniform(0.5, 4.0, d_min), rng.integers(1, 4, d_min)))[::-1]
+    y = y[:d_min] * (rng.uniform(size=d_min) < 0.9)
+    sigma = np.zeros((dl, d0))
+    sigma[np.arange(d_min), np.arange(d_min)] = y
+    target = critical.haar_orthogonal(rng, dl) @ sigma @ critical.haar_orthogonal(rng, d0).T
+    reg = RegParams(tuple(float(x) for x in rng.uniform(0.2, 1.5, depth)))
+    return Instance(DimChain((d0, *hidden, dl)), reg, target)
+
+
+def test_every_combination_has_its_component_listed_once():
+    rng = np.random.default_rng(15)
+    for _ in range(60):
+        inst = _haar_block_instance(rng)
+        enum = enumerate_sigma_profiles(inst)
+        assert not enum.truncated
+        listed = np.array([p.sigma for p in enum.profiles])
+        for combo in itertools.product(*[range(len(r.roots)) for r in inst.roots]):
+            sigma_eq = [r.roots[c] for r, c in zip(inst.roots, combo)]
+            sigma = np.zeros(inst.dims.d_min)
+            sigma[: len(sigma_eq)] = sorted(sigma_eq, reverse=True)
+            close = np.abs(listed - sigma) <= 1e-12 * sigma
+            assert close.all(axis=1).any(), (inst.spectrum.y, sigma)
+        spectrum = inst.spectrum
+        blocks = {
+            tuple(tuple(sorted(p.choice[spectrum.block_slice(b)])) for b in range(spectrum.p_distinct))
+            for p in enum.profiles
+        }
+        assert len(blocks) == len(enum.profiles)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_block_with_unequal_root_counts_lists_every_component(scale):
+    # y_1 and y_2 share a block, but only y_1 lies above the fold, so its
+    # equation has two positive roots and y_2's none: three components.  At
+    # scale 2 both positive roots lie above 1.
+    y = [scale * 2.0, scale * 2.0 * (1 - 5e-9), scale * 1.0]
+    lam = excluded_lambda(scale * 2.0 * (1 - 2.5e-9), 3)
+    inst, *_ = _simple_instance(y, 3, lam)
+    assert inst.spectrum.multiplicities == (2, 1)
+    assert [len(r.roots) for r in inst.roots] == [3, 1, 1]
+    assert check_assumptions(inst).assumption2
+    enum = _assert_matches_scalar_walk(inst)
+    assert [p.choice for p in enum.profiles] == [(2, 0, 0), (1, 0, 0), (0, 0, 0)]
 
 
 def test_profile_list_has_list_semantics():
