@@ -144,14 +144,7 @@ def test_distinct_values_share_only_the_zero_root():
     assert [p.choice for p in enum.profiles if p.is_zero] == [(0, 0)]
 
 
-@pytest.mark.parametrize("cap", [1, 2, 5, 7, 12, 1024])
-def test_cap_keeps_first_distinct_profiles_and_the_zero_profile(cap):
-    cases = (
-        ([3.0, 2.5, 2.0, 2.0], 3, 0.3),
-        ([2.0, 2.0, 2.0, 1.2], 3, 0.1),
-        ([2.4, 1.7, 1.2], 4, 0.03),
-        ([2.0, 2.0, 1.0], 2, 0.1),
-    )
+def _assert_cap_walk(cases, cap):
     for values, depth, lam in cases:
         inst, *_ = _simple_instance(values, depth, lam)
         assert all(len(r.roots) == (2 if depth == 2 else 3) for r in inst.roots)
@@ -162,6 +155,19 @@ def test_cap_keeps_first_distinct_profiles_and_the_zero_profile(cap):
         assert enum.profiles[-1].is_zero
         # the largest-root-first walk keeps the all-largest profile first
         assert enum.profiles[0].choice == optimal_profile(inst).choice
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5, 12, 1024])
+def test_cap_keeps_first_distinct_profiles_and_the_zero_profile(cap):
+    _assert_cap_walk((([3.0, 2.5, 2.0, 2.0], 3, 0.3),), cap)
+
+
+@pytest.mark.parametrize("cap", [1, 7, 1024])
+def test_chunked_walk_matches_scalar_walk(cap):
+    # Components repeat across the product walk, and truncation falls inside
+    # it at caps 1 and 7.
+    cases = (([2.0, 2.0, 2.0, 1.2], 3, 0.1), ([2.4, 1.7, 1.2], 4, 0.03), ([2.0, 2.0, 1.0], 2, 0.1))
+    _assert_cap_walk(cases, cap)
 
 
 def test_random_instances_match_scalar_walk(rng):
