@@ -317,12 +317,10 @@ def cmd_counterexample(args) -> int:
     kind = {"l2": "l2-lambda-eq-y2", "lge3": "lge3-phi-prime-zero"}[args.kind]
     if not (args.y > 0 and args.t > 0):
         raise ConfigError(f"need --y > 0 and --t > 0; got {args.y}, {args.t}")
-    out = Path(os.environ.get(OUTPUT_DIR_ENV, "deeplinear-out"))
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir({})
     if args.fit:
         report = fit_counterexample_scaling(kind, y=args.y)
-        code = _finish_report(report, out, f"counterexample-{args.kind}")
-        return code
+        return _finish_report(report, out, f"counterexample-{args.kind}")
     from .verify import counterexample_family
 
     family = counterexample_family(kind, y=args.y)

@@ -243,7 +243,6 @@ class SigmaProfile:
     sigma_eq: tuple[float, ...]       # per-index chosen roots, length rank(Y)
     choice: tuple[int, ...]           # index into each equation's root list
     degenerate: bool                  # any chosen root is a multiple root
-    t_bounds: tuple[int, ...] = field(default=())
     multiplicities: tuple[int, ...] = field(default=())
 
     @property
@@ -291,15 +290,13 @@ def _make_profile(sigma_eq, choice, d_min, degenerate) -> SigmaProfile:
     sigma = sorted((float(v) for v in sigma_eq), reverse=True)
     sigma += [0.0] * (d_min - len(sigma))
     r_sigma = sum(1 for v in sigma if v > 0.0)
-    starts = np.flatnonzero(distinct_value_starts(np.array([sigma]))[0]).tolist()
-    t_bounds = (*starts, r_sigma) if r_sigma > 0 else (0,)
-    mults = tuple(t_bounds[i + 1] - t_bounds[i] for i in range(len(t_bounds) - 1))
+    bounds = np.flatnonzero(distinct_value_starts(np.array([sigma]))[0]).tolist() + [r_sigma]
+    mults = tuple(b - a for a, b in zip(bounds, bounds[1:]))
     return SigmaProfile(
         sigma=tuple(sigma),
         sigma_eq=tuple(float(v) for v in sigma_eq),
         choice=tuple(int(c) for c in choice),
         degenerate=bool(degenerate),
-        t_bounds=t_bounds,
         multiplicities=mults,
     )
 
@@ -590,63 +587,62 @@ def construct_critical_point(
     )
 
 
-def singular_direction(point: CriticalPoint, index: int) -> WeightStack:
+def singular_direction(point: CriticalPoint, index) -> WeightStack:
     """Unit perturbation that shifts the ``index``-th stationary value in every layer.
 
     Moving along this direction keeps the construction frames fixed and
     changes only one diagonal entry of every layer's singular matrix; it is
-    the one-parameter family used to probe degenerate instances.
+    the one-parameter family used to probe degenerate instances.  A sequence
+    of indices gives their directions, in order, as one batched stack.
     """
-    units = [np.zeros(s.shape) for s in point.sigma_mats]
+    index = np.asarray(index)
+    units = [np.zeros(index.shape + s.shape) for s in point.sigma_mats]
     for e in units:
-        e[index, index] = 1.0
+        e.reshape(-1, *e.shape[-2:])[np.arange(index.size), index.ravel(), index.ravel()] = 1.0
     d = assemble(point.left, units, point.right)
     return d.scale(1.0 / d.norm())
+
+
+def _skew_generators(n: int, ranges: list[slice]) -> np.ndarray:
+    """E_ab - E_ba (n x n) for every pair a < b inside one of the index ranges."""
+    same = np.zeros((n, n), dtype=bool)
+    for r in ranges:
+        same[r, r] = True
+    a, b = np.nonzero(np.triu(same, 1))
+    s = np.zeros((len(a), n, n))
+    k = np.arange(len(a))
+    s[k, a, b], s[k, b, a] = 1.0, -1.0
+    return s
 
 
 def tangent_basis(point: CriticalPoint, spectrum: "TargetSpectrum") -> np.ndarray:
     """Orthonormal basis (rows) of the component's tangent space at the point.
 
-    Directions come from perturbing each free orthogonal factor along its
-    skew-symmetric tangent; the zero profile has an empty tangent space.
+    Every free factor is a seam (a, b) with a stack of skew generators S:
+    layer a moves by ``left[a] @ S @ sigma[a] @ right[a]`` and layer b by
+    ``-left[b] @ sigma[b] @ S @ right[b]``.  Seam Q_l joins layers l-1 and l
+    with every generator of so(d_{l-1}); the target blocks form one
+    wrap-around seam from the last layer to the first, with the generators
+    of each block's index range (d_L x d_L on its left side, d_0 x d_0 on its
+    right).  The zero profile has an empty tangent space.
     """
-    layers = point.stack.layers
+    dims, L = point.stack.dims, point.depth
+    blocks = [spectrum.block_slice(k) for k in range(spectrum.p_distinct)]
+    inner = [_skew_generators(dims[l], [slice(None)]) for l in range(1, L)]
+    seams = [(l - 1, l, s, s) for l, s in enumerate(inner, 1)]
+    seams.append((L - 1, 0, _skew_generators(dims[L], blocks), _skew_generators(dims[0], blocks)))
     # One row per direction, written through the center's layer views; the
-    # entries of the layers a direction does not touch stay zero.
-    seams = [q.shape[0] for q in point.params.inner]
-    count = sum(math.comb(n, 2) for n in [*seams, *spectrum.multiplicities])
-    rows = np.zeros((count, point.stack.params.flat.shape[-1]))
+    # entries of the layers a seam does not join stay zero.
+    rows = np.zeros((sum(len(s) for *_, s in seams), point.stack.params.flat.shape[-1]))
     d = point.stack.like(rows).layers
+    left, sig, right = point.left, point.sigma_mats, point.right
     i = 0
+    for a, b, s_a, s_b in seams:
+        d[a][i : i + len(s_a)] = left[a] @ s_a @ sig[a] @ right[a]
+        d[b][i : i + len(s_b)] = -left[b] @ sig[b] @ s_b @ right[b]
+        i += len(s_a)
 
-    # Seam factors Q_l touch layers l-1 (left side) and l (right side).
-    for l, n in enumerate(seams, 2):
-        for a, b in itertools.combinations(range(n), 2):
-            s = np.zeros((n, n))
-            s[a, b] = 1.0
-            s[b, a] = -1.0
-            # layer l-1 (0-based l-2): left factor is Q_l
-            d[l - 2][i] = point.left[l - 2] @ s @ point.sigma_mats[l - 2] @ point.right[l - 2]
-            # layer l (0-based l-1): right factor is Q_l^T
-            d[l - 1][i] = -point.left[l - 1] @ point.sigma_mats[l - 1] @ s @ point.right[l - 1]
-            i += 1
-
-    # Shared block factors touch the first and last layer only.
-    for k, h in enumerate(spectrum.multiplicities):
-        sl = spectrum.block_slice(k)
-        for a, b in itertools.combinations(range(h), 2):
-            s_small = np.zeros((h, h))
-            s_small[a, b] = 1.0
-            s_small[b, a] = -1.0
-            dm_in = np.zeros((layers[0].shape[1], layers[0].shape[1]))
-            dm_in[sl, sl] = point.params.blocks[k] @ s_small
-            d[0][i] = point.left[0] @ point.sigma_mats[0] @ dm_in @ spectrum.v.T
-            dm_out = np.zeros((layers[-1].shape[0], layers[-1].shape[0]))
-            dm_out[sl, sl] = s_small.T @ point.params.blocks[k].T
-            d[-1][i] = spectrum.u @ dm_out @ point.sigma_mats[-1] @ point.right[-1]
-            i += 1
-
-    if not count:
+    if not len(rows):
         return rows
     u, s, vt = np.linalg.svd(rows, full_matrices=False)
     keep = s > 1e-10 * max(1.0, s[0])

@@ -48,7 +48,6 @@ class TargetSpectrum:
     s_bounds: tuple[int, ...]
     multiplicities: tuple[int, ...]
     delta_y: float
-    grouping_tol: float
 
     @property
     def d_out(self) -> int:
@@ -131,7 +130,6 @@ def analyze_target(target: np.ndarray, grouping_tol: float = 1e-8) -> TargetSpec
         s_bounds=s_bounds,
         multiplicities=mults,
         delta_y=delta_y,
-        grouping_tol=float(grouping_tol),
     )
 
 
@@ -150,30 +148,22 @@ class RootValueSet:
 
 
 def build_root_value_set(inst: "Instance") -> RootValueSet:
-    """Union of the root sets of the scalar equation over all singular values."""
+    """Union of the root sets of the scalar equation over all singular values.
+
+    Each block contributes the positive roots of its value's equation.  At a
+    fixed x > 0, q is strictly monotone in y, so distinct block values share
+    no positive root and no value is merged with another.
+    """
     spectrum = inst.spectrum
     values = [0.0]
     degenerate = False
-    seen = set()
     for i in range(spectrum.p_distinct):
-        y_i = spectrum.block_value(i)
-        if y_i in seen:
-            continue
-        seen.add(y_i)
         roots = inst.roots[spectrum.s_bounds[i]]
         degenerate = degenerate or any(roots.degenerate)
         values.extend(r for r in roots.roots if r > 0.0)
     values.sort()
-    dedup_tol = 1e-9 * max(1.0, values[-1])
-    out = [values[0]]
-    for v in values[1:]:
-        if v - out[-1] > dedup_tol:
-            out.append(v)
-    if len(out) >= 2:
-        delta_sigma = min(out[k + 1] - out[k] for k in range(len(out) - 1))
-    else:
-        delta_sigma = math.inf
-    return RootValueSet(tuple(out), float(delta_sigma), degenerate)
+    delta_sigma = min((b - a for a, b in zip(values, values[1:])), default=math.inf)
+    return RootValueSet(tuple(values), float(delta_sigma), degenerate)
 
 
 @dataclass(eq=False)

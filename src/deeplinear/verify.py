@@ -165,17 +165,17 @@ def _make_sampler(center: CriticalPoint, inst, cfg, direction_index):
         return lambda rng, count: unit(rng.standard_normal((count, n)))
     if cfg.mode == "singular-direction":
         if direction_index is not None:
-            fixed = WeightStack.batch([singular_direction(center, direction_index)])
+            fixed = singular_direction(center, (direction_index,))
             return lambda rng, count: fixed[np.zeros(count, dtype=int)]
         d_min = min(center.stack.dims[0], center.stack.dims[-1])
-        directions = WeightStack.batch([singular_direction(center, i) for i in range(d_min)])
+        directions = singular_direction(center, range(d_min))
         return lambda rng, count: directions[[int(rng.integers(d_min)) for _ in range(count)]]
     # tangent-removed: project each Gaussian draw off the component's tangent space
     basis = tangent_basis(center, inst.spectrum)
 
     def draw(rng, count):
         flat = rng.standard_normal((count, n))
-        return unit(np.stack([row - basis.T @ (basis @ row) for row in flat]))
+        return unit(flat - (basis.T @ (basis @ flat[..., None]))[..., 0])
 
     return draw
 
@@ -372,7 +372,7 @@ def verify_pl_qg(
     # Random draws can miss a low-dimensional descent cone, so probe every
     # singular coordinate of the construction explicitly as well.
     d_min = min(center.stack.dims[0], center.stack.dims[-1])
-    units = WeightStack.batch([singular_direction(center, i) for i in range(d_min)])
+    units = singular_direction(center, range(d_min))
     signed = units.like(np.concatenate([units.params.flat, -units.params.flat]))
     probe_losses = loss(center.stack + signed.scale(cfg.radii[0]), y, reg)
     min_gap = min(min_gap, float(probe_losses.min()) - f_center)

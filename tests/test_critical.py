@@ -468,19 +468,51 @@ def _skew(n, a, b):
     return s
 
 
-def _tangent_rows_packed_one_by_one(point, spectrum):
-    """Each tangent direction as a list of layers, packed on its own, then stacked."""
+def _seam_layers(point, a, b, s_a, s_b):
+    """One direction of seam (a, b) as a list of layers: layer a moves by
+    left[a] s_a sigma[a] right[a], layer b by -left[b] sigma[b] s_b right[b]."""
+    d = [np.zeros_like(w) for w in point.stack.layers]
+    d[a] = point.left[a] @ s_a @ point.sigma_mats[a] @ point.right[a]
+    d[b] = -point.left[b] @ point.sigma_mats[b] @ s_b @ point.right[b]
+    return d
+
+
+def _inner_seam_rows(point):
+    """The directions of the seam factors Q_2, ..., Q_L, each packed on its own."""
     from deeplinear import FlatParams
 
-    layers, rows = point.stack.layers, []
+    rows = []
     for l in range(2, point.depth + 1):
         n = point.params.inner[l - 2].shape[0]
         for a, b in itertools.combinations(range(n), 2):
-            d = [np.zeros_like(w) for w in layers]
-            s = _skew(n, a, b)
-            d[l - 2] = point.left[l - 2] @ s @ point.sigma_mats[l - 2] @ point.right[l - 2]
-            d[l - 1] = -point.left[l - 1] @ point.sigma_mats[l - 1] @ s @ point.right[l - 1]
+            d = _seam_layers(point, l - 2, l - 1, _skew(n, a, b), _skew(n, a, b))
             rows.append(FlatParams.pack(d).flat)
+    return rows
+
+
+def _tangent_rows_packed_one_by_one(point, spectrum):
+    """Each tangent direction as a list of layers, packed on its own, then stacked:
+    the inner seams, then the target blocks as one wrap-around seam from the
+    last layer to the first."""
+    from deeplinear import FlatParams
+
+    rows = _inner_seam_rows(point)
+    d_in, d_out = point.stack.dims[0], point.stack.dims[-1]
+    for i, h in enumerate(spectrum.multiplicities):
+        start = spectrum.s_bounds[i]
+        for a, b in itertools.combinations(range(start, start + h), 2):
+            d = _seam_layers(point, point.depth - 1, 0, _skew(d_out, a, b), _skew(d_in, a, b))
+            rows.append(FlatParams.pack(d).flat)
+    return np.vstack(rows)
+
+
+def _mixer_tangent_rows(point, spectrum):
+    """The tangent rows as first written: each block direction perturbs the
+    block factor inside the mixers M_in and M_out, and is rebuilt from the
+    target's singular frames."""
+    from deeplinear import FlatParams
+
+    layers, rows = point.stack.layers, _inner_seam_rows(point)
     for i, h in enumerate(spectrum.multiplicities):
         sl = spectrum.block_slice(i)
         for a, b in itertools.combinations(range(h), 2):
@@ -492,7 +524,32 @@ def _tangent_rows_packed_one_by_one(point, spectrum):
             dm_out[sl, sl] = _skew(h, a, b).T @ point.params.blocks[i].T
             d[-1] = spectrum.u @ dm_out @ point.sigma_mats[-1] @ point.right[-1]
             rows.append(FlatParams.pack(d).flat)
-    return np.vstack(rows)
+    return np.vstack(rows) if rows else np.zeros((0, point.stack.params.flat.shape[-1]))
+
+
+def test_seam_basis_spans_the_mixer_directions():
+    # Random instances at depth 2-4 with rectangular ends, repeated target
+    # blocks and rank-deficient targets, at several profiles each: the seam
+    # basis has the rank of the mixer rows and the same projector.
+    rng = np.random.default_rng(16)
+    checked = 0
+    while checked < 40:
+        inst = _haar_block_instance(rng)
+        if inst.depth > 4:
+            continue
+        profiles = inst.profiles.profiles
+        for k in sorted({0, int(rng.integers(len(profiles))), len(profiles) - 1}):
+            point = construct_critical_point(profiles[k], sample_random_params(inst, seed=k), inst)
+            rows = _mixer_tangent_rows(point, inst.spectrum)
+            basis = critical.tangent_basis(point, inst.spectrum)
+            if len(rows):
+                _, s, vt = np.linalg.svd(rows, full_matrices=False)
+                want = vt[s > 1e-10 * max(1.0, s[0])]
+            else:
+                want = rows
+            assert basis.shape == want.shape
+            assert np.linalg.norm(basis.T @ basis - want.T @ want) <= 1e-12
+            checked += 1
 
 
 @pytest.mark.parametrize("depth", [3, 4])
@@ -515,6 +572,23 @@ def test_tangent_rows_equal_directions_packed_one_by_one(depth, center, monkeypa
     assert len(seen) == 1 and np.array_equal(seen[0], want)
     u, s, vt = np.linalg.svd(want, full_matrices=False)
     assert basis.shape[0] > 0 and np.array_equal(basis, vt[s > 1e-10 * max(1.0, s[0])])
+
+
+@pytest.mark.parametrize("dims", [(3, 4, 4, 2), (5, 6, 4), (32, 32, 32, 32)])
+@pytest.mark.parametrize("center", ["optimal", "zero"])
+def test_batched_singular_directions_equal_per_index_calls(dims, center):
+    rng = np.random.default_rng(len(dims))
+    inst = Instance(DimChain(dims), RegParams.uniform(0.1, len(dims) - 1),
+                    rng.standard_normal((dims[-1], dims[0])))
+    profile = optimal_profile(inst) if center == "optimal" else zero_profile(inst)
+    point = construct_critical_point(profile, sample_random_params(inst, seed=3), inst)
+    d_min = inst.dims.d_min
+    batch = critical.singular_direction(point, range(d_min))
+    assert batch.params.flat.shape == (d_min, point.stack.params.flat.size)
+    for k, row in enumerate(batch.params.flat):
+        assert np.array_equal(row, critical.singular_direction(point, k).params.flat)
+    one = critical.singular_direction(point, [1])
+    assert np.array_equal(one.params.flat, batch.params.flat[1:2])
 
 
 def test_profile_partition_fields():

@@ -3,7 +3,8 @@
 `train.json` holds train summaries; `reports.json` holds the check-assumptions,
 constants, verify-eb and verify-plqg reports of one small instance each, a
 verify-eb report on a target with repeated singular-value blocks of sizes 3, 2
-and 1, the `roots --json` output at an excluded and a generic weight, the
+and 1 (also in tangent-removed mode at the optimal center and at profile 1),
+a singular-direction verify-plqg report, the `roots --json` output at an excluded and a generic weight, the
 `counterexample --kind l2 --fit` and `--kind lge3 --y 2 --fit` reports, and
 the `reproduce-s4` tables at depths 2 and 4.  A case without a config runs its
 argv as is; its report is read from stdout when ``report`` is "-".

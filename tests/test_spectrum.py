@@ -109,3 +109,20 @@ def test_root_value_set_residuals(rng):
                 for y in spec.y
             )
             assert best <= tol
+
+
+def test_nearby_target_values_keep_their_distinct_roots():
+    # Two blocks 3e-8 apart: their small roots lie 7.5e-11 apart, well inside
+    # 1e-9 * max(1, sigma_max), and delta_sigma is that gap, not the 1.4e-9
+    # between the large roots that a merge of the small ones would leave.
+    from deeplinear import compute_ledger, optimal_profile
+
+    reg = RegParams.uniform(1e-4 ** (1 / 3), 3)
+    inst = Instance(DimChain((2, 2, 2, 2)), reg, np.diag([2.0, 2.0 * (1 - 1.5e-8)]))
+    assert inst.spectrum.multiplicities == (1, 1) and len(inst.profiles.profiles) == 9
+    positive = sorted(r for roots in inst.roots for r in roots.roots if r > 0.0)
+    rs = build_root_value_set(inst)
+    assert rs.values == (0.0, *positive)
+    gaps = np.diff(rs.values)
+    assert rs.delta_sigma == gaps.min() and 7e-11 < rs.delta_sigma < 8e-11
+    assert compute_ledger(inst, optimal_profile(inst)).delta_sigma == rs.delta_sigma
