@@ -71,12 +71,14 @@ def _require(block: dict, key: str, context: str):
     return block[key]
 
 
-def _seed(block: dict, default, context: str) -> int:
-    """The block's ``seed`` (``default`` when absent): an integer, else a config error."""
-    seed = block.get("seed", default)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"{context} must be an integer, got {seed!r}")
-    return seed
+def _integer(block: dict, key: str, default, context: str, least: int | None = None) -> int:
+    """The block's ``key`` (``default`` when absent): an integer, not a bool, and
+    at least ``least`` when given; else a config error."""
+    value = block.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or (least is not None and value < least):
+        floor = "" if least is None else f" >= {least}"
+        raise ConfigError(f"{context} must be an integer{floor}, got {value!r}")
+    return value
 
 
 def load_config(path: str) -> dict:
@@ -126,7 +128,7 @@ def build_instance(cfg: dict, seed: int) -> Instance:
     _check_keys(tblock, {"kind", "scale", "values", "path", "seed"}, "instance.target")
     kind = _require(tblock, "kind", "instance.target")
     if kind == "gaussian":
-        rng = named_stream(_seed(tblock, seed, "instance.target.seed"), "instance")
+        rng = named_stream(_integer(tblock, "seed", seed, "instance.target.seed"), "instance")
         target = rng.standard_normal((dims.d_out, dims.d_in))
         target *= float(tblock.get("scale", 1.0))
     elif kind == "diagonal":
@@ -190,7 +192,7 @@ def _sweep_config(cfg: dict, seed: int) -> tuple[RadiusSweepConfig, str, str]:
             kwargs["samples_per_radius"] = block["samples_per_radius"]
         if "mode" in block:
             kwargs["mode"] = str(block["mode"])
-        kwargs["seed"] = _seed(block, named_seed(seed, "sweep"), "sweep.seed")
+        kwargs["seed"] = _integer(block, "seed", named_seed(seed, "sweep"), "sweep.seed")
         sweep = RadiusSweepConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -241,7 +243,7 @@ def cmd_roots(args) -> int:
 
 def cmd_check_assumptions(args) -> int:
     cfg = load_config(args.config)
-    seed = _seed(cfg, 0, "seed")
+    seed = _integer(cfg, "seed", 0, "seed")
     inst = build_instance(cfg, seed)
     report = check_assumptions(inst)
     payload = asdict(report)
@@ -253,7 +255,7 @@ def cmd_check_assumptions(args) -> int:
 
 def cmd_constants(args) -> int:
     cfg = load_config(args.config)
-    seed = _seed(cfg, 0, "seed")
+    seed = _integer(cfg, "seed", 0, "seed")
     inst = build_instance(cfg, seed)
     if args.profile is None:
         profile = optimal_profile(inst)
@@ -295,7 +297,7 @@ def _finish_report(report, out: Path, name: str) -> int:
 
 def cmd_verify_eb(args) -> int:
     cfg = load_config(args.config)
-    seed = _seed(cfg, 0, "seed")
+    seed = _integer(cfg, "seed", 0, "seed")
     inst = build_instance(cfg, seed)
     sweep, center_spec, target = _sweep_config(cfg, seed)
     point = _resolve_center(inst, center_spec, seed, target)
@@ -305,7 +307,7 @@ def cmd_verify_eb(args) -> int:
 
 def cmd_verify_plqg(args) -> int:
     cfg = load_config(args.config)
-    seed = _seed(cfg, 0, "seed")
+    seed = _integer(cfg, "seed", 0, "seed")
     inst = build_instance(cfg, seed)
     sweep, center_spec, target = _sweep_config(cfg, seed)
     point = _resolve_center(inst, center_spec, seed, target)
@@ -334,7 +336,7 @@ def cmd_counterexample(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    seed = _seed(cfg, 0, "seed")
+    seed = _integer(cfg, "seed", 0, "seed")
     inst = build_instance(cfg, seed)
 
     mblock = cfg.get("model", {})
@@ -345,8 +347,8 @@ def cmd_train(args) -> int:
         _check_keys(iblock, {"kind", "cols", "seed"}, "model.input")
         ikind = _require(iblock, "kind", "model.input")
         if ikind == "uniform":
-            cols = int(iblock.get("cols", inst.dims.d_in))
-            rng = named_stream(_seed(iblock, seed, "model.input.seed"), "input")
+            cols = _integer(iblock, "cols", inst.dims.d_in, "model.input.cols", least=1)
+            rng = named_stream(_integer(iblock, "seed", seed, "model.input.seed"), "input")
             bound = math.sqrt(6.0 / (inst.dims.d_in + cols))
             input_matrix = rng.uniform(-bound, bound, size=(inst.dims.d_in, cols))
         elif ikind != "identity":
@@ -410,15 +412,15 @@ def cmd_reproduce_s4(args) -> int:
         cfg = load_config(args.config)
     else:
         cfg = {}
-    seed = _seed(cfg, 0, "seed")
-    depths = cfg.get("depths", (2, 4, 6))
-    if args.depths:
+    seed = _integer(cfg, "seed", 0, "seed")
+    depths = cfg.get("depths", [2, 4, 6])
+    if args.depths is not None:
         try:
-            depths = tuple(int(d) for d in args.depths.split(","))
+            depths = [int(d) for d in args.depths.split(",")]
         except ValueError as exc:
             raise ConfigError(f"--depths must be comma-separated integers: {exc}") from exc
-    if not all(isinstance(d, int) and d >= 2 for d in depths):
-        raise ConfigError(f"every depth must be an integer >= 2; got {list(depths)}")
+    if not (isinstance(depths, list) and depths and all(isinstance(d, int) and d >= 2 for d in depths)):
+        raise ConfigError(f"depths must be a non-empty list of integers >= 2; got {depths!r}")
     rows = reproduce_section4(depths=depths, seed=seed)
     out = _output_dir(cfg)
     (out / "section4.csv").write_text(section4_rows_to_csv(rows))

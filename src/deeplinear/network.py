@@ -284,7 +284,8 @@ class FlatParams:
         return FlatParams(flat, self.shapes, self.n_layers)
 
     def reg_rows(self, reg: RegParams) -> tuple[np.ndarray, np.ndarray]:
-        """The per-entry row of 2 lambda_l over ``flat``, and the weights
+        """The per-entry row of 2 lambda_l over ``flat`` (one 0-d array when
+        the weights are equal), and the weights
         (1, lambda_1, ..., lambda_L, lambda_1, ...) of the squared residual and
         segment norms; built once per layout and weights."""
         if reg.depth != self.n_layers:
@@ -304,16 +305,40 @@ def _layout(shapes: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tuple
 
 @functools.lru_cache(maxsize=64)
 def _reg_rows(sizes: tuple[int, ...], lams: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    two_lam = np.repeat(np.multiply(2.0, lams), sizes)
+    if len(set(lams)) == 1:
+        two_lam = np.array(2.0 * lams[0])  # multiplies as a scalar: the same products, faster
+    else:
+        two_lam = np.repeat(np.multiply(2.0, lams), sizes)
     weights = np.array((1.0,) + lams)
     two_lam.flags.writeable = weights.flags.writeable = False  # shared by every caller
     return two_lam, weights
 
 
-def _forward(params: FlatParams, x, target, weights, activation):
+def objective(flat: np.ndarray, resid: np.ndarray, weights: np.ndarray, bounds) -> np.ndarray:
+    """Objective values of flat buffers ``(..., n)`` and their residuals
+    ``(..., d_out, cols)``, over any leading axes, each bit-identical to a
+    call on its own leading index: the squared norms of the residual and of
+    every segment (``bounds``), weighted by ``reg_rows(reg)[1]`` and summed.
+
+    A reduce per segment of the squared buffer sums it as a reduce over the
+    layer does, and one accumulate adds the weighted terms left to right:
+    the roundings of adding them one by one, in fewer calls.
+    """
+    sq = np.empty(resid.shape[:-2] + weights.shape)
+    np.add.reduce(resid * resid, axis=(-2, -1), out=sq[..., 0])
+    flat_sq = flat * flat
+    for i, (a, b) in enumerate(bounds, 1):
+        np.add.reduce(flat_sq[..., a:b], axis=-1, out=sq[..., i])
+    sq *= weights
+    return np.add.accumulate(sq, axis=-1)[..., -1]
+
+
+def _forward(params: FlatParams, x, target, weights, activation, resid=None):
     """Objective value, residual, pre-activations and activations of every layer.
 
     ``weights`` are the weights of the squared norms, ``params.reg_rows(reg)[1]``.
+    Given a ``resid`` buffer, the residual is written into it and the value
+    is not computed (None).
     """
     layers, biases = params.layers, params.biases
     L = len(layers)
@@ -327,19 +352,10 @@ def _forward(params: FlatParams, x, target, weights, activation):
         pre.append(z)
         a = _act(z, activation) if l < L - 1 else z
         acts.append(a)
+    if resid is not None:
+        return None, np.subtract(a, target, out=resid), pre, acts
     resid = a - target
-    # The squared norms of the residual and of every layer and bias (one
-    # reduce per segment of the squared flat buffer, which sums each segment
-    # as a reduce over the layer itself does), weighted and then summed left
-    # to right by one accumulate along the last axis: the same roundings as
-    # adding the terms one by one, in fewer calls.
-    sq = np.empty(resid.shape[:-2] + weights.shape)
-    np.add.reduce(resid * resid, axis=(-2, -1), out=sq[..., 0])
-    flat_sq = params.flat * params.flat
-    for i, (a, b) in enumerate(params.bounds, 1):
-        np.add.reduce(flat_sq[..., a:b], axis=-1, out=sq[..., i])
-    sq *= weights
-    value = np.add.accumulate(sq, axis=-1)[..., -1]
+    value = objective(params.flat, resid, weights, params.bounds)
     return (value if value.ndim else float(value)), resid, pre, acts
 
 
@@ -350,7 +366,8 @@ def value_and_grad(
     reg: RegParams,
     activation: str = "identity",
     grad: FlatParams | None = None,
-) -> tuple[float | np.ndarray, FlatParams]:
+    resid: np.ndarray | None = None,
+) -> tuple[float | np.ndarray | None, FlatParams]:
     """Objective value and exact gradient of the extended loss.
 
     The one gradient kernel: a forward pass, then backpropagation.  ``x is
@@ -365,9 +382,14 @@ def value_and_grad(
     arrays.  The value is then an array of R objectives.  Each run's value
     and gradient are bit-identical to a call on its row, and a call on one
     ``(n,)`` row returns the value as a float.
+
+    Given a ``resid`` buffer (shape ``(..., d_out, cols)``), the kernel
+    writes the residual into it and skips the value, returning None in its
+    place: :func:`objective` of the parameters and that residual is the value,
+    bit for bit.
     """
     two_lam, weights = params.reg_rows(reg)
-    value, resid, pre, acts = _forward(params, x, target, weights, activation)
+    value, resid, pre, acts = _forward(params, x, target, weights, activation, resid)
     if grad is None:
         grad = params.like(np.empty_like(params.flat))
     layers = params.layers

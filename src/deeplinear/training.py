@@ -29,6 +29,7 @@ from .network import (
     ShapeError,
     WeightStack,
     loss_f,
+    objective,
     value_and_grad,
 )
 from .spectrum import Instance
@@ -180,6 +181,48 @@ def _init_state(model, dims: DimChain, cfg: TrainConfig, center):
 # The fields a batch of runs shares: one step size and one stopping rule.
 SHARED_FIELDS = ("learning_rate", "max_iters", "grad_sq_tol", "fval_change_tol", "log_stride")
 
+# The bytes of iterates a descent ring may hold beyond the two that any
+# descent loop holds (the iterate and the next one), and the most steps a
+# ring period holds.
+RING_BYTES = 256 * 1024
+RING_STEPS = 32
+
+
+class _Ring:
+    """The step buffers of a batch of ``rows`` runs of one layout.
+
+    ``iterates`` has C+1 slots of ``(rows, n)``: slot 0 holds the iterate
+    before the period, slot 1 + j the iterate of the period's step j, whose
+    residual the kernel writes into ``resids[j]``.  The gradient (``grad``)
+    and the step, lr times it, are the two halves of one ``(2, rows, n)``
+    buffer.  C is as many iterates as fit in ``RING_BYTES``, 1 to
+    ``RING_STEPS``: a large layout gets a ring of one step, the two iterates
+    of a loop without one.
+    """
+
+    def __init__(self, layout: FlatParams, rows: int, resid_shape: tuple[int, int]):
+        self.rows, n = rows, layout.flat.shape[-1]
+        self.size = min(max(RING_BYTES // (8 * rows * n), 1), RING_STEPS)
+        self.iterates = np.empty((self.size + 1, rows, n))
+        self.slots = [layout.like(flat) for flat in self.iterates]  # views cut once
+        self.resids = np.empty((self.size, rows) + resid_shape)
+        moves = np.empty((2, rows, n))
+        self.grad, self.step = layout.like(moves[0]), moves[1]
+        self._operands = moves[:, :, None, :], moves[:, :, :, None]
+        self._dots = np.empty((2, rows, 1, 1))
+
+    def row_dots(self) -> list[float]:
+        """Every row's grad_sq, then its step_norm_sq, from one stacked matmul.
+
+        Each equals ``float(row @ row)`` bit for bit: both are one dot product
+        per row.  (``einsum`` and a reduce of ``mat * mat`` sum in another order.)
+        """
+        return np.matmul(*self._operands, out=self._dots).ravel().tolist()
+
+    def row(self, slot: int, row: int) -> FlatParams:
+        """A copy of one run's iterate in one slot."""
+        return self.slots[slot].like(self.iterates[slot, row].copy())
+
 
 def train_runs(
     model: ModelSpec,
@@ -194,7 +237,7 @@ def train_runs(
     Run i starts from ``_init_state`` with ``cfgs[i]`` and ``centers[i]``;
     the runs may differ in seed, init and init_scale but must share the
     fields in ``SHARED_FIELDS`` (else ``ValueError``).  The parameters are
-    one ``(R, n)`` :class:`FlatParams` buffer, one row per run, so each step
+    ``(R, n)`` :class:`FlatParams` buffers, one row per run, so each step
     is one kernel call for every live run, writing the gradient in place.
     Each run stops on its own when both stopping tolerances hold jointly
     (or at ``max_iters``) and is then dropped from the batch; its
@@ -222,19 +265,27 @@ def train_runs(
             f"target shape {target.shape} does not match ({dims.dims[-1]}, {n_cols})"
         )
 
-    # Three buffers of one layout: the iterate, the spare one the next
-    # iterate is written into (it holds the previous iterate until then),
-    # and the gradient the kernel writes in place, so the views are cut once
-    # per batch size, not every step.  Snapshots copy their row's layers.  A run's
-    # final and last finite iterates stay views: when it stops, the live
-    # rows move to new buffers, and the old ones are never written again.
+    # The kernel computes only the gradient and the residual; the objective
+    # values wait in a ring (see _Ring).  A step is one kernel call, one
+    # stacked row-dot call for every run's grad_sq and step_norm_sq, and the
+    # update into the next slot.  The values of every pending iterate come
+    # from one objective call, a flush: when the ring is full, at max_iters,
+    # or when a run's grad_sq is at most grad_sq_tol or not finite, where it
+    # may stop (a flush drops it from the batch at once).  The flush replays
+    # the steps in order by the rule of a loop that has each value when it
+    # steps, so a run's trajectory ends where it stops; a run whose value
+    # alone turns non-finite is found at the next flush, its last finite
+    # iterate still in the ring.  Snapshots and final and last finite
+    # iterates are copies of ring rows.
     packed = [FlatParams.pack(*_init_state(model, dims, cfg, c)) for cfg, c in zip(cfgs, centers)]
-    params = packed[0].like(np.stack([p.flat for p in packed]))
-    spare = params.like(np.empty_like(params.flat))
-    grad = params.like(np.empty_like(params.flat))
+    layout = packed[0]
+    weights = layout.reg_rows(reg)[1]
+    resid_shape = (dims.dims[-1], n_cols)
+    ring = _Ring(layout, len(cfgs), resid_shape)
+    np.stack([p.flat for p in packed], out=ring.iterates[1])
     cfg = cfgs[0]
-    lr = cfg.learning_rate
-    live = list(range(len(cfgs)))  # the run held in each row of params
+    lr, grad_tol, f_tol = cfg.learning_rate, cfg.grad_sq_tol, cfg.fval_change_tol
+    live = list(range(len(cfgs)))  # the run held in each row of the ring
     f_hist: list[list[float]] = [[] for _ in cfgs]
     g_hist: list[list[float]] = [[] for _ in cfgs]
     s_hist: list[list[float]] = [[] for _ in cfgs]
@@ -243,8 +294,7 @@ def train_runs(
     out: list[Trajectory | None] = [None] * len(cfgs)
     errors: dict[int, DivergenceError] = {}
 
-    def finish(run, row, termination):
-        final = params.like(params.flat[row])
+    def finish(run, final, termination):
         out[run] = Trajectory(
             f_values=np.asarray(f_hist[run]),
             grad_sq=np.asarray(g_hist[run]),
@@ -257,63 +307,77 @@ def train_runs(
         )
 
     t0 = time.perf_counter()
-    k = 0
+    k = k0 = 0  # the iteration of the step, and of the period's first step
+    pending: list[list[float]] = []  # the row dots of each step of the period
+    stopped = False
     while k < cfg.max_iters:
-        f_vals, _ = value_and_grad(params, x, target, reg, model.activation, grad)
-        keep = []
-        for row, (run, f_val, gsq) in enumerate(zip(live, f_vals.tolist(), _row_sq(grad.flat))):
-            if not math.isfinite(f_val):
-                # the last finite iterate: the previous one, or the start
-                last = spare if k else params
-                errors[run] = DivergenceError(
-                    f"objective became non-finite at iteration {k}",
-                    WeightStack.over(last.like(last.flat[row])),
-                )
-                continue
-            f_run = f_hist[run]
-            if f_run and gsq <= cfg.grad_sq_tol and abs(f_val - f_run[-1]) <= cfg.fval_change_tol:
-                f_run.append(f_val)
-                finish(run, row, "converged")
-                continue
-            if k % snap_stride == 0:
-                snapshots[run].append((k, WeightStack.over(params.like(params.flat[row])).copy()))
-            f_run.append(f_val)
-            g_hist[run].append(gsq)
-            keep.append(row)
-        if len(keep) < len(live):
-            live = [live[row] for row in keep]
-            if not live or (errors and min(errors) < min(live)):
-                break  # every run stopped, or none left can raise an earlier error
-            params, grad = params.like(params.flat[keep]), grad.like(grad.flat[keep])
-            spare = params.like(np.empty_like(params.flat))
-        if k % snap_stride == 0 and len(snapshots[live[0]]) > 128:
-            snap_stride *= 2
-            for run in live:
-                snapshots[run] = snapshots[run][::2]
-        delta = lr * grad.flat
-        np.subtract(params.flat, delta, out=spare.flat)
-        params, spare = spare, params
-        for run, ssq in zip(live, _row_sq(delta)):
-            s_hist[run].append(ssq)
+        j = k - k0
+        value_and_grad(ring.slots[j + 1], x, target, reg, model.activation, ring.grad,
+                       ring.resids[j])
+        np.multiply(lr, ring.grad.flat, out=ring.step)
+        dots = ring.row_dots()
+        pending.append(dots)
         k += 1
+        if j + 1 < ring.size and k < cfg.max_iters and all(
+            grad_tol < gsq < math.inf for gsq in dots[:ring.rows]
+        ):
+            np.subtract(ring.slots[j + 1].flat, ring.step, out=ring.slots[j + 2].flat)
+            continue
+        f_steps = objective(ring.iterates[1:j + 2], ring.resids[:j + 1], weights, layout.bounds)
+        rows = list(range(ring.rows))  # the ring row of each live run
+        for i, (f_vals, dots) in enumerate(zip(f_steps.tolist(), pending)):
+            it = k0 + i
+            keep = []
+            for row, run in zip(rows, live):
+                f_val = f_vals[row]
+                if not math.isfinite(f_val):
+                    # the last finite iterate: the previous one, or the start
+                    errors[run] = DivergenceError(
+                        f"objective became non-finite at iteration {it}",
+                        WeightStack.over(ring.row(i if it else 1, row)),
+                    )
+                    continue
+                f_run, gsq = f_hist[run], dots[row]
+                if f_run and gsq <= grad_tol and abs(f_val - f_run[-1]) <= f_tol:
+                    f_run.append(f_val)
+                    finish(run, ring.row(i + 1, row), "converged")
+                    continue
+                if it % snap_stride == 0:
+                    snapshots[run].append((it, WeightStack.over(ring.row(i + 1, row))))
+                f_run.append(f_val)
+                g_hist[run].append(gsq)
+                keep.append((row, run))
+            if len(keep) < len(rows):
+                rows, live = [row for row, _ in keep], [run for _, run in keep]
+                if not live or (errors and min(errors) < min(live)):
+                    stopped = True  # every run stopped, or none left can raise an earlier error
+                    break
+            if it % snap_stride == 0 and len(snapshots[live[0]]) > 128:
+                snap_stride *= 2
+                for run in live:
+                    snapshots[run] = snapshots[run][::2]
+            for row, run in zip(rows, live):
+                s_hist[run].append(dots[ring.rows + row])
+        if stopped:
+            break
+        # The next period starts from the last replayed iterate (slot 0) and
+        # its step (slot 1), in a ring of the live rows.
+        prev, step = ring.slots[j + 1].flat, ring.step
+        if len(rows) < ring.rows:
+            prev, step = prev[rows], step[rows]
+            ring = _Ring(layout, len(rows), resid_shape)
+        ring.iterates[0] = prev
+        np.subtract(ring.iterates[0], step, out=ring.iterates[1])
+        k0, pending = k, []
     if errors:
         raise errors[min(errors)]
     if live:
         # ran out of iterations: record the final value for a complete series
-        f_vals, _ = value_and_grad(params, x, target, reg, model.activation, grad)
+        f_vals, _ = value_and_grad(ring.slots[1], x, target, reg, model.activation, ring.grad)
         for row, (run, f_val) in enumerate(zip(live, f_vals.tolist())):
             f_hist[run].append(f_val)
-            finish(run, row, "max-iters")
+            finish(run, ring.row(1, row), "max-iters")
     return out
-
-
-def _row_sq(mat: np.ndarray) -> list[float]:
-    """Squared norm of every row of an (R, n) array, one stacked matmul.
-
-    Each equals ``float(row @ row)`` bit for bit: both are one dot product
-    per row.  (``einsum`` and a reduce of ``mat * mat`` sum in another order.)
-    """
-    return (mat[:, None, :] @ mat[:, :, None]).ravel().tolist()
 
 
 def train(

@@ -324,6 +324,56 @@ def test_error_paths_exit_with_one_line(case, code, tmp_path, monkeypatch, capsy
         assert err.startswith("config error: ")
 
 
+# reproduce-s4 depths and train input columns that are config errors: a
+# number where a list belongs, an empty list, and column counts that are
+# not positive integers (no truncation of 2.7 to 2, nor true read as 1).
+BAD_DEPTHS = {"int-depths": 5, "empty-depths": [], "string-depths": "24", "one-depth": [2, 1]}
+BAD_DEPTH_FLAGS = {"empty-depths-flag": "", "comma-depths-flag": ","}
+BAD_INPUT_COLS = {
+    "string-cols": "abc",
+    "negative-cols": -1,
+    "zero-cols": 0,
+    "fractional-cols": 2.7,
+    "bool-cols": True,
+    "null-cols": None,
+}
+
+
+@pytest.mark.parametrize("case", [*BAD_DEPTHS, *BAD_DEPTH_FLAGS, *BAD_INPUT_COLS])
+def test_config_holes_exit_two_with_one_line(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DEEPLINEAR_OUT", str(tmp_path / "out"))
+    if case in BAD_DEPTHS:
+        argv = ["reproduce-s4", _write_config(tmp_path, {"depths": BAD_DEPTHS[case]})]
+    elif case in BAD_DEPTH_FLAGS:
+        argv = ["reproduce-s4", "--depths", BAD_DEPTH_FLAGS[case]]
+    else:
+        cfg = _base_config(tmp_path)
+        cfg["model"] = {"input": {"kind": "uniform", "cols": BAD_INPUT_COLS[case]}}
+        cfg["train"] = {"learning_rate": 1e-3, "max_iters": 5, "init": "gaussian"}
+        argv = ["train", _write_config(tmp_path, cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_input_cols_set_the_sample_count(tmp_path, monkeypatch):
+    train, shapes = cli.train, []
+
+    def recorded(model, target, *args, **kwargs):
+        shapes.append((model.input_matrix.shape, target.shape))
+        return train(model, target, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "train", recorded)
+    cfg = _base_config(tmp_path)
+    cfg["model"] = {"input": {"kind": "uniform", "cols": 3}}
+    cfg["train"] = {"learning_rate": 1e-3, "max_iters": 5, "init": "gaussian"}
+    assert main(["train", _write_config(tmp_path, cfg)]) == 0
+    assert shapes == [((2, 3), (2, 3))]
+
+
 def test_parser_reused_across_calls_leaks_no_option(tmp_path, capsys):
     assert cli.build_parser() is cli.build_parser()
     cfg = _base_config(tmp_path)

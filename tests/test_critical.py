@@ -417,11 +417,16 @@ def test_equal_sorted_profiles_share_a_component():
     assert d.distance <= 1e-6
 
 
-def test_tangent_basis_matches_orbit_finite_differences():
+@pytest.mark.parametrize("choices", [None, [-1, 0, -1]], ids=["optimal", "mixed-roots"])
+def test_tangent_basis_matches_orbit_finite_differences(choices):
     # independent oracle: move along the orbit by an exact Givens rotation of
-    # one free factor and difference the constructed points
+    # one free factor and difference the constructed points.  At the optimal
+    # profile both indices of the repeated block take the same root, and the
+    # block direction lies in the span of the inner seams' directions; where
+    # they take different roots (choices -1, 0), it does not, so the block
+    # move checks the wrap-around seam itself.
     inst, dims, reg, target = _simple_instance([2.0, 2.0, 1.4], 3, 0.8, hidden=4)
-    profile = optimal_profile(inst)
+    profile = optimal_profile(inst) if choices is None else profile_from_choices(inst, choices)
     params = sample_random_params(inst, seed=21)
     point = construct_critical_point(profile, params, inst)
     from deeplinear.critical import CriticalParams, tangent_basis

@@ -14,6 +14,7 @@ from deeplinear import (
     optimal_profile,
     sample_random_params,
 )
+from deeplinear import training
 from deeplinear.training import (
     DivergenceError,
     InsufficientDataError,
@@ -21,6 +22,7 @@ from deeplinear.training import (
     TrainConfig,
     Trajectory,
     _init_state,
+    _Ring,
     estimate_linear_rate,
     train,
     train_runs,
@@ -303,6 +305,98 @@ def test_batched_divergence_raises_the_serial_error(scales, raised, rng):
         np.array_equal(a, b)
         for a, b in zip(err.value.last_finite.layers, alone[raised].last_finite.layers)
     )
+
+
+# Ring periods of three steps: the objective values of the pending iterates
+# are evaluated in batches of at most three, so a run can stop at any offset
+# of a period, and a sweep over 1 .. 2C+1 steps crosses two period ends.
+RING = 3
+
+
+def _linear_batch_matches_reference(rng, seeds, max_iters, stop):
+    """Linear runs trained together whose grad_sq tolerance is just above run
+    0's grad_sq at step ``stop`` (its grad_sq falls monotonically, so it
+    converges there unless max_iters comes first), each checked against the
+    per-layer reference.  The margin keeps the tolerance far from the
+    roundoff by which the reference's per-layer sums differ from the loop's
+    dot products, so both stop at the same step."""
+    model, target, reg, dims = _model_problem("linear", "identity", rng)
+    cfgs = [
+        TrainConfig(learning_rate=2e-2, max_iters=max_iters, grad_sq_tol=1e-300,
+                    fval_change_tol=1e300, seed=seed, init="gaussian", log_stride=2)
+        for seed in seeds
+    ]
+    ref = TrainConfig(**{**cfgs[0].__dict__, "max_iters": stop + 1})
+    tol = _per_layer_descent(model, target, reg, ref, dims)[1][stop] * (1 + 1e-9)
+    cfgs = [TrainConfig(**{**cfg.__dict__, "grad_sq_tol": tol}) for cfg in cfgs]
+    trajs = train_runs(model, target, reg, cfgs, dims, [None] * len(cfgs))
+    for traj, cfg in zip(trajs, cfgs):
+        _assert_matches_reference(traj, model, target, reg, cfg, dims)
+    return [(t.termination, t.n_steps) for t in trajs]
+
+
+@pytest.mark.parametrize("max_iters", range(1, 2 * RING + 2))
+def test_runs_stopping_at_every_ring_offset_match_per_layer_reference(max_iters, rng, monkeypatch):
+    # Run 0 converges at step 3 once max_iters allows; the other runs stop
+    # at max_iters, which the sweep puts at every offset of two periods.
+    monkeypatch.setattr(training, "RING_STEPS", RING)
+    stops = _linear_batch_matches_reference(rng, (1, 3, 6), max_iters, 3)
+    assert stops[0][1] == min(3, max_iters)
+
+
+@pytest.mark.parametrize("stop", range(1, 2 * RING + 2))
+def test_convergence_at_every_ring_offset_matches_per_layer_reference(stop, rng, monkeypatch):
+    monkeypatch.setattr(training, "RING_STEPS", RING)
+    stops = _linear_batch_matches_reference(rng, (1, 2, 5), 2 * RING + 2, stop)
+    assert stops[0] == ("converged", stop)
+
+
+def test_runs_stopping_at_different_offsets_of_one_ring(rng):
+    # Inside the first period of a full-size ring, two runs converge at
+    # steps 4 and 2, and the third stops at max_iters = 5.
+    stops = _linear_batch_matches_reference(rng, (1, 2, 4), 5, 6)
+    assert stops == [("max-iters", 5), ("converged", 4), ("converged", 2)]
+
+
+def test_divergence_found_at_a_later_flush_matches_per_layer_reference(monkeypatch):
+    # With a zero input matrix the data term is constant and each step
+    # multiplies W_l by 1 - 2 lambda_l lr (-4 and -9 here), so F overflows
+    # once a squared layer norm does, while grad_sq = sum (2 lambda_l w)^2
+    # stays finite a few steps longer: no flush is due at the divergence, and
+    # a later one finds it.  The three step sizes put it at every offset.
+    monkeypatch.setattr(training, "RING_STEPS", RING)
+    dims, reg = DimChain((2, 3, 2)), RegParams((1e-3, 2e-3))
+    model = ModelSpec(input_matrix=np.zeros((2, 4)))
+    target = np.random.default_rng(5).standard_normal((2, 4))
+    offsets = set()
+    for lr in (2500.0, 2300.0, 2200.0):
+        cfgs = [TrainConfig(learning_rate=lr, max_iters=300, seed=seed, init="gaussian")
+                for seed in (0, 1)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            f_values, grad_sq, _, _, iterates, *_ = _per_layer_descent(model, target, reg, cfgs[0], dims)
+            with pytest.raises(DivergenceError) as err:
+                train_runs(model, target, reg, cfgs, dims, [None, None])
+        k = next(k for k, f in enumerate(f_values) if not math.isfinite(f))
+        assert math.isfinite(grad_sq[k])
+        offsets.add(k % RING)
+        assert str(err.value) == f"objective became non-finite at iteration {k}"
+        assert all(np.array_equal(a, b) for a, b in zip(err.value.last_finite.layers, iterates[k - 1]))
+    assert offsets == set(range(RING))
+
+
+def test_ring_memory_stays_within_its_budget():
+    # Beyond the iterate and the next one, which any descent loop holds, a
+    # ring holds at most RING_BYTES of iterates: a layout of about 5e5
+    # parameters gets a ring of one step (allocated, never trained here);
+    # reproduce-s4's L=6 and L=2 batches get 3 and 17 steps.
+    for dims, rows, size in [((250, 400, 400, 400, 250), 1, 1), ((10, 32, 32, 32, 32, 32, 20), 2, 3),
+                             ((10, 32, 20), 2, 17), ((2, 3, 2), 1, training.RING_STEPS)]:
+        layout = WeightStack.zeros(dims).params
+        ring = _Ring(layout, rows, (dims[-1], dims[0]))
+        iterate = 8 * rows * layout.flat.size
+        assert ring.size == size
+        assert ring.iterates.shape == (size + 1, rows, layout.flat.size)
+        assert ring.iterates.nbytes - 2 * iterate <= training.RING_BYTES
 
 
 def test_loss_monotone_for_small_step(rng):
