@@ -39,6 +39,7 @@ from .critical import (
     mirsky_lower_bound,
     optimal_profile,
     profile_from_choices,
+    saddle_profile,
     sample_random_params,
     solve_scalar_equation,
     zero_profile,

@@ -9,6 +9,7 @@ command never perturbs another command's draws.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -19,19 +20,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import check_assumptions, compute_ledger
+from .constants import check_assumptions, compute_ledger, excluded_lambda
 from .critical import (
     AssumptionError,
     InternalConsistencyError,
     SolverError,
     construct_critical_point,
     optimal_profile,
-    profile_from_choices,
+    saddle_profile,
     sample_random_params,
     solve_scalar_equation,
     zero_profile,
 )
-from .network import DimChain, RegParams, ShapeError
+from .network import DimChain, RegParams
 from .spectrum import Instance
 from .training import (
     DivergenceError,
@@ -47,16 +48,31 @@ from .util import named_seed, named_stream
 from .verify import (
     CenterNotCriticalError,
     RadiusSweepConfig,
+    counterexample_family,
     fit_counterexample_scaling,
     verify_error_bound,
     verify_pl_qg,
 )
 
 OUTPUT_DIR_ENV = "DEEPLINEAR_OUT"
+# The config's blocks: each, when present, is a JSON object.
+BLOCKS = ("instance", "sweep", "train", "model")
 
 
 class ConfigError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def _reading():
+    """Read config: a ``TypeError`` or ``ValueError`` raised inside (a value of
+    the wrong type or range) becomes a ``ConfigError``.  Also a decorator."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _check_keys(block: dict, allowed: set[str], context: str) -> None:
@@ -81,9 +97,17 @@ def _integer(block: dict, key: str, default, context: str, least: int | None = N
     return value
 
 
+def _block(parent: dict, key: str, context: str) -> dict:
+    """The parent's ``key`` (``{}`` when absent): a JSON object, else a config error."""
+    block = parent.get(key, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"{context} must be a JSON object, got {block!r}")
+    return block
+
+
 def load_config(path: str) -> dict:
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
         cfg = json.loads(p.read_text())
@@ -91,15 +115,15 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    _check_keys(
-        cfg,
-        {"seed", "output_dir", "instance", "sweep", "train", "model",
-         "depths", "constants", "rate_fit"},
-        "config",
-    )
+    _check_keys(cfg, {"seed", "output_dir", "depths", *BLOCKS}, "config")
+    for key in BLOCKS:
+        _block(cfg, key, key)
+    if not isinstance(cfg.get("output_dir", ""), str):
+        raise ConfigError(f"output_dir must be a string, got {cfg['output_dir']!r}")
     return cfg
 
 
+@_reading()
 def build_instance(cfg: dict, seed: int) -> Instance:
     block = _require(cfg, "instance", "config")
     _check_keys(
@@ -109,22 +133,20 @@ def build_instance(cfg: dict, seed: int) -> Instance:
     )
     if "lambdas" in block and "lambda_uniform" in block:
         raise ConfigError("give either 'lambdas' or 'lambda_uniform', not both")
-    try:
-        dims = DimChain(tuple(int(d) for d in _require(block, "dims", "instance")))
-        depth = dims.depth
-        if "lambdas" in block:
-            lams = tuple(float(x) for x in block["lambdas"])
-            if len(lams) != depth:
-                raise ConfigError(f"need {depth} lambdas, got {len(lams)}")
-            reg = RegParams(lams)
-        elif "lambda_uniform" in block:
-            reg = RegParams.uniform(float(block["lambda_uniform"]), depth)
-        else:
-            raise ConfigError("instance needs 'lambdas' or 'lambda_uniform'")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    dims = DimChain(tuple(int(d) for d in _require(block, "dims", "instance")))
+    depth = dims.depth
+    if "lambdas" in block:
+        lams = tuple(float(x) for x in block["lambdas"])
+        if len(lams) != depth:
+            raise ConfigError(f"need {depth} lambdas, got {len(lams)}")
+        reg = RegParams(lams)
+    elif "lambda_uniform" in block:
+        reg = RegParams.uniform(float(block["lambda_uniform"]), depth)
+    else:
+        raise ConfigError("instance needs 'lambdas' or 'lambda_uniform'")
 
-    tblock = _require(block, "target", "instance")
+    _require(block, "target", "instance")
+    tblock = _block(block, "target", "instance.target")
     _check_keys(tblock, {"kind", "scale", "values", "path", "seed"}, "instance.target")
     kind = _require(tblock, "kind", "instance.target")
     if kind == "gaussian":
@@ -143,7 +165,7 @@ def build_instance(cfg: dict, seed: int) -> Instance:
             target[i, i] = v
     elif kind == "file":
         path = Path(_require(tblock, "path", "instance.target"))
-        if not path.exists():
+        if not path.is_file():
             raise ConfigError(f"target file not found: {path}")
         target = np.load(path) if path.suffix == ".npy" else np.loadtxt(path)
         target = np.atleast_2d(np.asarray(target, dtype=float))
@@ -151,10 +173,7 @@ def build_instance(cfg: dict, seed: int) -> Instance:
         raise ConfigError(f"unknown target kind {kind!r}")
     if not np.all(np.isfinite(target)):
         raise ConfigError("target has non-finite entries")
-    try:
-        return Instance(dims, reg, target)
-    except ShapeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return Instance(dims, reg, target)
 
 
 def _output_dir(cfg: dict) -> Path:
@@ -168,6 +187,7 @@ def dump_json(payload: dict, path: Path) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+@_reading()
 def _sweep_config(cfg: dict, seed: int) -> tuple[RadiusSweepConfig, str, str]:
     block = cfg.get("sweep", {})
     _check_keys(
@@ -177,47 +197,40 @@ def _sweep_config(cfg: dict, seed: int) -> tuple[RadiusSweepConfig, str, str]:
     )
     radii = block.get("radii")
     kwargs = {}
-    try:
-        if isinstance(radii, dict):
-            _check_keys(radii, {"start", "stop", "num"}, "sweep.radii")
-            start, stop, num = (_require(radii, k, "sweep.radii") for k in ("start", "stop", "num"))
-            if isinstance(num, bool) or not isinstance(num, int):
-                raise ConfigError(f"sweep.radii num must be an integer, got {num!r}")
-            radii = tuple(float(r) for r in np.geomspace(float(start), float(stop), num))
-        elif radii is not None:
-            radii = tuple(float(r) for r in radii)
-        if radii is not None:
-            kwargs["radii"] = radii
-        if "samples_per_radius" in block:
-            kwargs["samples_per_radius"] = block["samples_per_radius"]
-        if "mode" in block:
-            kwargs["mode"] = str(block["mode"])
-        kwargs["seed"] = _integer(block, "seed", named_seed(seed, "sweep"), "sweep.seed")
-        sweep = RadiusSweepConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    return sweep, str(block.get("center", "optimal")), str(block.get("target", "F"))
+    if isinstance(radii, dict):
+        _check_keys(radii, {"start", "stop", "num"}, "sweep.radii")
+        start, stop, num = (_require(radii, k, "sweep.radii") for k in ("start", "stop", "num"))
+        num = _integer(radii, "num", None, "sweep.radii.num", least=1)
+        radii = tuple(float(r) for r in np.geomspace(float(start), float(stop), num))
+    elif radii is not None:
+        radii = tuple(float(r) for r in radii)
+    if radii is not None:
+        kwargs["radii"] = radii
+    if "samples_per_radius" in block:
+        kwargs["samples_per_radius"] = block["samples_per_radius"]
+    if "mode" in block:
+        kwargs["mode"] = str(block["mode"])
+    kwargs["seed"] = _integer(block, "seed", named_seed(seed, "sweep"), "sweep.seed")
+    target = str(block.get("target", "F"))
+    if target not in ("F", "G"):
+        raise ConfigError(f"sweep.target must be 'F' or 'G', got {target!r}")
+    return RadiusSweepConfig(**kwargs), str(block.get("center", "optimal")), target
 
 
 def _resolve_center(inst: Instance, center_spec: str, seed: int, target: str):
-    rank = inst.spectrum.rank
     if center_spec == "zero":
         profile = zero_profile(inst)
     elif center_spec == "optimal":
         profile = optimal_profile(inst)
     elif center_spec == "saddle":
-        choices = [-1] * rank
-        if rank:
-            choices[-1] = 0
-        profile = profile_from_choices(inst, choices)
+        profile = saddle_profile(inst)
+    elif center_spec.isdecimal() and int(center_spec) < len(inst.profiles.profiles):
+        profile = inst.profiles.profiles[int(center_spec)]
     else:
-        try:
-            profile = inst.profiles.profiles[int(center_spec)]
-        except (ValueError, IndexError) as exc:
-            raise ConfigError(
-                f"sweep.center must be 'zero', 'optimal', 'saddle', or a valid "
-                f"profile index; got {center_spec!r}"
-            ) from exc
+        raise ConfigError(
+            f"sweep.center must be 'zero', 'optimal', 'saddle', or a valid "
+            f"profile index; got {center_spec!r}"
+        )
     params = sample_random_params(inst, seed=named_seed(seed, "center-params"))
     return construct_critical_point(profile, params, inst, target=target)
 
@@ -241,10 +254,15 @@ def cmd_roots(args) -> int:
     return 0
 
 
-def cmd_check_assumptions(args) -> int:
+def _setup(args) -> tuple[dict, int, Instance]:
+    """The command's config, its seed and its instance."""
     cfg = load_config(args.config)
     seed = _integer(cfg, "seed", 0, "seed")
-    inst = build_instance(cfg, seed)
+    return cfg, seed, build_instance(cfg, seed)
+
+
+def cmd_check_assumptions(args) -> int:
+    cfg, _, inst = _setup(args)
     report = check_assumptions(inst)
     payload = asdict(report)
     out = _output_dir(cfg)
@@ -254,20 +272,15 @@ def cmd_check_assumptions(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    cfg = load_config(args.config)
-    seed = _integer(cfg, "seed", 0, "seed")
-    inst = build_instance(cfg, seed)
+    cfg, _, inst = _setup(args)
     if args.profile is None:
         profile = optimal_profile(inst)
     else:
         profiles = inst.profiles.profiles
         if not 0 <= args.profile < len(profiles):
-            print(
-                f"profile index {args.profile} out of range "
-                f"(0..{len(profiles) - 1})",
-                file=sys.stderr,
+            raise ConfigError(
+                f"profile index {args.profile} out of range (0..{len(profiles) - 1})"
             )
-            return 2
         profile = profiles[args.profile]
     try:
         ledger = compute_ledger(inst, profile)
@@ -295,86 +308,77 @@ def _finish_report(report, out: Path, name: str) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_verify_eb(args) -> int:
-    cfg = load_config(args.config)
-    seed = _integer(cfg, "seed", 0, "seed")
-    inst = build_instance(cfg, seed)
+def cmd_verify(args) -> int:
+    """verify-eb or verify-plqg, by ``args.command``: one radius sweep."""
+    cfg, seed, inst = _setup(args)
     sweep, center_spec, target = _sweep_config(cfg, seed)
     point = _resolve_center(inst, center_spec, seed, target)
-    report = verify_error_bound(point, inst, sweep, target=target)
-    return _finish_report(report, _output_dir(cfg), "verify-eb")
-
-
-def cmd_verify_plqg(args) -> int:
-    cfg = load_config(args.config)
-    seed = _integer(cfg, "seed", 0, "seed")
-    inst = build_instance(cfg, seed)
-    sweep, center_spec, target = _sweep_config(cfg, seed)
-    point = _resolve_center(inst, center_spec, seed, target)
-    report = verify_pl_qg(point, inst, sweep, target=target)
-    return _finish_report(report, _output_dir(cfg), "verify-plqg")
+    verify = verify_error_bound if args.command == "verify-eb" else verify_pl_qg
+    report = verify(point, inst, sweep, target=target)
+    return _finish_report(report, _output_dir(cfg), args.command)
 
 
 def cmd_counterexample(args) -> int:
-    kind = {"l2": "l2-lambda-eq-y2", "lge3": "lge3-phi-prime-zero"}[args.kind]
-    if not (args.y > 0 and args.t > 0):
-        raise ConfigError(f"need --y > 0 and --t > 0; got {args.y}, {args.t}")
-    out = _output_dir({})
+    kind, depth = {"l2": ("l2-lambda-eq-y2", 2), "lge3": ("lge3-phi-prime-zero", 3)}[args.kind]
+    if not (0 < args.y < math.inf and 0 < args.t < math.inf):
+        raise ConfigError(f"need finite --y > 0 and --t > 0; got {args.y}, {args.t}")
+    try:
+        lam = excluded_lambda(args.y, depth)
+    except OverflowError:
+        lam = math.inf
+    if not 0 < lam < math.inf:
+        raise ConfigError(f"--y {args.y} puts the excluded weight at {lam}, not a positive finite float")
     if args.fit:
         report = fit_counterexample_scaling(kind, y=args.y)
-        return _finish_report(report, out, f"counterexample-{args.kind}")
-    from .verify import counterexample_family
-
+        return _finish_report(report, _output_dir({}), f"counterexample-{args.kind}")
     family = counterexample_family(kind, y=args.y)
     t = args.t
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            grad, predicted = family.grad_norm(t), family.predicted_grad_norm(t)
+            dist = family.dist_upper(t)
+    except (FloatingPointError, OverflowError) as exc:
+        raise ConfigError(f"--t {t} overflows the family's values: {exc}") from exc
     print(
-        f"counterexample {args.kind}: t={t!r} grad_norm={family.grad_norm(t)!r} "
-        f"predicted={family.predicted_grad_norm(t)!r} dist={family.dist_upper(t)!r}"
+        f"counterexample {args.kind}: t={t!r} grad_norm={grad!r} "
+        f"predicted={predicted!r} dist={dist!r}"
     )
     return 0
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    seed = _integer(cfg, "seed", 0, "seed")
-    inst = build_instance(cfg, seed)
-
-    mblock = cfg.get("model", {})
-    _check_keys(mblock, {"kind", "activation", "input"}, "model")
-    input_matrix = None
-    iblock = mblock.get("input")
-    if iblock:
-        _check_keys(iblock, {"kind", "cols", "seed"}, "model.input")
-        ikind = _require(iblock, "kind", "model.input")
-        if ikind == "uniform":
-            cols = _integer(iblock, "cols", inst.dims.d_in, "model.input.cols", least=1)
-            rng = named_stream(_integer(iblock, "seed", seed, "model.input.seed"), "input")
-            bound = math.sqrt(6.0 / (inst.dims.d_in + cols))
-            input_matrix = rng.uniform(-bound, bound, size=(inst.dims.d_in, cols))
-        elif ikind != "identity":
-            raise ConfigError(f"unknown input kind {ikind!r}")
-    try:
+    cfg, seed, inst = _setup(args)
+    with _reading():
+        mblock = cfg.get("model", {})
+        _check_keys(mblock, {"kind", "activation", "input"}, "model")
+        input_matrix = None
+        iblock = _block(mblock, "input", "model.input")
+        if iblock:
+            _check_keys(iblock, {"kind", "cols", "seed"}, "model.input")
+            ikind = _require(iblock, "kind", "model.input")
+            if ikind == "uniform":
+                cols = _integer(iblock, "cols", inst.dims.d_in, "model.input.cols", least=1)
+                rng = named_stream(_integer(iblock, "seed", seed, "model.input.seed"), "input")
+                bound = math.sqrt(6.0 / (inst.dims.d_in + cols))
+                input_matrix = rng.uniform(-bound, bound, size=(inst.dims.d_in, cols))
+            elif ikind != "identity":
+                raise ConfigError(f"unknown input kind {ikind!r}")
         model = ModelSpec(
             kind=mblock.get("kind", "linear"),
             activation=mblock.get("activation", "identity"),
             input_matrix=input_matrix,
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
-    tblock = cfg.get("train", {})
-    _check_keys(
-        tblock,
-        {"learning_rate", "max_iters", "grad_sq_tol", "fval_change_tol",
-         "init", "init_scale", "log_stride", "center"},
-        "train",
-    )
-    kwargs = {k: tblock[k] for k in tblock if k != "center"}
-    kwargs.setdefault("seed", named_seed(seed, "init"))
-    try:
+        tblock = cfg.get("train", {})
+        _check_keys(
+            tblock,
+            {"learning_rate", "max_iters", "grad_sq_tol", "fval_change_tol",
+             "init", "init_scale", "log_stride", "center"},
+            "train",
+        )
+        kwargs = {k: tblock[k] for k in tblock if k != "center"}
+        kwargs.setdefault("seed", named_seed(seed, "init"))
         tcfg = TrainConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
 
     center = None
     if tcfg.init == "near-critical":
@@ -467,11 +471,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-eb", help="error-bound radius sweep")
     p.add_argument("config")
-    p.set_defaults(func=cmd_verify_eb)
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("verify-plqg", help="gradient-dominance/quadratic-growth sweep")
     p.add_argument("config")
-    p.set_defaults(func=cmd_verify_plqg)
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("counterexample", help="degenerate-instance scaling family")
     p.add_argument("--kind", choices=("l2", "lge3"), required=True)

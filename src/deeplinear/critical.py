@@ -211,9 +211,11 @@ def solve_scalar_equation(y: float, lam: float, depth: int) -> ScalarRoots:
                     r = r - step
             polished.append(r)
 
+        # A root is matched only against the positive roots kept so far: a
+        # positive root below the tolerance is a root of its own, not 0.
         dedup_tol = 1e-9 * max(1.0, bracket)
         for r in polished:
-            if any(abs(r - prev) <= dedup_tol for prev in roots):
+            if any(abs(r - prev) <= dedup_tol for prev in roots[1:]):
                 continue
             # q's terms at a root can dwarf lam + sqrt(lam) y (they grow like
             # (sqrt(lam) y)^(2 - 2/L)), and their rounding with them.
@@ -334,6 +336,15 @@ def zero_profile(inst: "Instance") -> SigmaProfile:
 def optimal_profile(inst: "Instance") -> SigmaProfile:
     """Profile with the largest root at every index: the lowest-loss component."""
     return profile_from_choices(inst, [-1] * len(inst.roots))
+
+
+def saddle_profile(inst: "Instance") -> SigmaProfile:
+    """The optimal profile with the smallest target singular value dropped
+    (its zero root); the zero profile when the target is zero."""
+    choices = [-1] * len(inst.roots)
+    if choices:
+        choices[-1] = 0
+    return profile_from_choices(inst, choices)
 
 
 class ProfileList(Sequence):

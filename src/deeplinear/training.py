@@ -15,11 +15,11 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .critical import optimal_profile, profile_from_choices, sample_random_params, \
+from .critical import optimal_profile, saddle_profile, sample_random_params, \
     construct_critical_point
 from .network import (
     ACTIVATIONS,
@@ -127,10 +127,10 @@ class Trajectory:
         f = np.asarray(self.f_values)
         return bool(np.all(np.diff(f) <= 1e-12 * (1.0 + np.abs(f[:-1]))))
 
-    def to_csv(self, stride: int = 1) -> str:
+    def to_csv(self) -> str:
         lines = ["iter,F,grad_sq"]
         f_values, grad_sq = self.f_values.tolist(), self.grad_sq.tolist()
-        for k in range(0, self.n_steps, stride):
+        for k in range(self.n_steps):
             lines.append(f"{k},{f_values[k]!r},{grad_sq[k]!r}")
         return "\n".join(lines) + "\n"
 
@@ -404,8 +404,8 @@ class RateFit:
     n_points: int
 
 
-def estimate_linear_rate(traj: Trajectory, tail_fraction: float = 0.5) -> RateFit:
-    """Per-iteration contraction of F(W^k) - F(end), fitted on the tail.
+def estimate_linear_rate(traj: Trajectory) -> RateFit:
+    """Per-iteration contraction of F(W^k) - F(end), fitted on the tail half.
 
     Points with gap below 1e-14 carry no signal and are excluded.  The gap to
     the final value bends down over the last ~1/(1-rate) iterations by
@@ -420,7 +420,7 @@ def estimate_linear_rate(traj: Trajectory, tail_fraction: float = 0.5) -> RateFi
         raise InsufficientDataError("fewer than 5 iterates carry a positive gap")
 
     def window_fit(indices) -> tuple[float, float, np.ndarray]:
-        take = max(20, int(len(indices) * tail_fraction))
+        take = max(20, int(len(indices) * 0.5))
         window = indices[-take:]
         window = window[:-3] if len(window) > 3 else window
         if len(window) < 20:
@@ -477,40 +477,28 @@ def section4_rows_to_csv(rows: list[Section4Row]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reproduce_section4(
-    depths=(2, 4, 6),
-    seed: int = 0,
-    d_in: int = 10,
-    d_hidden: int = 32,
-    d_out: int = 20,
-    reg_value: float = 1e-4,
-    learning_rate: float = 4.5e-4,
-    max_iters: int = 400_000,
-    init_scale: float = 0.01,
-) -> list[Section4Row]:
-    """Near-critical-initialization experiment over several depths.
+def reproduce_section4(depths=(2, 4, 6), seed: int = 0) -> list[Section4Row]:
+    """The near-critical-initialization experiment of Section 4, per depth.
 
-    A fixed Gaussian target is fitted from initializations near an optimal
-    component and near a non-optimal one (the smallest target singular value
-    dropped).  Two and three layers escape the saddle (at depth 3,
-    ``init_scale`` 0.01 exceeds a basin of curvature only 2 lambda = 2e-4);
-    the default depths 4 and 6 stay trapped.  The two runs of a depth share
-    every shape and the step size, so they are trained together by one
-    :func:`train_runs` call.
+    The experiment is fixed: widths 10 -> 32 -> ... -> 32 -> 20, every
+    regularization weight 1e-4, a 20 x 10 Gaussian target drawn from
+    ``seed``, step 4.5e-4, at most 400,000 steps, and initial noise of scale
+    0.01 around a center.  The target is fitted from initializations near an
+    optimal component and near a non-optimal one (:func:`saddle_profile`,
+    the smallest target singular value dropped).  Two and three layers
+    escape the saddle (at depth 3, noise 0.01 exceeds a basin of curvature
+    only 2 lambda = 2e-4); the default depths 4 and 6 stay trapped.  The two
+    runs of a depth share every shape and the step size, so they are trained
+    together by one :func:`train_runs` call.
     """
     rng = named_stream(seed, "instance")
-    target = rng.standard_normal((d_out, d_in))
+    target = rng.standard_normal((20, 10))
     rows: list[Section4Row] = []
     for depth in depths:
-        dims = DimChain((d_in,) + (d_hidden,) * (depth - 1) + (d_out,))
-        reg = RegParams.uniform(reg_value, depth)
+        dims = DimChain((10,) + (32,) * (depth - 1) + (20,))
+        reg = RegParams.uniform(1e-4, depth)
         inst = Instance(dims, reg, target)
-        saddle_choices = [-1] * inst.spectrum.rank
-        saddle_choices[-1] = 0
-        centers = {
-            "optimal": optimal_profile(inst),
-            "saddle": profile_from_choices(inst, saddle_choices),
-        }
+        centers = {"optimal": optimal_profile(inst), "saddle": saddle_profile(inst)}
         points, cfgs = [], []
         for name, profile in centers.items():
             params = sample_random_params(
@@ -519,11 +507,11 @@ def reproduce_section4(
             points.append(construct_critical_point(profile, params, inst, target="F"))
             cfgs.append(
                 TrainConfig(
-                    learning_rate=learning_rate,
-                    max_iters=max_iters,
+                    learning_rate=4.5e-4,
+                    max_iters=400_000,
                     seed=named_seed(seed, f"init-{depth}-{name}"),
                     init="near-critical",
-                    init_scale=init_scale,
+                    init_scale=0.01,
                     log_stride=200,
                 )
             )

@@ -30,7 +30,6 @@ from .critical import (
     layer_singular_values,
     mirsky_lower_bound,
     profile_from_choices,
-    sample_random_params,
     singular_direction,
     tangent_basis,
 )
@@ -63,6 +62,8 @@ class RadiusSweepConfig:
 
     def __post_init__(self):
         self.radii = tuple(sorted(float(r) for r in self.radii))
+        if not self.radii:
+            raise ValueError("radii must not be empty")
         for r in self.radii:
             if not (math.isfinite(r) and r > 0):
                 raise ValueError(f"radii must be finite and positive, got {r!r}")
@@ -555,13 +556,13 @@ class CounterexampleFamily:
 
 
 def counterexample_family(
-    kind: str,
-    y: float = 2.0,
-    depth: int | None = None,
-    side: int = 1,
-    seed: int | None = None,
+    kind: str, y: float = 2.0, depth: int | None = None
 ) -> CounterexampleFamily:
-    """Instance with the excluded regularization weight and its failure family."""
+    """Instance with the excluded regularization weight and its failure family.
+
+    The instance is scalar (every width 1, target ``y``) and the center is
+    built with identity frames.
+    """
     if kind not in COUNTEREXAMPLE_KINDS:
         raise ValueError(f"kind must be one of {COUNTEREXAMPLE_KINDS}")
     if kind == "l2-lambda-eq-y2":
@@ -574,11 +575,7 @@ def counterexample_family(
             raise ValueError("the tangential positive-root family needs depth >= 3")
     lam = excluded_lambda(y, depth)
     reg = RegParams.uniform(lam ** (1.0 / depth), depth)
-    inst = Instance(DimChain((side,) * (depth + 1)), reg, y * np.eye(side))
-    if seed is None:
-        params = identity_params(inst)
-    else:
-        params = sample_random_params(inst, seed=seed)
+    inst = Instance(DimChain((1,) * (depth + 1)), reg, y * np.eye(1))
     choices = [0] * inst.spectrum.rank
     if kind == "l2-lambda-eq-y2":
         expected = 3.0  # the zero root is the only root here
@@ -586,7 +583,7 @@ def counterexample_family(
         choices[0] = -1  # the tangential positive root, largest by construction
         expected = 2.0
     profile = profile_from_choices(inst, choices)
-    center = construct_critical_point(profile, params, inst, target="G")
+    center = construct_critical_point(profile, identity_params(inst), inst, target="G")
     return CounterexampleFamily(
         kind=kind,
         inst=inst,
@@ -596,11 +593,11 @@ def counterexample_family(
     )
 
 
-def build_counterexample(kind: str, t: float, y: float = 2.0, **kwargs) -> WeightStack:
+def build_counterexample(kind: str, t: float, y: float = 2.0) -> WeightStack:
     """The perturbed point W(t) of the failure family (see the family class)."""
     if not t > 0:
         raise ValueError("t must be positive")
-    family = counterexample_family(kind, y=y, **kwargs)
+    family = counterexample_family(kind, y=y)
     return family.point(t)
 
 
@@ -608,10 +605,9 @@ def fit_counterexample_scaling(
     kind: str,
     y: float = 2.0,
     t_values: tuple[float, ...] | None = None,
-    **kwargs,
 ) -> VerificationReport:
     """Log-log slope of the gradient norm against the distance along the family."""
-    family = counterexample_family(kind, y=y, **kwargs)
+    family = counterexample_family(kind, y=y)
     if t_values is None:
         t_values = tuple(float(t) for t in np.geomspace(1e-3, 1e-1, 13))
     samples = []
@@ -655,18 +651,14 @@ class FirstOrderConditionsReport:
     n_distance_points: int
 
 
-def check_first_order_conditions(
-    trajectory,
-    inst: Instance,
-    tail_fraction: float = 0.5,
-    max_distance_points: int = 6,
-) -> FirstOrderConditionsReport:
-    """Fit the three algorithmic constants on the tail of a descent trajectory.
+def check_first_order_conditions(trajectory, inst: Instance) -> FirstOrderConditionsReport:
+    """Fit the three algorithmic constants on the second half of a descent trajectory.
 
     Sufficient decrease: F(W^k) - F(W^{k+1}) >= c ||step||^2 with the fitted
     c the worst step.  Safeguard: ||grad|| <= c ||step|| (exactly 1/lr for
     plain gradient descent).  Cost-to-go compares suboptimality against
-    squared distance to the critical set at subsampled snapshots.
+    squared distance to the critical set at the tail's snapshots, at most
+    six of them, evenly spaced.
     """
     f_vals = np.asarray(trajectory.f_values)
     step_sq = np.asarray(trajectory.step_norm_sq)
@@ -674,7 +666,7 @@ def check_first_order_conditions(
     n = len(step_sq)
     if n < 3:
         raise ValueError("trajectory too short: need at least 3 steps")
-    tail_start = int(n * (1.0 - tail_fraction))
+    tail_start = int(n * 0.5)
     tail = range(tail_start, n)
 
     decreases = [(f_vals[k] - f_vals[k + 1]) for k in tail]
@@ -688,8 +680,8 @@ def check_first_order_conditions(
     guard_held = bool(guard) and math.isfinite(c_guard)
 
     snaps = [(k, s) for k, s in trajectory.snapshots if tail_start <= k < n]
-    if len(snaps) > max_distance_points:
-        idx = np.linspace(0, len(snaps) - 1, max_distance_points).astype(int)
+    if len(snaps) > 6:
+        idx = np.linspace(0, len(snaps) - 1, 6).astype(int)
         snaps = [snaps[i] for i in idx]
     # The final iterate and the snapshots are projected in one batch.
     end_sd, *snap_sds = distance_to_critical_set(

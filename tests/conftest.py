@@ -177,7 +177,7 @@ def grid_solver_oracle(y, lam, depth):
                     r = r - step
             polished.append(r)
         for r in polished:
-            if any(abs(r - prev) <= 1e-9 * max(1.0, bracket) for prev in roots):
+            if any(abs(r - prev) <= 1e-9 * max(1.0, bracket) for prev in roots[1:]):
                 continue
             res = abs(q(r))
             if res > 10 * max(res_tol, 1e-12 * size(r)):

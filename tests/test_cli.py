@@ -218,6 +218,11 @@ BAD_SWEEP_VALUES = {
     "null-radius": {"radii": [1e-3, None]},
     "radii-range-without-stop": {"radii": {"start": 1e-3, "num": 3}},
     "fractional-radii-num": {"radii": {"start": 1e-3, "stop": 1e-2, "num": 2.5}},
+    "empty-radii": {"radii": []},
+    "zero-radii-num": {"radii": {"start": 1e-3, "stop": 1e-2, "num": 0}},
+    "unknown-sweep-target": {"target": "H"},
+    "negative-center-index": {"center": -1},
+    "center-index-out-of-range": {"center": 99},
 }
 
 # Seeds that are not integers, by the block that carries them: each is a
@@ -440,3 +445,76 @@ def test_instance_commands_solve_each_root_equation_once(tmp_path, monkeypatch, 
         assert main([command, path]) in (0, 1)
         assert len(calls) == 2, command  # rank of the generic 3x2 target
     capsys.readouterr()
+
+
+# Each config block, by its path, and the commands that read it; every one
+# given as a JSON value that is not an object is a config error.
+BLOCK_READERS = {
+    ("instance",): ("check-assumptions", "constants", "verify-eb", "verify-plqg", "train"),
+    ("instance", "target"): ("check-assumptions", "constants", "verify-eb", "verify-plqg", "train"),
+    ("sweep",): ("verify-eb", "verify-plqg"),
+    ("train",): ("train",),
+    ("model",): ("train",),
+    ("model", "input"): ("train",),
+}
+NOT_OBJECTS = {"null": None, "list": [1, 2], "string": "abc", "number": 3}
+
+# Values of the wrong type or range, keys that no command reads, and
+# arguments out of range: (command, path in the config, value).
+BAD_CONFIG_VALUES = {
+    "string-target-scale": ("check-assumptions", ("instance", "target"),
+                            {"kind": "gaussian", "scale": "abc"}),
+    "number-target-values": ("constants", ("instance", "target"), {"kind": "diagonal", "values": 3}),
+    "rate-fit-key": ("train", ("rate_fit",), {"tail_fraction": 0.5}),
+    "constants-key": ("constants", ("constants",), {}),
+    "number-output-dir": ("check-assumptions", ("output_dir",), 5),
+    "directory-target-path": ("check-assumptions", ("instance", "target"), {"kind": "file", "path": "."}),
+}
+BAD_ARGUMENTS = {
+    "profile-out-of-range": ["constants", None, "--profile", "99"],
+    "directory-config": ["check-assumptions", "."],
+    "infinite-counterexample-t": ["counterexample", "--kind", "l2", "--t", "inf"],
+    "overflowing-counterexample-t": ["counterexample", "--kind", "l2", "--t", "1e200"],
+    "huge-counterexample-y": ["counterexample", "--kind", "l2", "--y", "1e200"],
+    "huge-counterexample-y-lge3": ["counterexample", "--kind", "lge3", "--y", "1e200", "--fit"],
+    "tiny-counterexample-y": ["counterexample", "--kind", "l2", "--y", "1e-200"],
+    "tiny-counterexample-y-lge3": ["counterexample", "--kind", "lge3", "--y", "1e-200"],
+    "nan-counterexample-y": ["counterexample", "--kind", "lge3", "--y", "nan", "--fit"],
+}
+CONFIG_HOLES = {
+    **{
+        f"{'.'.join(path)}-{name}-{command}": (command, path, value)
+        for path, commands in BLOCK_READERS.items()
+        for command in commands
+        for name, value in NOT_OBJECTS.items()
+    },
+    **BAD_CONFIG_VALUES,
+}
+
+
+def _set(cfg, path, value):
+    for key in path[:-1]:
+        cfg = cfg.setdefault(key, {})
+    cfg[path[-1]] = value
+
+
+@pytest.mark.parametrize("case", [*CONFIG_HOLES, *BAD_ARGUMENTS])
+def test_malformed_inputs_exit_two_with_one_line(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DEEPLINEAR_OUT", str(tmp_path / "out"))
+    cfg = _base_config(
+        tmp_path,
+        sweep={"radii": [1e-3, 1e-2], "samples_per_radius": 2},
+        train={"learning_rate": 1e-3, "max_iters": 5, "init": "gaussian"},
+    )
+    if case in CONFIG_HOLES:
+        command, path, value = CONFIG_HOLES[case]
+        _set(cfg, path, value)
+        argv = [command, _write_config(tmp_path, cfg)]
+    else:
+        argv = [_write_config(tmp_path, cfg) if a is None else a for a in BAD_ARGUMENTS[case]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()

@@ -23,6 +23,7 @@ from deeplinear import (
     mirsky_lower_bound,
     optimal_profile,
     profile_from_choices,
+    saddle_profile,
     sample_random_params,
     zero_profile,
 )
@@ -265,6 +266,16 @@ def test_zero_profile_gives_zero_stack():
     assert grad_f(point.stack, target, reg).norm() <= 1e-12 * (
         1 + np.linalg.norm(target)
     )
+
+
+def test_saddle_profile_drops_the_smallest_target_value():
+    inst = _simple_instance([2.0, 1.5, 1.0], 3, 0.5)[0]
+    saddle, optimal = saddle_profile(inst), optimal_profile(inst)
+    assert saddle.choice[:-1] == optimal.choice[:-1] and saddle.choice[-1] == 0
+    assert saddle.sigma_eq[-1] == 0.0 and saddle.sigma_eq[:-1] == optimal.sigma_eq[:-1]
+    # a zero target has no value to drop: the saddle is the zero profile
+    inst = Instance(DimChain((2, 3, 2)), RegParams.uniform(0.5, 2), np.zeros((2, 2)))
+    assert saddle_profile(inst) == zero_profile(inst)
 
 
 def test_every_profile_is_critical_many_draws(rng):

@@ -77,7 +77,7 @@ def _scalar_scan_reference(y, lam, depth):
                     r = r - step
             polished.append(r)
         for r in polished:
-            if any(abs(r - prev) <= 1e-9 * max(1.0, bracket) for prev in roots):
+            if any(abs(r - prev) <= 1e-9 * max(1.0, bracket) for prev in roots[1:]):
                 continue
             res = abs(q(r))
             if res > 10 * max(res_tol, 1e-12 * size(r)):
@@ -183,6 +183,22 @@ def test_agrees_with_dense_scan_oracle(rng):
         assert len(mine) == len(oracle)
         for a, b in zip(mine, oracle):
             assert abs(a - b) <= 1e-10 * max(1.0, b)
+
+
+@pytest.mark.parametrize("y, lam", [(1.0, 1e-24), (1e9, 1.0), (5.0, 1e-26)])
+def test_positive_roots_below_the_dedup_tolerance_are_kept(y, lam):
+    # At L=3 the small root sits near sqrt(lam) / y, below 1e-9 * max(1, bracket):
+    # it is a root of its own, not the zero root.
+    roots = solve_scalar_equation(y, lam, 3)
+    mine = roots.positive()
+    oracle = [r for r in scan_roots_oracle(y, lam, 3, cells=200_000) if r > 0]
+    assert len(mine) == len(oracle) == 2
+    for a, b in zip(mine, oracle):
+        assert abs(a - b) <= 1e-10 * max(1.0, b)
+    small = math.sqrt(lam) / y  # q(x) = x^4 - sqrt(lam) y x + lam, x^4 negligible
+    assert mine[0] < 1e-9 * max(1.0, (math.sqrt(lam) * y) ** (1 / 3))
+    assert mine[0] == pytest.approx(small, rel=1e-9)
+    assert roots.degenerate == (False, False, False)
 
 
 @settings(max_examples=60, deadline=None)

@@ -207,6 +207,12 @@ def test_counterexample_kind_checks():
         build_counterexample("l2-lambda-eq-y2", t=0.0)
 
 
+def test_sweep_config_rejects_empty_radii():
+    # an empty sweep has no smallest radius to judge; the verifier must not start
+    with pytest.raises(ValueError, match="radii must not be empty"):
+        RadiusSweepConfig(radii=())
+
+
 def test_first_order_conditions_on_descent_run():
     inst, dims, reg = _generic_instance(seed=23)
     point = _center(inst)
