@@ -228,8 +228,8 @@ def _resolve_center(inst: Instance, center_spec: str, seed: int, target: str):
         profile = inst.profiles.profiles[int(center_spec)]
     else:
         raise ConfigError(
-            f"sweep.center must be 'zero', 'optimal', 'saddle', or a valid "
-            f"profile index; got {center_spec!r}"
+            f"center must be 'zero', 'optimal', 'saddle', or a valid profile index; "
+            f"got {center_spec!r}"
         )
     params = sample_random_params(inst, seed=named_seed(seed, "center-params"))
     return construct_critical_point(profile, params, inst, target=target)
