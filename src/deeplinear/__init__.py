@@ -2,7 +2,6 @@
 
 from .network import (
     DimChain,
-    FlatParams,
     RegParams,
     ShapeError,
     WeightStack,

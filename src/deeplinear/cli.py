@@ -97,6 +97,19 @@ def _integer(block: dict, key: str, default, context: str, least: int | None = N
     return value
 
 
+def _numbers(value, context: str, least: int | None = None) -> tuple:
+    """A JSON list of numbers, not bools, as floats; with ``least``, a list of
+    integers at least ``least``.  Else a config error."""
+    kind = (int, float) if least is None else int
+    if not isinstance(value, list) or any(
+        isinstance(v, bool) or not isinstance(v, kind) or (least is not None and v < least)
+        for v in value
+    ):
+        what = "numbers" if least is None else f"integers >= {least}"
+        raise ConfigError(f"{context} must be a list of {what}, got {value!r}")
+    return tuple(value) if least is not None else tuple(float(v) for v in value)
+
+
 def _block(parent: dict, key: str, context: str) -> dict:
     """The parent's ``key`` (``{}`` when absent): a JSON object, else a config error."""
     block = parent.get(key, {})
@@ -133,10 +146,10 @@ def build_instance(cfg: dict, seed: int) -> Instance:
     )
     if "lambdas" in block and "lambda_uniform" in block:
         raise ConfigError("give either 'lambdas' or 'lambda_uniform', not both")
-    dims = DimChain(tuple(int(d) for d in _require(block, "dims", "instance")))
+    dims = DimChain(_numbers(_require(block, "dims", "instance"), "instance.dims", least=1))
     depth = dims.depth
     if "lambdas" in block:
-        lams = tuple(float(x) for x in block["lambdas"])
+        lams = _numbers(block["lambdas"], "instance.lambdas")
         if len(lams) != depth:
             raise ConfigError(f"need {depth} lambdas, got {len(lams)}")
         reg = RegParams(lams)
@@ -154,7 +167,7 @@ def build_instance(cfg: dict, seed: int) -> Instance:
         target = rng.standard_normal((dims.d_out, dims.d_in))
         target *= float(tblock.get("scale", 1.0))
     elif kind == "diagonal":
-        values = [float(v) for v in _require(tblock, "values", "instance.target")]
+        values = _numbers(_require(tblock, "values", "instance.target"), "instance.target.values")
         if len(values) > dims.d_min:
             raise ConfigError(
                 f"diagonal target has {len(values)} values; "
@@ -203,7 +216,7 @@ def _sweep_config(cfg: dict, seed: int) -> tuple[RadiusSweepConfig, str, str]:
         num = _integer(radii, "num", None, "sweep.radii.num", least=1)
         radii = tuple(float(r) for r in np.geomspace(float(start), float(stop), num))
     elif radii is not None:
-        radii = tuple(float(r) for r in radii)
+        radii = _numbers(radii, "sweep.radii")
     if radii is not None:
         kwargs["radii"] = radii
     if "samples_per_radius" in block:

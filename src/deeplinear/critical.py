@@ -644,7 +644,7 @@ def tangent_basis(point: CriticalPoint, spectrum: "TargetSpectrum") -> np.ndarra
     seams.append((L - 1, 0, _skew_generators(dims[L], blocks), _skew_generators(dims[0], blocks)))
     # One row per direction, written through the center's layer views; the
     # entries of the layers a seam does not join stay zero.
-    rows = np.zeros((sum(len(s) for *_, s in seams), point.stack.params.flat.shape[-1]))
+    rows = np.zeros((sum(len(s) for *_, s in seams), point.stack.flat.shape[-1]))
     d = point.stack.like(rows).layers
     left, sig, right = point.left, point.sigma_mats, point.right
     i = 0
@@ -747,11 +747,13 @@ def distance_to_component(
     """
     spectrum, reg, L = inst.spectrum, inst.reg, inst.depth
     dims = stack.dim_chain()
+    if stack.biases is not None:
+        raise ShapeError("the critical set is one of stacks without biases")
     if dims.dims[0] != spectrum.d_in or dims.dims[-1] != spectrum.d_out:
         raise ShapeError("stack endpoints do not match the target's shape")
     if dims.depth != L:
         raise ShapeError("stack depth does not match the instance")
-    batched = stack.params.flat.ndim > 1
+    batched = stack.flat.ndim > 1
     stack = stack if batched else WeightStack.batch([stack])
     if lower is None:
         lower = mirsky_lower_bound(stack, profile, reg, target)
@@ -767,7 +769,7 @@ def distance_to_component(
         return out if batched else out[0]
 
     if profile.is_zero or spectrum.rank == 0:
-        nearest = stack.like(np.zeros_like(stack.params.flat))
+        nearest = stack.like(np.zeros_like(stack.flat))
         return results(nearest, (stack - nearest).norm(), [0] * n, [True] * n)
 
     sig_mats = _sigma_matrices(profile, dims, reg, target)
@@ -843,7 +845,7 @@ def distance_to_component(
     converged = np.zeros(n, dtype=bool)
     update_blocks()
     member = assemble(left, sig_mats, right)
-    nearest = member.params.flat.copy()
+    nearest = member.flat.copy()
     obj = (w - member).norm() ** 2
     for sweep in range(1, PROJECTION_SWEEPS + 1):
         update_seams()
@@ -858,7 +860,7 @@ def distance_to_component(
             )
         done = obj - new_obj < 1e-12
         obj = new_obj
-        nearest[live] = member.params.flat
+        nearest[live] = member.flat
         sweeps[live] = sweep
         converged[live[done]] = True
         if done.any():
@@ -913,7 +915,7 @@ def distance_to_critical_set(
     in one :func:`distance_to_component` call, handing it their rows of the
     bounds computed here, so each layer's singular values are taken once.
     """
-    batched = stack.params.flat.ndim > 1
+    batched = stack.flat.ndim > 1
     stack = stack if batched else WeightStack.batch([stack])
     enum = inst.profiles
     lowers = mirsky_lower_bound(stack, enum, inst.reg, target)

@@ -12,8 +12,8 @@ where lam is the product of the per-layer regularization weights.  The two
 problems share critical points up to the per-layer rescaling implemented by
 :func:`rescale_f_to_g`.  Both, and the extended objectives of gradient descent
 (input matrix, biases, activations), are evaluated by one kernel,
-:func:`value_and_grad`, on one flat buffer of the layers and biases
-(:class:`FlatParams`); a :class:`WeightStack` is such a buffer without biases.
+:func:`value_and_grad`, on one flat buffer of the layers and biases, a
+:class:`WeightStack`.
 """
 
 from __future__ import annotations
@@ -106,15 +106,18 @@ class RegParams:
 
 
 class WeightStack:
-    """The tuple W = (W_1, ..., W_L); layer l has shape d_l x d_{l-1}.
+    """The tuple W = (W_1, ..., W_L), layer l of shape d_l x d_{l-1}, and
+    for the extended objectives the biases b_1, ..., b_L (else None).
 
-    ``layers`` are the views of ``params``, a :class:`FlatParams` with no
-    biases: ``WeightStack(layers)`` copies them into a new buffer, and
-    :meth:`over` wraps a holder's buffer.  A leading sample axis, ``(R, n)``,
-    holds R stacks of one shape (see :meth:`batch`).
+    All are views into one flat float array: ``flat`` has shape ``(..., n)``,
+    the layers and then the biases, each raveled in C order, so a leading
+    sample axis, ``(R, n)``, holds R parameter sets of one shape (see
+    :meth:`batch`).  The views are cut once, when the holder is made:
+    ``WeightStack(layers, biases)`` copies the arrays into a new buffer, and
+    :meth:`like` puts the same layout over another buffer.
     """
 
-    def __init__(self, layers):
+    def __init__(self, layers, biases=None):
         layers = [np.asarray(w, dtype=float) for w in layers]
         if len(layers) < 2:
             raise ShapeError("a network needs at least 2 layers")
@@ -126,71 +129,86 @@ class WeightStack:
                 )
             if layers[l].shape[:-2] != layers[0].shape[:-2]:
                 raise ShapeError("layers carry different leading sample axes")
-        self.params = FlatParams.pack(layers)
+        biases = [np.asarray(b, dtype=float) for b in biases or []]
+        if biases and [b.shape for b in biases] != [w.shape[:-1] for w in layers]:
+            raise ShapeError("need one bias per layer, of its rows and sample axes")
+        parts, lead = layers + biases, layers[0].shape[:-2]
+        flat = np.concatenate([a.reshape(lead + (-1,)) for a in parts], axis=-1)
+        self._cut(flat, tuple(a.shape[len(lead):] for a in parts), len(layers))
 
-    @classmethod
-    def over(cls, params: "FlatParams") -> "WeightStack":
-        """The stack of a holder's layers over its buffer (biases left out)."""
-        if params.biases is not None:
-            n = params.n_layers
-            params = FlatParams(params.flat[..., : params.bounds[n - 1][1]], params.shapes[:n], n)
-        stack = cls.__new__(cls)
-        stack.params = params
-        return stack
+    def _cut(self, flat: np.ndarray, shapes: tuple, depth: int) -> "WeightStack":
+        """Hold ``flat`` and cut its views by ``shapes``, the first ``depth`` the layers."""
+        self.flat, self.shapes, self.depth = flat, shapes, depth
+        self.sizes, self.bounds = _layout(shapes)
+        lead = flat.shape[:-1]
+        views = [flat[..., a:b].reshape(lead + s) for (a, b), s in zip(self.bounds, shapes)]
+        self.layers, self.biases = views[:depth], views[depth:] or None
+        return self
 
     def like(self, flat: np.ndarray) -> "WeightStack":
         """The same layout over ``flat`` (its leading axes may differ)."""
-        return WeightStack.over(self.params.like(flat))
+        return WeightStack.__new__(WeightStack)._cut(flat, self.shapes, self.depth)
+
+    def weights(self) -> "WeightStack":
+        """The stack of the layers alone: the holder itself when it has no
+        biases, else a view of the layers' prefix of ``flat`` (no copy)."""
+        if self.biases is None:
+            return self
+        n = self.depth
+        return WeightStack.__new__(WeightStack)._cut(
+            self.flat[..., : self.bounds[n - 1][1]], self.shapes[:n], n
+        )
+
+    def reg_rows(self, reg: RegParams) -> tuple[np.ndarray, np.ndarray]:
+        """The per-entry row of 2 lambda_l over ``flat`` (one 0-d array when
+        the weights are equal), and the weights
+        (1, lambda_1, ..., lambda_L, lambda_1, ...) of the squared residual and
+        segment norms; built once per layout and weights."""
+        if reg.depth != self.depth:
+            raise ShapeError(f"{reg.depth} regularization weights for a {self.depth}-layer network")
+        return _reg_rows(self.sizes, reg.lambdas * (1 if self.biases is None else 2))
 
     @classmethod
     def batch(cls, stacks: list["WeightStack"]) -> "WeightStack":
         """One stack holding same-shape 2-D stacks along a leading sample axis."""
-        if not stacks or any(s.params.shapes != stacks[0].params.shapes for s in stacks):
+        if not stacks or any(s.shapes != stacks[0].shapes for s in stacks):
             raise ShapeError("batch needs one or more stacks of one shape")
-        return stacks[0].like(np.stack([s.params.flat for s in stacks]))
+        return stacks[0].like(np.stack([s.flat for s in stacks]))
 
     def unbatch(self) -> list["WeightStack"]:
         """The 2-D stacks of a batched stack, in sample order."""
-        return [self.like(row) for row in self.params.flat]
+        return [self.like(row) for row in self.flat]
 
     def __getitem__(self, rows) -> "WeightStack":
         """The samples ``rows`` (an index array or mask) of a batched stack."""
-        return self.like(self.params.flat[rows])
-
-    @property
-    def layers(self) -> list[np.ndarray]:
-        return self.params.layers
-
-    @property
-    def depth(self) -> int:
-        return self.params.n_layers
+        return self.like(self.flat[rows])
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return (self.params.shapes[0][1],) + tuple(s[0] for s in self.params.shapes)
+        return (self.shapes[0][1],) + tuple(s[0] for s in self.shapes[: self.depth])
 
     def dim_chain(self) -> DimChain:
         return DimChain(self.dims)
 
     def copy(self) -> "WeightStack":
-        return self.like(self.params.flat.copy())
+        return self.like(self.flat.copy())
 
     def norm(self) -> float | np.ndarray:
         """Frobenius norm: a float, or one per sample for a batched stack."""
         # a reduce per layer's segment, summed layer by layer: the per-layer roundings
-        sq = self.params.flat * self.params.flat
-        total = np.sqrt(sum(np.add.reduce(sq[..., a:b], axis=-1) for a, b in self.params.bounds))
+        sq = self.flat * self.flat
+        total = np.sqrt(sum(np.add.reduce(sq[..., a:b], axis=-1) for a, b in self.bounds))
         return total if total.ndim else float(total)
 
     def __add__(self, other: "WeightStack") -> "WeightStack":
-        return self.like(self.params.flat + other.params.flat)
+        return self.like(self.flat + other.flat)
 
     def __sub__(self, other: "WeightStack") -> "WeightStack":
-        return self.like(self.params.flat - other.params.flat)
+        return self.like(self.flat - other.flat)
 
     def scale(self, c: float | np.ndarray) -> "WeightStack":
         """Multiply by c: a float, or one factor per sample for a batched stack."""
-        return self.like(np.asarray(c)[..., None] * self.params.flat)
+        return self.like(np.asarray(c)[..., None] * self.flat)
 
     @classmethod
     def zeros(cls, dims) -> "WeightStack":
@@ -201,10 +219,12 @@ class WeightStack:
     def gaussian(cls, dims, rng: np.random.Generator) -> "WeightStack":
         """Standard normal entries: the stream of one draw per layer, in order."""
         stack = cls.zeros(dims)
-        return stack.like(rng.standard_normal(stack.params.flat.shape))
+        return stack.like(rng.standard_normal(stack.flat.shape))
 
 
 def _check_target(stack: WeightStack, target: np.ndarray) -> np.ndarray:
+    if stack.biases is not None:
+        raise ShapeError("the product loss takes a stack without biases")
     target = np.asarray(target, dtype=float)
     expected = (stack.dims[-1], stack.dims[0])
     if target.shape != expected:
@@ -254,47 +274,6 @@ def _act_deriv(z: np.ndarray, a: np.ndarray, name: str) -> np.ndarray:
     return 1.0 - a * a
 
 
-class FlatParams:
-    """Layers and biases as views into one flat float array.
-
-    ``flat`` has shape ``(..., n)``: the layers and then the biases, each
-    raveled in C order, so a leading run axis holds R parameter sets of one
-    shape.  The views (``layers``, and ``biases`` or None) are cut once, when
-    the holder is made: :meth:`pack` copies arrays into a new buffer, and
-    :meth:`like` puts the same layout over another buffer.
-    """
-
-    def __init__(self, flat: np.ndarray, shapes, n_layers: int):
-        self.flat, self.shapes, self.n_layers = flat, tuple(shapes), n_layers
-        self.sizes, self.bounds = _layout(self.shapes)
-        lead = flat.shape[:-1]
-        views = [flat[..., a:b].reshape(lead + s) for (a, b), s in zip(self.bounds, self.shapes)]
-        self.layers, self.biases = views[:n_layers], views[n_layers:] or None
-
-    @classmethod
-    def pack(cls, layers, biases=None) -> "FlatParams":
-        """A new buffer holding copies of the layers and biases (leading axes shared)."""
-        parts = [np.asarray(a, dtype=float) for a in [*layers, *(biases or [])]]
-        lead = parts[0].shape[:-2]
-        flat = np.concatenate([a.reshape(lead + (-1,)) for a in parts], axis=-1)
-        return cls(flat, [a.shape[len(lead):] for a in parts], len(layers))
-
-    def like(self, flat: np.ndarray) -> "FlatParams":
-        """The same layout over ``flat`` (its leading axes may differ)."""
-        return FlatParams(flat, self.shapes, self.n_layers)
-
-    def reg_rows(self, reg: RegParams) -> tuple[np.ndarray, np.ndarray]:
-        """The per-entry row of 2 lambda_l over ``flat`` (one 0-d array when
-        the weights are equal), and the weights
-        (1, lambda_1, ..., lambda_L, lambda_1, ...) of the squared residual and
-        segment norms; built once per layout and weights."""
-        if reg.depth != self.n_layers:
-            raise ShapeError(
-                f"{reg.depth} regularization weights for a {self.n_layers}-layer network"
-            )
-        return _reg_rows(self.sizes, reg.lambdas * (1 if self.biases is None else 2))
-
-
 @functools.lru_cache(maxsize=64)
 def _layout(shapes: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tuple]:
     """Segment sizes and (start, end) bounds, computed once per layout."""
@@ -333,7 +312,7 @@ def objective(flat: np.ndarray, resid: np.ndarray, weights: np.ndarray, bounds) 
     return np.add.accumulate(sq, axis=-1)[..., -1]
 
 
-def _forward(params: FlatParams, x, target, weights, activation, resid=None):
+def _forward(params: WeightStack, x, target, weights, activation, resid=None):
     """Objective value, residual, pre-activations and activations of every layer.
 
     ``weights`` are the weights of the squared norms, ``params.reg_rows(reg)[1]``.
@@ -360,14 +339,14 @@ def _forward(params: FlatParams, x, target, weights, activation, resid=None):
 
 
 def value_and_grad(
-    params: FlatParams,
+    params: WeightStack,
     x: np.ndarray | None,
     target: np.ndarray,
     reg: RegParams,
     activation: str = "identity",
-    grad: FlatParams | None = None,
+    grad: WeightStack | None = None,
     resid: np.ndarray | None = None,
-) -> tuple[float | np.ndarray | None, FlatParams]:
+) -> tuple[float | np.ndarray | None, WeightStack]:
     """Objective value and exact gradient of the extended loss.
 
     The one gradient kernel: a forward pass, then backpropagation.  ``x is
@@ -417,14 +396,14 @@ def loss_f(stack: WeightStack, target: np.ndarray, reg: RegParams) -> float | np
     call on its sample (as for :func:`value_and_grad` and :func:`grad_f`).
     """
     target = _check_target(stack, target)
-    return _forward(stack.params, None, target, stack.params.reg_rows(reg)[1], "identity")[0]
+    return _forward(stack, None, target, stack.reg_rows(reg)[1], "identity")[0]
 
 
 def grad_f(stack: WeightStack, target: np.ndarray, reg: RegParams) -> WeightStack:
     """Exact gradient of :func:`loss_f` with respect to every layer, over the
     kernel's own gradient buffer."""
     target = _check_target(stack, target)
-    return WeightStack.over(value_and_grad(stack.params, None, target, reg)[1])
+    return value_and_grad(stack, None, target, reg)[1]
 
 
 def uniform_companion(target: np.ndarray, reg: RegParams) -> tuple[np.ndarray, RegParams]:
@@ -445,11 +424,11 @@ def grad_g(stack: WeightStack, target: np.ndarray, reg: RegParams) -> WeightStac
 
 def rescale_f_to_g(stack: WeightStack, reg: RegParams) -> WeightStack:
     """Map a point of the per-layer problem to the uniform problem: W_l -> sqrt(lambda_l) W_l."""
-    two_lam = stack.params.reg_rows(reg)[0]  # checks the depth; halved exactly
-    return stack.like(stack.params.flat * np.sqrt(0.5 * two_lam))
+    two_lam = stack.reg_rows(reg)[0]  # checks the depth; halved exactly
+    return stack.like(stack.flat * np.sqrt(0.5 * two_lam))
 
 
 def rescale_g_to_f(stack: WeightStack, reg: RegParams) -> WeightStack:
     """Inverse of :func:`rescale_f_to_g`."""
-    two_lam = stack.params.reg_rows(reg)[0]  # checks the depth; halved exactly
-    return stack.like(stack.params.flat / np.sqrt(0.5 * two_lam))
+    two_lam = stack.reg_rows(reg)[0]  # checks the depth; halved exactly
+    return stack.like(stack.flat / np.sqrt(0.5 * two_lam))

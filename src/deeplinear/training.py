@@ -24,7 +24,6 @@ from .critical import optimal_profile, saddle_profile, sample_random_params, \
 from .network import (
     ACTIVATIONS,
     DimChain,
-    FlatParams,
     RegParams,
     ShapeError,
     WeightStack,
@@ -153,7 +152,7 @@ def _init_state(model, dims: DimChain, cfg: TrainConfig, center):
         if center is None:
             raise ValueError("near-critical initialization needs a center stack")
         stack = center if isinstance(center, WeightStack) else center.stack
-        noise = stack.like(rng.standard_normal(stack.params.flat.shape))
+        noise = stack.like(rng.standard_normal(stack.flat.shape))
         layers = (stack + noise.scale(cfg.init_scale)).layers
     elif cfg.init == "uniform-fan-based":
         layers = []
@@ -200,7 +199,7 @@ class _Ring:
     of a loop without one.
     """
 
-    def __init__(self, layout: FlatParams, rows: int, resid_shape: tuple[int, int]):
+    def __init__(self, layout: WeightStack, rows: int, resid_shape: tuple[int, int]):
         self.rows, n = rows, layout.flat.shape[-1]
         self.size = min(max(RING_BYTES // (8 * rows * n), 1), RING_STEPS)
         self.iterates = np.empty((self.size + 1, rows, n))
@@ -219,7 +218,7 @@ class _Ring:
         """
         return np.matmul(*self._operands, out=self._dots).ravel().tolist()
 
-    def row(self, slot: int, row: int) -> FlatParams:
+    def row(self, slot: int, row: int) -> WeightStack:
         """A copy of one run's iterate in one slot."""
         return self.slots[slot].like(self.iterates[slot, row].copy())
 
@@ -237,7 +236,7 @@ def train_runs(
     Run i starts from ``_init_state`` with ``cfgs[i]`` and ``centers[i]``;
     the runs may differ in seed, init and init_scale but must share the
     fields in ``SHARED_FIELDS`` (else ``ValueError``).  The parameters are
-    ``(R, n)`` :class:`FlatParams` buffers, one row per run, so each step
+    ``(R, n)`` :class:`WeightStack` buffers, one row per run, so each step
     is one kernel call for every live run, writing the gradient in place.
     Each run stops on its own when both stopping tolerances hold jointly
     (or at ``max_iters``) and is then dropped from the batch; its
@@ -277,7 +276,7 @@ def train_runs(
     # alone turns non-finite is found at the next flush, its last finite
     # iterate still in the ring.  Snapshots and final and last finite
     # iterates are copies of ring rows.
-    packed = [FlatParams.pack(*_init_state(model, dims, cfg, c)) for cfg, c in zip(cfgs, centers)]
+    packed = [WeightStack(*_init_state(model, dims, cfg, c)) for cfg, c in zip(cfgs, centers)]
     layout = packed[0]
     weights = layout.reg_rows(reg)[1]
     resid_shape = (dims.dims[-1], n_cols)
@@ -300,7 +299,7 @@ def train_runs(
             grad_sq=np.asarray(g_hist[run]),
             step_norm_sq=np.asarray(s_hist[run]),
             snapshots=snapshots[run],
-            final=WeightStack.over(final),
+            final=final.weights(),
             final_biases=final.biases,
             termination=termination,
             wall_time=time.perf_counter() - t0,
@@ -334,7 +333,7 @@ def train_runs(
                     # the last finite iterate: the previous one, or the start
                     errors[run] = DivergenceError(
                         f"objective became non-finite at iteration {it}",
-                        WeightStack.over(ring.row(i if it else 1, row)),
+                        ring.row(i if it else 1, row).weights(),
                     )
                     continue
                 f_run, gsq = f_hist[run], dots[row]
@@ -343,7 +342,7 @@ def train_runs(
                     finish(run, ring.row(i + 1, row), "converged")
                     continue
                 if it % snap_stride == 0:
-                    snapshots[run].append((it, WeightStack.over(ring.row(i + 1, row))))
+                    snapshots[run].append((it, ring.row(i + 1, row).weights()))
                 f_run.append(f_val)
                 g_hist[run].append(gsq)
                 keep.append((row, run))

@@ -67,6 +67,8 @@ class RadiusSweepConfig:
         for r in self.radii:
             if not (math.isfinite(r) and r > 0):
                 raise ValueError(f"radii must be finite and positive, got {r!r}")
+        if len(set(self.radii)) < len(self.radii):
+            raise ValueError(f"radii must be distinct, got {self.radii}")
         n = self.samples_per_radius
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise ValueError(f"samples_per_radius must be an integer >= 1, got {n!r}")
@@ -146,8 +148,8 @@ def _grad_and_loss(stack, target_matrix, reg, target):
     """Gradient norm and loss, one kernel call; per sample for a batched stack."""
     if target != "F":
         target_matrix, reg = uniform_companion(target_matrix, reg)
-    value, grad = value_and_grad(stack.params, None, target_matrix, reg)
-    return WeightStack.over(grad).norm(), value
+    value, grad = value_and_grad(stack, None, target_matrix, reg)
+    return grad.norm(), value
 
 
 def _make_sampler(center: CriticalPoint, inst, cfg, direction_index):
@@ -156,7 +158,7 @@ def _make_sampler(center: CriticalPoint, inst, cfg, direction_index):
     Its stream and directions are those of ``count`` one-sample draws; each
     singular direction is built once, and a draw gathers its rows.
     """
-    n = center.stack.params.flat.shape[-1]
+    n = center.stack.flat.shape[-1]
 
     def unit(flat):
         e = center.stack.like(flat)
@@ -222,7 +224,7 @@ def _sweep(center, inst, cfg, target, direction_index):
     draw = _make_sampler(center, inst, cfg, direction_index)
     # One row per sample, radius-major, with the numbers of its own 2-D call.
     radii = np.repeat(cfg.radii, cfg.samples_per_radius)
-    n = center.stack.params.flat.shape[-1]
+    n = center.stack.flat.shape[-1]
     rows = max(cfg.samples_per_radius, critical.BATCH_ENTRIES // n)
     samples = []
     converged = True
@@ -374,7 +376,7 @@ def verify_pl_qg(
     # singular coordinate of the construction explicitly as well.
     d_min = min(center.stack.dims[0], center.stack.dims[-1])
     units = singular_direction(center, range(d_min))
-    signed = units.like(np.concatenate([units.params.flat, -units.params.flat]))
+    signed = units.like(np.concatenate([units.flat, -units.flat]))
     probe_losses = loss(center.stack + signed.scale(cfg.radii[0]), y, reg)
     min_gap = min(min_gap, float(probe_losses.min()) - f_center)
     is_minimizer = min_gap >= -1e-10

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from deeplinear import DimChain, FlatParams, RegParams, WeightStack, analyze_target, value_and_grad
+from deeplinear import DimChain, RegParams, WeightStack, analyze_target, value_and_grad
 from deeplinear.critical import (
     _EPS,
     BISECT_TOL,
@@ -16,7 +16,7 @@ from deeplinear.critical import (
 
 def list_kernel(layers, biases, x, target, reg, activation="identity"):
     """The kernel on lists of layers (and biases): value, layer and bias gradients."""
-    value, grad = value_and_grad(FlatParams.pack(layers, biases), x, target, reg, activation)
+    value, grad = value_and_grad(WeightStack(layers, biases), x, target, reg, activation)
     return value, grad.layers, grad.biases
 
 

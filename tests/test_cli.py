@@ -220,6 +220,9 @@ BAD_SWEEP_VALUES = {
     "fractional-radii-num": {"radii": {"start": 1e-3, "stop": 1e-2, "num": 2.5}},
     "empty-radii": {"radii": []},
     "zero-radii-num": {"radii": {"start": 1e-3, "stop": 1e-2, "num": 0}},
+    "string-radii": {"radii": "15"},
+    "repeated-radii": {"radii": [0.05, 0.05]},
+    "repeated-radii-range": {"radii": {"start": 1e-3, "stop": 1e-3, "num": 2}},
     "unknown-sweep-target": {"target": "H"},
     "negative-center-index": {"center": -1},
     "center-index-out-of-range": {"center": 99},
@@ -465,6 +468,13 @@ BAD_CONFIG_VALUES = {
     "string-target-scale": ("check-assumptions", ("instance", "target"),
                             {"kind": "gaussian", "scale": "abc"}),
     "number-target-values": ("constants", ("instance", "target"), {"kind": "diagonal", "values": 3}),
+    "string-target-values": ("constants", ("instance", "target"), {"kind": "diagonal", "values": "21"}),
+    "string-dims": ("check-assumptions", ("instance", "dims"), "564"),
+    "fractional-dims": ("check-assumptions", ("instance", "dims"), [2, 4.5, 2]),
+    "bool-dims": ("check-assumptions", ("instance", "dims"), [2, True, 2]),
+    "zero-dims": ("check-assumptions", ("instance", "dims"), [2, 0, 2]),
+    "string-lambdas": ("check-assumptions", ("instance", "lambdas"), "67"),
+    "bool-lambdas": ("check-assumptions", ("instance", "lambdas"), [0.6, True]),
     "rate-fit-key": ("train", ("rate_fit",), {"tail_fraction": 0.5}),
     "constants-key": ("constants", ("constants",), {}),
     "number-output-dir": ("check-assumptions", ("output_dir",), 5),

@@ -495,14 +495,12 @@ def _seam_layers(point, a, b, s_a, s_b):
 
 def _inner_seam_rows(point):
     """The directions of the seam factors Q_2, ..., Q_L, each packed on its own."""
-    from deeplinear import FlatParams
-
     rows = []
     for l in range(2, point.depth + 1):
         n = point.params.inner[l - 2].shape[0]
         for a, b in itertools.combinations(range(n), 2):
             d = _seam_layers(point, l - 2, l - 1, _skew(n, a, b), _skew(n, a, b))
-            rows.append(FlatParams.pack(d).flat)
+            rows.append(WeightStack(d).flat)
     return rows
 
 
@@ -510,15 +508,13 @@ def _tangent_rows_packed_one_by_one(point, spectrum):
     """Each tangent direction as a list of layers, packed on its own, then stacked:
     the inner seams, then the target blocks as one wrap-around seam from the
     last layer to the first."""
-    from deeplinear import FlatParams
-
     rows = _inner_seam_rows(point)
     d_in, d_out = point.stack.dims[0], point.stack.dims[-1]
     for i, h in enumerate(spectrum.multiplicities):
         start = spectrum.s_bounds[i]
         for a, b in itertools.combinations(range(start, start + h), 2):
             d = _seam_layers(point, point.depth - 1, 0, _skew(d_out, a, b), _skew(d_in, a, b))
-            rows.append(FlatParams.pack(d).flat)
+            rows.append(WeightStack(d).flat)
     return np.vstack(rows)
 
 
@@ -526,8 +522,6 @@ def _mixer_tangent_rows(point, spectrum):
     """The tangent rows as first written: each block direction perturbs the
     block factor inside the mixers M_in and M_out, and is rebuilt from the
     target's singular frames."""
-    from deeplinear import FlatParams
-
     layers, rows = point.stack.layers, _inner_seam_rows(point)
     for i, h in enumerate(spectrum.multiplicities):
         sl = spectrum.block_slice(i)
@@ -539,8 +533,8 @@ def _mixer_tangent_rows(point, spectrum):
             dm_out = np.zeros((layers[-1].shape[0],) * 2)
             dm_out[sl, sl] = _skew(h, a, b).T @ point.params.blocks[i].T
             d[-1] = spectrum.u @ dm_out @ point.sigma_mats[-1] @ point.right[-1]
-            rows.append(FlatParams.pack(d).flat)
-    return np.vstack(rows) if rows else np.zeros((0, point.stack.params.flat.shape[-1]))
+            rows.append(WeightStack(d).flat)
+    return np.vstack(rows) if rows else np.zeros((0, point.stack.flat.shape[-1]))
 
 
 def test_seam_basis_spans_the_mixer_directions():
@@ -600,11 +594,11 @@ def test_batched_singular_directions_equal_per_index_calls(dims, center):
     point = construct_critical_point(profile, sample_random_params(inst, seed=3), inst)
     d_min = inst.dims.d_min
     batch = critical.singular_direction(point, range(d_min))
-    assert batch.params.flat.shape == (d_min, point.stack.params.flat.size)
-    for k, row in enumerate(batch.params.flat):
-        assert np.array_equal(row, critical.singular_direction(point, k).params.flat)
+    assert batch.flat.shape == (d_min, point.stack.flat.size)
+    for k, row in enumerate(batch.flat):
+        assert np.array_equal(row, critical.singular_direction(point, k).flat)
     one = critical.singular_direction(point, [1])
-    assert np.array_equal(one.params.flat, batch.params.flat[1:2])
+    assert np.array_equal(one.flat, batch.flat[1:2])
 
 
 def test_profile_partition_fields():

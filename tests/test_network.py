@@ -5,7 +5,6 @@ import pytest
 
 from deeplinear import (
     DimChain,
-    FlatParams,
     Instance,
     ModelSpec,
     RegParams,
@@ -13,6 +12,7 @@ from deeplinear import (
     TrainConfig,
     WeightStack,
     construct_critical_point,
+    distance_to_critical_set,
     grad_f,
     grad_g,
     loss_f,
@@ -67,6 +67,22 @@ def test_shape_errors():
         loss_f(stack, np.zeros((5, 5)), RegParams((1.0, 1.0)))
     with pytest.raises(ShapeError):
         WeightStack([np.zeros((3, 2)), np.zeros((2, 4))])  # 4 != 3
+
+
+def test_product_loss_and_critical_set_reject_a_stack_with_biases(rng):
+    # The one holder also carries biases, so the bias-free objectives check
+    # for them: a holder with biases is a shape error, its weights() view is not.
+    inst = Instance(DimChain((3, 4, 2)), RegParams((0.5, 0.6)), rng.standard_normal((2, 3)))
+    stack = WeightStack.gaussian(inst.dims, rng)
+    held = WeightStack(stack.layers, [rng.standard_normal(4), rng.standard_normal(2)])
+    for call in (
+        lambda s: loss_f(s, inst.target, inst.reg),
+        lambda s: grad_f(s, inst.target, inst.reg),
+        lambda s: distance_to_critical_set(s, inst),
+    ):
+        with pytest.raises(ShapeError):
+            call(held)
+        call(held.weights())
 
 
 def test_gradient_matches_central_differences(rng):
@@ -250,9 +266,10 @@ def test_stacked_kernel_equals_per_slice_calls(depth, name, with_bias, with_inpu
             for a, b, s in zip([0, *ends[:-1]], ends, shapes)
         ]
         layers, biases = parts[:depth], (parts[depth:] if with_bias else None)
-        # Lists packed at the boundary, and the holder over the (R, n) array
-        # itself, writing into a gradient buffer of its layout.
-        packed = FlatParams(params, shapes, depth)
+        # Lists packed at the boundary, and the layout of a packed holder put
+        # over the (R, n) array itself, writing into a gradient buffer of it.
+        packed = WeightStack(layers, biases).like(params)
+        assert np.shares_memory(packed.layers[0], params)
         grad = packed.like(np.full_like(params, np.nan))  # every entry is written
         packed_value, written = value_and_grad(packed, x, target, reg, activation, grad)
         assert written is grad
@@ -283,7 +300,7 @@ def test_flat_params_layout(lead, rng):
     layers = [rng.standard_normal(lead + (d[l + 1], d[l])) for l in range(3)]
     biases = [rng.standard_normal(lead + (d[l + 1],)) for l in range(3)]
     for bs in (None, biases):
-        p = FlatParams.pack(layers, bs)
+        p = WeightStack(layers, bs)
         parts = layers + (bs or [])
         assert p.flat.shape == lead + (sum(a[(0,) * len(lead)].size for a in parts),)
         # pack, then views, round-trips, and every view shares the buffer
@@ -337,14 +354,15 @@ def test_batched_weight_stack(rng, monkeypatch):
     assert norms.tolist() == [s.norm() for s in stacks]
     for a, b in zip(batch.unbatch(), stacks):
         assert _same_layers(a.layers, b.layers)
-        assert np.shares_memory(a.params.flat, batch.params.flat)  # rows, not copies
+        assert np.shares_memory(a.flat, batch.flat)  # rows, not copies
     # One layout: the layers are views of one buffer with no biases, and a
     # stack made from a list copies the list into a new buffer.
     layers = [rng.standard_normal((5, 3)), rng.standard_normal((4, 5)), rng.standard_normal((2, 4))]
     stack = WeightStack(layers)
-    assert stack.params.biases is None and stack.params.flat.shape == (15 + 20 + 8,)
+    assert stack.biases is None and stack.flat.shape == (15 + 20 + 8,)
+    assert stack.weights() is stack
     assert _same_layers(stack.layers, layers)
-    assert all(np.shares_memory(w, stack.params.flat) for w in stack.layers)
+    assert all(np.shares_memory(w, stack.flat) for w in stack.layers)
     assert not any(np.shares_memory(w, v) for w, v in zip(stack.layers, layers))
     # Every operation is one flat operation, bit-equal to the per-layer formula.
     target, reg = rng.standard_normal((2, 3)), RegParams((0.5, 0.6, 0.7))
@@ -358,7 +376,7 @@ def test_batched_weight_stack(rng, monkeypatch):
         assert _same_layers(a.scale(2.5).layers, [2.5 * x for x in a.layers])
         copied = a.copy()
         assert _same_layers(copied.layers, a.layers)
-        assert not np.shares_memory(copied.params.flat, a.params.flat)
+        assert not np.shares_memory(copied.flat, a.flat)
         per_layer = np.sqrt(sum(np.add.reduce(w * w, axis=(-2, -1)) for w in a.layers))
         assert np.array_equal(a.norm(), per_layer)
         assert _same_layers(rescale_f_to_g(a, reg).layers, [r * w for r, w in zip(roots, a.layers)])
@@ -377,17 +395,29 @@ def test_batched_weight_stack(rng, monkeypatch):
     monkeypatch.setattr(network, "value_and_grad", recording_kernel)
     for s in (stack, batch):
         g = grad_f(s, target, reg)
-        assert g.params is holders[-1] and np.shares_memory(g.layers[0], holders[-1].flat)
+        assert g is holders[-1] and g.flat.shape == s.flat.shape
     monkeypatch.undo()
     # A trained run with biases ends on a stack over its layers only: the
     # prefix of the run's row, whose biases follow in the same buffer.
     model = ModelSpec(kind="linear-with-bias")
     traj = train(model, target, reg, TrainConfig(init="gaussian", max_iters=3), dims)
-    final = traj.final.params
+    final = traj.final
     assert final.biases is None and final.flat.shape == (15 + 20 + 8,)
-    assert [w.shape for w in traj.final.layers] == [(5, 3), (4, 5), (2, 4)]
+    assert [w.shape for w in final.layers] == [(5, 3), (4, 5), (2, 4)]
     for b in traj.final_biases:
         assert b.base is final.flat.base and not np.shares_memory(b, final.flat)
+    # The same prefix view, taken of a holder with biases: no copy, and the
+    # layers' gradient is written into the holder's own gradient buffer.
+    held = WeightStack(layers, [rng.standard_normal(d) for d in (5, 4, 2)])
+    view = held.weights()
+    assert view.biases is None and view.dims == held.dims == (3, 5, 4, 2)
+    assert view.flat.base is held.flat and np.shares_memory(view.flat, held.flat)
+    assert not any(np.shares_memory(view.flat, b) for b in held.biases)
+    assert _same_layers(view.layers, held.layers) and view.norm() == stack.norm()
+    held_grad = value_and_grad(held, None, target, reg)[1]
+    assert held_grad.weights().flat.base is held_grad.flat
+    with pytest.raises(ShapeError):
+        WeightStack(layers, [np.zeros(5), np.zeros(4)])  # one bias short
     with pytest.raises(ShapeError):
         WeightStack([np.zeros((4, 5, 3)), np.zeros((4, 4, 6))])  # 6 != 5
     with pytest.raises(ShapeError):

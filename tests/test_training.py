@@ -391,7 +391,7 @@ def test_ring_memory_stays_within_its_budget():
     # reproduce-s4's L=6 and L=2 batches get 3 and 17 steps.
     for dims, rows, size in [((250, 400, 400, 400, 250), 1, 1), ((10, 32, 32, 32, 32, 32, 20), 2, 3),
                              ((10, 32, 20), 2, 17), ((2, 3, 2), 1, training.RING_STEPS)]:
-        layout = WeightStack.zeros(dims).params
+        layout = WeightStack.zeros(dims)
         ring = _Ring(layout, rows, (dims[-1], dims[0]))
         iterate = 8 * rows * layout.flat.size
         assert ring.size == size

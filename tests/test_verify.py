@@ -404,7 +404,7 @@ def _one_draw(center, inst, mode, direction_index):
     def draw(rng):
         e = WeightStack.gaussian(dims, rng)
         if mode == "tangent-removed":
-            e = e.like(e.params.flat - basis.T @ (basis @ e.params.flat))
+            e = e.like(e.flat - basis.T @ (basis @ e.flat))
         return e.scale(1.0 / e.norm())
 
     return draw
