@@ -97,13 +97,24 @@ def _integer(block: dict, key: str, default, context: str, least: int | None = N
     return value
 
 
+def _is_number(value, kind=(int, float)) -> bool:
+    """The one number rule of the config: a JSON number of ``kind``, not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _number(value, context: str) -> float:
+    """A JSON number, not a bool, as a float; else a config error."""
+    if not _is_number(value):
+        raise ConfigError(f"{context} must be a number, got {value!r}")
+    return float(value)
+
+
 def _numbers(value, context: str, least: int | None = None) -> tuple:
     """A JSON list of numbers, not bools, as floats; with ``least``, a list of
     integers at least ``least``.  Else a config error."""
     kind = (int, float) if least is None else int
     if not isinstance(value, list) or any(
-        isinstance(v, bool) or not isinstance(v, kind) or (least is not None and v < least)
-        for v in value
+        not _is_number(v, kind) or (least is not None and v < least) for v in value
     ):
         what = "numbers" if least is None else f"integers >= {least}"
         raise ConfigError(f"{context} must be a list of {what}, got {value!r}")
@@ -154,7 +165,7 @@ def build_instance(cfg: dict, seed: int) -> Instance:
             raise ConfigError(f"need {depth} lambdas, got {len(lams)}")
         reg = RegParams(lams)
     elif "lambda_uniform" in block:
-        reg = RegParams.uniform(float(block["lambda_uniform"]), depth)
+        reg = RegParams.uniform(_number(block["lambda_uniform"], "instance.lambda_uniform"), depth)
     else:
         raise ConfigError("instance needs 'lambdas' or 'lambda_uniform'")
 
@@ -165,7 +176,7 @@ def build_instance(cfg: dict, seed: int) -> Instance:
     if kind == "gaussian":
         rng = named_stream(_integer(tblock, "seed", seed, "instance.target.seed"), "instance")
         target = rng.standard_normal((dims.d_out, dims.d_in))
-        target *= float(tblock.get("scale", 1.0))
+        target *= _number(tblock.get("scale", 1.0), "instance.target.scale")
     elif kind == "diagonal":
         values = _numbers(_require(tblock, "values", "instance.target"), "instance.target.values")
         if len(values) > dims.d_min:
@@ -196,8 +207,11 @@ def _output_dir(cfg: dict) -> Path:
     return path
 
 
-def dump_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def dump_json(payload: dict, path: Path) -> str:
+    """Write ``payload`` as indented, key-sorted JSON and a newline; return that text."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    path.write_text(text)
+    return text
 
 
 @_reading()
@@ -214,7 +228,8 @@ def _sweep_config(cfg: dict, seed: int) -> tuple[RadiusSweepConfig, str, str]:
         _check_keys(radii, {"start", "stop", "num"}, "sweep.radii")
         start, stop, num = (_require(radii, k, "sweep.radii") for k in ("start", "stop", "num"))
         num = _integer(radii, "num", None, "sweep.radii.num", least=1)
-        radii = tuple(float(r) for r in np.geomspace(float(start), float(stop), num))
+        start, stop = _number(start, "sweep.radii.start"), _number(stop, "sweep.radii.stop")
+        radii = tuple(float(r) for r in np.geomspace(start, stop, num))
     elif radii is not None:
         radii = _numbers(radii, "sweep.radii")
     if radii is not None:
@@ -277,10 +292,7 @@ def _setup(args) -> tuple[dict, int, Instance]:
 def cmd_check_assumptions(args) -> int:
     cfg, _, inst = _setup(args)
     report = check_assumptions(inst)
-    payload = asdict(report)
-    out = _output_dir(cfg)
-    dump_json(payload, out / "assumptions.json")
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(dump_json(asdict(report), _output_dir(cfg) / "assumptions.json"), end="")
     return 0 if report.ok else 1
 
 
@@ -304,8 +316,7 @@ def cmd_constants(args) -> int:
     (out / "constants.csv").write_text(
         ledger.csv_header() + "\n" + ledger.csv_row() + "\n"
     )
-    dump_json(ledger.to_dict(), out / "constants.json")
-    print(ledger.to_json())
+    print(dump_json(ledger.to_dict(), out / "constants.json"), end="")
     return 0
 
 

@@ -325,9 +325,9 @@ def compute_ledger(inst: Instance, profile: SigmaProfile) -> EbConstantsLedger:
 
     Refuses when the width or non-degeneracy assumptions fail, naming the
     constant that becomes undefined.  ``d_max`` is taken over the whole layer
-    chain.  (kappa, eps) aggregate over the instance's profile enumeration,
-    from one array pass over the sorted vectors of its non-zero profiles; the
-    requested profile's own constants are the same expressions on its row.
+    chain.  (kappa, eps) aggregate over the instance's profile enumeration.
+    One array pass over the sorted vectors gives both: the requested
+    profile's row, then the enumeration's non-zero profiles.
     """
     L = inst.depth
     report = check_assumptions(inst)
@@ -350,23 +350,17 @@ def compute_ledger(inst: Instance, profile: SigmaProfile) -> EbConstantsLedger:
     d_max = max(inst.dims.dims)
     eps0, kappa0 = _zero_profile_constants(inst)
 
-    kappa, eps = kappa0, eps0
+    first = 0 if profile.is_zero else 1  # the requested profile's row, if any
     sigmas = inst.profiles.sigmas
-    sigmas = sigmas[sigmas[:, 0] > 0.0]
-    if len(sigmas):
+    sigmas = np.concatenate([np.array([profile.sigma])[:first], sigmas[sigmas[:, 0] > 0.0]])
+    kappa, eps, own = kappa0, eps0, dict.fromkeys(PROFILE_KEYS, math.nan)
+    if len(sigmas):  # none for a zero target
         every = _profile_constants(inst, sigmas, d_max, root_set.delta_sigma)
+        if first:
+            own = {key: float(val[0]) for key, val in every.items()}
         # max/min of Python floats in enumeration order: a NaN value is passed over
-        kappa = max([kappa0] + every["kappa_sigma"].tolist())
-        eps = min([eps0] + every["eps_sigma"].tolist())
-
-    if profile.is_zero:
-        own = dict.fromkeys(PROFILE_KEYS, math.nan)
-    else:
-        row = np.array([profile.sigma])
-        own = {
-            key: float(val[0])
-            for key, val in _profile_constants(inst, row, d_max, root_set.delta_sigma).items()
-        }
+        kappa = max([kappa0] + every["kappa_sigma"][first:].tolist())
+        eps = min([eps0] + every["eps_sigma"][first:].tolist())
 
     reg = inst.reg
     lam = reg.lambda_prod

@@ -411,15 +411,18 @@ def enumerate_sigma_profiles(inst: "Instance", cap: int = 1024) -> ProfileEnumer
         flags[i, : counts[i]] = r.degenerate
     cols = np.arange(rank)
 
+    # each run's tuples are the rows of one table; walk row k takes row
+    # unravel_index(k)[j] of table j, in itertools.product order
     spectrum = inst.spectrum
-    runs = [
-        itertools.combinations_with_replacement(range(n - 1, -1, -1), len(list(run)))
+    tables = [
+        np.array(list(itertools.combinations_with_replacement(range(n)[::-1], len(list(run)))))
         for b in range(spectrum.p_distinct)
         for n, run in itertools.groupby(counts[spectrum.block_slice(b)])
     ]
-    walk = itertools.islice(itertools.product(*runs), cap + 1)
-    choice = np.array([sum(combo, ()) for combo in walk], dtype=np.intp)
-    truncated = len(choice) > cap
+    walked = min(math.prod(map(len, tables)), cap + 1)
+    rows = np.unravel_index(np.arange(walked), [len(t) for t in tables]) if tables else ()
+    choice = np.concatenate([np.empty((walked, 0), int), *(t[i] for t, i in zip(tables, rows))], 1)
+    truncated = walked > cap
     if truncated:
         choice[cap] = 0
     sigma_eq = roots[cols, choice]

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,10 @@ class DimChain:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(self.dims)
+        if any(isinstance(d, bool) or not isinstance(d, numbers.Integral) for d in dims):
+            raise ShapeError(f"dimensions must be integers, got dims={dims}")
+        dims = tuple(int(d) for d in dims)
         object.__setattr__(self, "dims", dims)
         if len(dims) < 3:
             raise ShapeError(f"need at least 2 layers (3 dims), got dims={dims}")
@@ -133,8 +137,9 @@ class WeightStack:
         if biases and [b.shape for b in biases] != [w.shape[:-1] for w in layers]:
             raise ShapeError("need one bias per layer, of its rows and sample axes")
         parts, lead = layers + biases, layers[0].shape[:-2]
-        flat = np.concatenate([a.reshape(lead + (-1,)) for a in parts], axis=-1)
-        self._cut(flat, tuple(a.shape[len(lead):] for a in parts), len(layers))
+        shapes = tuple(a.shape[len(lead):] for a in parts)
+        flat = np.concatenate([a.reshape(*lead, math.prod(s)) for a, s in zip(parts, shapes)], -1)
+        self._cut(flat, shapes, len(layers))
 
     def _cut(self, flat: np.ndarray, shapes: tuple, depth: int) -> "WeightStack":
         """Hold ``flat`` and cut its views by ``shapes``, the first ``depth`` the layers."""

@@ -532,10 +532,12 @@ class CounterexampleFamily:
     def depth(self) -> int:
         return self.inst.depth
 
-    def point(self, t: float) -> WeightStack:
-        sigma_mats = [s.copy() for s in self.center.sigma_mats]
+    def point(self, t: float | np.ndarray) -> WeightStack:
+        """W(t); a 1-D array of t gives one batched stack, row k ``point(float(t[k]))``."""
+        t = np.asarray(t, dtype=float)
+        sigma_mats = [np.broadcast_to(s, t.shape + s.shape).copy() for s in self.center.sigma_mats]
         for s in sigma_mats:
-            s[self.index, self.index] += t
+            s[..., self.index, self.index] += t
         return assemble(self.center.left, sigma_mats, self.center.right)
 
     def grad_norm(self, t: float) -> float:
@@ -612,15 +614,13 @@ def fit_counterexample_scaling(
     family = counterexample_family(kind, y=y)
     if t_values is None:
         t_values = tuple(float(t) for t in np.geomspace(1e-3, 1e-1, 13))
-    samples = []
-    for t in t_values:
-        w = family.point(t)
-        g = family.grad_norm(t)
-        lo, up = family.dist_lower(t), family.dist_upper(t)
-        lval = loss_g(w, family.inst.target, family.inst.reg)
-        samples.append(
-            SweepSample(t, lo, up, g, lval, up / g if g > 0 else math.inf, True)
-        )
+    w = family.point(t_values)  # one batched stack, one kernel call, one distance pass
+    grads, losses = _grad_and_loss(w, family.inst.target, family.inst.reg, "G")
+    uppers = (w - family.center.stack).norm()
+    samples = [
+        SweepSample(t, family.dist_lower(t), up, g, lval, up / g if g > 0 else math.inf, True)
+        for t, up, g, lval in zip(t_values, uppers.tolist(), grads.tolist(), losses.tolist())
+    ]
     xs = [s.dist_upper for s in samples]
     ys = [s.grad_norm for s in samples]
     slope, r2 = fit_line(np.log(xs), np.log(ys)) if len(xs) >= 2 else (math.nan, math.nan)

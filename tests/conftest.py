@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -191,6 +192,33 @@ def grid_solver_oracle(y, lam, depth):
         tuple(bool(flags[k]) for k in order),
         tuple(float(residuals[k]) for k in order),
     )
+
+
+def product_walk_oracle(inst, cap=1024):
+    """The profile walk as ``enumerate_sigma_profiles`` built it one tuple at
+    a time: ``itertools.product`` over each run's
+    ``combinations_with_replacement``, each combination joined by
+    ``sum(combo, ())``.  Returns the ordered choice rows and sorted vectors,
+    the truncation flag and the product of the root counts."""
+    counts = [len(r.roots) for r in inst.roots]
+    rank, spectrum = len(counts), inst.spectrum
+    roots = np.zeros((rank, max(counts, default=1)))
+    for i, r in enumerate(inst.roots):
+        roots[i, : counts[i]] = r.roots
+    runs = [
+        itertools.combinations_with_replacement(range(n - 1, -1, -1), len(list(run)))
+        for b in range(spectrum.p_distinct)
+        for n, run in itertools.groupby(counts[spectrum.block_slice(b)])
+    ]
+    walk = itertools.islice(itertools.product(*runs), cap + 1)
+    choice = np.array([sum(combo, ()) for combo in walk], dtype=np.intp)
+    truncated = len(choice) > cap
+    if truncated:
+        choice[cap] = 0
+    sigmas = np.zeros((len(choice), inst.dims.d_min))
+    sigmas[:, :rank] = np.sort(roots[np.arange(rank), choice], axis=1)[:, ::-1]
+    order = np.lexsort(-sigmas[:, ::-1].T)
+    return choice[order], sigmas[order], truncated, math.prod(counts)
 
 
 @pytest.fixture

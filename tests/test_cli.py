@@ -223,6 +223,9 @@ BAD_SWEEP_VALUES = {
     "string-radii": {"radii": "15"},
     "repeated-radii": {"radii": [0.05, 0.05]},
     "repeated-radii-range": {"radii": {"start": 1e-3, "stop": 1e-3, "num": 2}},
+    "string-radii-start": {"radii": {"start": "1e-3", "stop": 1e-2, "num": 2}},
+    "string-radii-stop": {"radii": {"start": 1e-3, "stop": "1e-2", "num": 2}},
+    "bool-radii-start": {"radii": {"start": True, "stop": 1e-2, "num": 2}},
     "unknown-sweep-target": {"target": "H"},
     "negative-center-index": {"center": -1},
     "center-index-out-of-range": {"center": 99},
@@ -475,6 +478,13 @@ BAD_CONFIG_VALUES = {
     "zero-dims": ("check-assumptions", ("instance", "dims"), [2, 0, 2]),
     "string-lambdas": ("check-assumptions", ("instance", "lambdas"), "67"),
     "bool-lambdas": ("check-assumptions", ("instance", "lambdas"), [0.6, True]),
+    "string-lambda-uniform": ("check-assumptions", ("instance",),
+                              {"dims": [2, 4, 2], "lambda_uniform": "0.5", "target": {"kind": "gaussian"}}),
+    "bool-lambda-uniform": ("check-assumptions", ("instance",),
+                            {"dims": [2, 4, 2], "lambda_uniform": True, "target": {"kind": "gaussian"}}),
+    "numeric-string-target-scale": ("check-assumptions", ("instance", "target"),
+                                    {"kind": "gaussian", "scale": "2"}),
+    "bool-target-scale": ("check-assumptions", ("instance", "target"), {"kind": "gaussian", "scale": True}),
     "rate-fit-key": ("train", ("rate_fit",), {"tail_fraction": 0.5}),
     "constants-key": ("constants", ("constants",), {}),
     "number-output-dir": ("check-assumptions", ("output_dir",), 5),

@@ -9,6 +9,7 @@ from deeplinear import (
     DimChain,
     Instance,
     RegParams,
+    build_root_value_set,
     check_assumptions,
     compute_ledger,
     degenerate_sigma,
@@ -20,7 +21,7 @@ from deeplinear import (
     profile_from_choices,
     zero_profile,
 )
-from deeplinear.constants import LEDGER_COLUMNS
+from deeplinear.constants import LEDGER_COLUMNS, PROFILE_KEYS, _profile_constants
 from conftest import random_instance
 
 
@@ -139,18 +140,35 @@ def test_global_constants_dominate_per_profile(rng):
 
 @pytest.mark.parametrize("depth", [2, 3, 4, 6])
 def test_aggregates_equal_every_profile_ledger_bit_for_bit(depth, rng):
-    # (kappa, eps) come from one array pass over every profile, each
-    # profile's own constants from a one-row pass: the same expressions.
+    # One array pass gives a profile's own constants (its row first) and
+    # (kappa, eps) over every profile.  Each row equals a one-row pass, so
+    # the aggregates are those of the per-profile ledgers.
     dims, reg, target = random_instance(rng, depth=depth, max_dim=5)
     inst = Instance(dims, reg, target)
     ledgers = [compute_ledger(inst, p) for p in inst.profiles.profiles]
     own = [led for led in ledgers if not math.isnan(led.kappa_sigma)]
     assert len(own) == len(ledgers) - 1  # the zero profile's entries are NaN
+    delta_sigma = build_root_value_set(inst).delta_sigma
+    for p, led in zip(inst.profiles.profiles, ledgers):
+        if p.is_zero:
+            continue
+        row = _profile_constants(inst, np.array([p.sigma]), max(dims.dims), delta_sigma)
+        for key in PROFILE_KEYS:
+            assert np.array_equal(getattr(led, key), row[key][0], equal_nan=True), key
     kappas = [ledgers[0].kappa_zero] + [led.kappa_sigma for led in own]
     epss = [ledgers[0].eps_zero] + [led.eps_sigma for led in own]
     for led in ledgers:
         assert led.kappa == max(kappas)
         assert led.eps == min(epss)
+
+
+def test_zero_target_ledger_is_the_zero_profile_alone():
+    # no non-zero profile: no per-profile pass, (kappa, eps) are the zero
+    # profile's own
+    inst = Instance(DimChain((3, 4, 2)), RegParams((0.5, 0.6)), np.zeros((2, 3)))
+    ledger = compute_ledger(inst, zero_profile(inst))
+    assert (ledger.kappa, ledger.eps) == (ledger.kappa_zero, ledger.eps_zero)
+    assert all(math.isnan(getattr(ledger, key)) for key in PROFILE_KEYS)
 
 
 def test_ledger_all_finite_positive_on_generic_instance(rng):

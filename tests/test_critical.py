@@ -27,7 +27,7 @@ from deeplinear import (
     sample_random_params,
     zero_profile,
 )
-from conftest import random_instance
+from conftest import product_walk_oracle, random_instance
 
 
 def _simple_instance(values, depth, lam, hidden=None):
@@ -206,6 +206,24 @@ def _haar_block_instance(rng):
     target = critical.haar_orthogonal(rng, dl) @ sigma @ critical.haar_orthogonal(rng, d0).T
     reg = RegParams(tuple(float(x) for x in rng.uniform(0.2, 1.5, depth)))
     return Instance(DimChain((d0, *hidden, dl)), reg, target)
+
+
+@pytest.mark.parametrize("cap", [1, 3, 1024])
+def test_array_walk_equals_the_itertools_walk(cap):
+    # Repeated blocks with rectangular ends (some values zeroed), generic
+    # targets, and a zero target (rank 0: one empty choice row).
+    rng = np.random.default_rng(21)
+    instances = [_haar_block_instance(rng) for _ in range(40)]
+    instances += [Instance(*random_instance(rng, max_dim=5)) for _ in range(10)]
+    instances.append(Instance(DimChain((3, 4, 2)), RegParams((0.5, 0.6)), np.zeros((2, 3))))
+    for inst in instances:
+        enum = enumerate_sigma_profiles(inst, cap=cap)
+        choice, sigmas, truncated, total = product_walk_oracle(inst, cap)
+        got = np.array([p.choice for p in enum.profiles], dtype=np.intp).reshape(choice.shape)
+        assert np.array_equal(got, choice)
+        assert np.array_equal(enum.sigmas, sigmas)
+        assert enum.truncated == truncated
+        assert enum.total_combinations == total
 
 
 def test_every_combination_has_its_component_listed_once():

@@ -192,6 +192,18 @@ def test_dimchain_assumption_flag():
     assert DimChain((4, 3, 3, 3)).assumption1  # min(d0, dL) = 3
 
 
+@pytest.mark.parametrize("dims", [(5.9, 6, 4), (True, 6, 4), (5.0, 6, 4), ("5", 6, 4)])
+def test_dimchain_rejects_dims_that_are_not_integers(dims):
+    # no truncation of 5.9 to 5, nor True read as 1
+    with pytest.raises(ShapeError, match="integers"):
+        DimChain(dims)
+
+
+def test_dimchain_accepts_numpy_integers():
+    dims = DimChain((np.int64(5), np.int32(6), 4)).dims
+    assert dims == (5, 6, 4) and all(type(d) is int for d in dims)
+
+
 def _reference_kernel(layers, biases, x, target, reg, activation):
     """The 2-D kernel term by term: per-layer np.sum values added one at a
     time, `.T` products, and the tanh derivative recomputed from z."""

@@ -17,6 +17,7 @@ from deeplinear import (
     construct_critical_point,
     counterexample_family,
     fit_counterexample_scaling,
+    loss_g,
     optimal_profile,
     profile_from_choices,
     sample_random_params,
@@ -196,6 +197,29 @@ def test_counterexample_slopes():
     rep = fit_counterexample_scaling("lge3-phi-prime-zero")
     assert rep.passed
     assert abs(rep.fitted["slope"] - 2.0) <= 0.05
+
+
+@pytest.mark.parametrize("kind", ["l2-lambda-eq-y2", "lge3-phi-prime-zero"])
+@pytest.mark.parametrize("y", [1e-6, 0.5, 1.2, 2.0, 50.0])
+@pytest.mark.parametrize("t_values", [None, (0.3, 1e-4, 2e-2)])
+def test_batched_fit_equals_per_t_values(kind, y, t_values):
+    # Every t is evaluated in one batched stack; each sample is the per-t
+    # value bit for bit, and row k of point(array) is point(float(t[k])).
+    family = counterexample_family(kind, y=y)
+    report = fit_counterexample_scaling(kind, y=y, t_values=t_values)
+    ts = [s.radius for s in report.samples]
+    if t_values is not None:
+        assert ts == list(t_values)
+    batch = family.point(np.array(ts))
+    target, reg = family.inst.target, family.inst.reg
+    for k, (t, s) in enumerate(zip(ts, report.samples)):
+        w = family.point(t)
+        assert np.array_equal(batch.flat[k], w.flat)
+        g, up = family.grad_norm(t), family.dist_upper(t)
+        expected = (t, family.dist_lower(t), up, g, loss_g(w, target, reg), up / g if g > 0 else math.inf)
+        got = (s.radius, s.dist_lower, s.dist_upper, s.grad_norm, s.loss, s.ratio)
+        assert got == expected
+        assert all(type(v) is float for v in got)
 
 
 def test_counterexample_kind_checks():
