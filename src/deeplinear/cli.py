@@ -87,19 +87,19 @@ def _require(block: dict, key: str, context: str):
     return block[key]
 
 
+def _is_number(value, kind=(int, float)) -> bool:
+    """The one number rule of the config: a JSON number of ``kind``, not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _integer(block: dict, key: str, default, context: str, least: int | None = None) -> int:
     """The block's ``key`` (``default`` when absent): an integer, not a bool, and
     at least ``least`` when given; else a config error."""
     value = block.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or (least is not None and value < least):
+    if not _is_number(value, int) or (least is not None and value < least):
         floor = "" if least is None else f" >= {least}"
         raise ConfigError(f"{context} must be an integer{floor}, got {value!r}")
     return value
-
-
-def _is_number(value, kind=(int, float)) -> bool:
-    """The one number rule of the config: a JSON number of ``kind``, not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _number(value, context: str) -> float:
@@ -359,8 +359,8 @@ def cmd_counterexample(args) -> int:
     t = args.t
     try:
         with np.errstate(over="raise", invalid="raise"):
-            grad, predicted = family.grad_norm(t), family.predicted_grad_norm(t)
-            dist = family.dist_upper(t)
+            grads, _, dists = family.measure(np.array([t]))
+            grad, predicted, dist = float(grads[0]), family.predicted_grad_norm(t), float(dists[0])
     except (FloatingPointError, OverflowError) as exc:
         raise ConfigError(f"--t {t} overflows the family's values: {exc}") from exc
     print(

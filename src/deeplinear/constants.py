@@ -8,7 +8,6 @@ empirical counterparts are fitted separately by the verification module.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, fields
 
@@ -154,9 +153,6 @@ class EbConstantsLedger:
             out[name] = int(val) if name in ("d_max", "r_sigma", "g_max", "p") else float(val)
         out["enumeration_truncated"] = self.enumeration_truncated
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @staticmethod
     def csv_header() -> str:

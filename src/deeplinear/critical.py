@@ -411,17 +411,22 @@ def enumerate_sigma_profiles(inst: "Instance", cap: int = 1024) -> ProfileEnumer
         flags[i, : counts[i]] = r.degenerate
     cols = np.arange(rank)
 
-    # each run's tuples are the rows of one table; walk row k takes row
-    # unravel_index(k)[j] of table j, in itertools.product order
+    # Each run's tuples are the rows of one table (its first cap + 1 suffice).
+    # Walk row k takes the mixed-radix digits of k over the tables, last
+    # table fastest: itertools.product order.
     spectrum = inst.spectrum
-    tables = [
-        np.array(list(itertools.combinations_with_replacement(range(n)[::-1], len(list(run)))))
+    runs = [
+        itertools.combinations_with_replacement(range(n)[::-1], len(list(run)))
         for b in range(spectrum.p_distinct)
         for n, run in itertools.groupby(counts[spectrum.block_slice(b)])
     ]
+    tables = [np.array(list(itertools.islice(run, cap + 1)), dtype=np.intp) for run in runs]
     walked = min(math.prod(map(len, tables)), cap + 1)
-    rows = np.unravel_index(np.arange(walked), [len(t) for t in tables]) if tables else ()
-    choice = np.concatenate([np.empty((walked, 0), int), *(t[i] for t, i in zip(tables, rows))], 1)
+    k, parts = np.arange(walked), []
+    for table in reversed(tables):
+        k, i = np.divmod(k, len(table))
+        parts.append(table[i])
+    choice = np.concatenate([np.empty((walked, 0), np.intp), *reversed(parts)], 1)
     truncated = walked > cap
     if truncated:
         choice[cap] = 0

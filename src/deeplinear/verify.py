@@ -540,9 +540,6 @@ class CounterexampleFamily:
             s[..., self.index, self.index] += t
         return assemble(self.center.left, sigma_mats, self.center.right)
 
-    def grad_norm(self, t: float) -> float:
-        return grad_g(self.point(t), self.inst.target, self.inst.reg).norm()
-
     def predicted_grad_norm(self, t: float) -> float:
         lam = self.inst.reg.lambda_prod
         y = self.inst.spectrum.block_value(0)
@@ -555,8 +552,12 @@ class CounterexampleFamily:
     def dist_lower(self, t: float) -> float:
         return math.sqrt(self.depth) * abs(t)
 
-    def dist_upper(self, t: float) -> float:
-        return (self.point(t) - self.center.stack).norm()
+    def measure(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Gradient norm, loss and distance to the center at each t of a 1-D
+        array: one batched stack, one kernel call and one distance pass."""
+        w = self.point(t)
+        grads, losses = _grad_and_loss(w, self.inst.target, self.inst.reg, "G")
+        return grads, losses, (w - self.center.stack).norm()
 
 
 def counterexample_family(
@@ -614,9 +615,7 @@ def fit_counterexample_scaling(
     family = counterexample_family(kind, y=y)
     if t_values is None:
         t_values = tuple(float(t) for t in np.geomspace(1e-3, 1e-1, 13))
-    w = family.point(t_values)  # one batched stack, one kernel call, one distance pass
-    grads, losses = _grad_and_loss(w, family.inst.target, family.inst.reg, "G")
-    uppers = (w - family.center.stack).norm()
+    grads, losses, uppers = family.measure(np.asarray(t_values, dtype=float))
     samples = [
         SweepSample(t, family.dist_lower(t), up, g, lval, up / g if g > 0 else math.inf, True)
         for t, up, g, lval in zip(t_values, uppers.tolist(), grads.tolist(), losses.tolist())

@@ -216,6 +216,14 @@ def test_array_walk_equals_the_itertools_walk(cap):
     instances = [_haar_block_instance(rng) for _ in range(40)]
     instances += [Instance(*random_instance(rng, max_dim=5)) for _ in range(10)]
     instances.append(Instance(DimChain((3, 4, 2)), RegParams((0.5, 0.6)), np.zeros((2, 3))))
+    # Large ranks: 70 runs (more than numpy's 64 array dimensions), 3^40
+    # combinations (more than 2^63), and one block of 60 equal values whose
+    # run has C(62, 2) tuples, more than cap + 1.
+    instances += [
+        Instance(DimChain((70, 71, 70)), RegParams((0.3, 0.3)), np.diag(np.linspace(3.0, 1.0, 70))),
+        Instance(DimChain((40, 41, 41, 40)), RegParams((0.5,) * 3), np.diag(np.linspace(4.0, 2.0, 40))),
+        Instance(DimChain((60, 61, 61, 60)), RegParams((0.5,) * 3), 3.0 * np.eye(60)),
+    ]
     for inst in instances:
         enum = enumerate_sigma_profiles(inst, cap=cap)
         choice, sigmas, truncated, total = product_walk_oracle(inst, cap)

@@ -17,6 +17,7 @@ from deeplinear import (
     construct_critical_point,
     counterexample_family,
     fit_counterexample_scaling,
+    grad_g,
     loss_g,
     optimal_profile,
     profile_from_choices,
@@ -177,12 +178,22 @@ def test_balance_precondition_reported_not_raised():
     assert not check.passed
 
 
+def _grad_norm_at(family, t):
+    """Per-t oracle of ``family.measure``: the G gradient norm at the one point W(t)."""
+    return grad_g(family.point(t), family.inst.target, family.inst.reg).norm()
+
+
+def _dist_upper_at(family, t):
+    """Per-t oracle of ``family.measure``: the distance from W(t) to the center."""
+    return (family.point(t) - family.center.stack).norm()
+
+
 def test_counterexample_hand_value():
     # scalar two-layer family at the excluded weight: grad norm 2 sqrt(2) t^3
     family = counterexample_family("l2-lambda-eq-y2", y=2.0)
     t = 0.1
     expected = 2.0 * math.sqrt(2.0) * t**3
-    assert family.grad_norm(t) == pytest.approx(expected, rel=1e-10)
+    assert _grad_norm_at(family, t) == pytest.approx(expected, rel=1e-10)
     assert family.dist_lower(t) == pytest.approx(math.sqrt(2.0) * t, rel=1e-12)
     stack = build_counterexample("l2-lambda-eq-y2", t, y=2.0)
     assert stack.norm() == pytest.approx(math.sqrt(2.0) * t, rel=1e-12)
@@ -215,11 +226,13 @@ def test_batched_fit_equals_per_t_values(kind, y, t_values):
     for k, (t, s) in enumerate(zip(ts, report.samples)):
         w = family.point(t)
         assert np.array_equal(batch.flat[k], w.flat)
-        g, up = family.grad_norm(t), family.dist_upper(t)
-        expected = (t, family.dist_lower(t), up, g, loss_g(w, target, reg), up / g if g > 0 else math.inf)
+        g, up, lval = _grad_norm_at(family, t), _dist_upper_at(family, t), loss_g(w, target, reg)
+        expected = (t, family.dist_lower(t), up, g, lval, up / g if g > 0 else math.inf)
         got = (s.radius, s.dist_lower, s.dist_upper, s.grad_norm, s.loss, s.ratio)
         assert got == expected
         assert all(type(v) is float for v in got)
+        # the one-t batch of ``counterexample --t``
+        assert [float(v[0]) for v in family.measure(np.array([t]))] == [g, lval, up]
 
 
 def test_counterexample_kind_checks():
