@@ -13,9 +13,9 @@ import contextlib
 import functools
 import json
 import math
+import operator
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,6 @@ from .training import (
     estimate_linear_rate,
     InsufficientDataError,
     reproduce_section4,
-    section4_rows_to_csv,
     train,
 )
 from .util import named_seed, named_stream
@@ -174,7 +173,7 @@ def build_instance(cfg: dict, seed: int) -> Instance:
     _check_keys(tblock, {"kind", "scale", "values", "path", "seed"}, "instance.target")
     kind = _require(tblock, "kind", "instance.target")
     if kind == "gaussian":
-        rng = named_stream(_integer(tblock, "seed", seed, "instance.target.seed"), "instance")
+        rng = named_stream(_integer(tblock, "seed", seed, "instance.target.seed", least=0), "instance")
         target = rng.standard_normal((dims.d_out, dims.d_in))
         target *= _number(tblock.get("scale", 1.0), "instance.target.scale")
     elif kind == "diagonal":
@@ -214,6 +213,17 @@ def dump_json(payload: dict, path: Path) -> str:
     return text
 
 
+def write_csv(path: Path, columns: tuple[str, ...], rows) -> None:
+    """Write the ``columns`` header and one line per row tuple, each value as
+    ``str`` (a float's shortest round-trip form)."""
+    line = ",".join(["%s"] * len(columns))
+    path.write_text("\n".join([",".join(columns), *(line % row for row in rows)]) + "\n")
+
+
+# The columns of the sweep and counterexample CSVs: every sample field but in_regime.
+SAMPLE_COLUMNS = ("radius", "dist_lower", "dist_upper", "grad_norm", "F", "ratio")
+
+
 @_reading()
 def _sweep_config(cfg: dict, seed: int) -> tuple[RadiusSweepConfig, str, str]:
     block = cfg.get("sweep", {})
@@ -238,7 +248,7 @@ def _sweep_config(cfg: dict, seed: int) -> tuple[RadiusSweepConfig, str, str]:
         kwargs["samples_per_radius"] = block["samples_per_radius"]
     if "mode" in block:
         kwargs["mode"] = str(block["mode"])
-    kwargs["seed"] = _integer(block, "seed", named_seed(seed, "sweep"), "sweep.seed")
+    kwargs["seed"] = _integer(block, "seed", named_seed(seed, "sweep"), "sweep.seed", least=0)
     target = str(block.get("target", "F"))
     if target not in ("F", "G"):
         raise ConfigError(f"sweep.target must be 'F' or 'G', got {target!r}")
@@ -285,14 +295,14 @@ def cmd_roots(args) -> int:
 def _setup(args) -> tuple[dict, int, Instance]:
     """The command's config, its seed and its instance."""
     cfg = load_config(args.config)
-    seed = _integer(cfg, "seed", 0, "seed")
+    seed = _integer(cfg, "seed", 0, "seed", least=0)
     return cfg, seed, build_instance(cfg, seed)
 
 
 def cmd_check_assumptions(args) -> int:
     cfg, _, inst = _setup(args)
     report = check_assumptions(inst)
-    print(dump_json(asdict(report), _output_dir(cfg) / "assumptions.json"), end="")
+    print(dump_json(vars(report), _output_dir(cfg) / "assumptions.json"), end="")
     return 0 if report.ok else 1
 
 
@@ -313,16 +323,17 @@ def cmd_constants(args) -> int:
         print(f"constants: refused: {exc}", file=sys.stderr)
         return 1
     out = _output_dir(cfg)
-    (out / "constants.csv").write_text(
-        ledger.csv_header() + "\n" + ledger.csv_row() + "\n"
-    )
-    print(dump_json(ledger.to_dict(), out / "constants.json"), end="")
+    row = {k: v for k, v in vars(ledger).items() if k != "enumeration_truncated"}
+    write_csv(out / "constants.csv", tuple(row), [tuple(row.values())])
+    print(dump_json(vars(ledger), out / "constants.json"), end="")
     return 0
 
 
 def _finish_report(report, out: Path, name: str) -> int:
-    (out / f"{name}.csv").write_text(report.to_csv())
-    dump_json(report.to_dict(), out / f"{name}.json")
+    samples = map(operator.attrgetter(*SAMPLE_COLUMNS), report.samples)
+    write_csv(out / f"{name}.csv", SAMPLE_COLUMNS, samples)
+    payload = {**vars(report), "samples": [vars(s) for s in report.samples]}
+    dump_json(payload, out / f"{name}.json")
     fitted = ", ".join(
         f"{k}={v:.4g}" for k, v in sorted(report.fitted.items())
         if isinstance(v, (int, float)) and math.isfinite(v)
@@ -382,7 +393,7 @@ def cmd_train(args) -> int:
             ikind = _require(iblock, "kind", "model.input")
             if ikind == "uniform":
                 cols = _integer(iblock, "cols", inst.dims.d_in, "model.input.cols", least=1)
-                rng = named_stream(_integer(iblock, "seed", seed, "model.input.seed"), "input")
+                rng = named_stream(_integer(iblock, "seed", seed, "model.input.seed", least=0), "input")
                 bound = math.sqrt(6.0 / (inst.dims.d_in + cols))
                 input_matrix = rng.uniform(-bound, bound, size=(inst.dims.d_in, cols))
             elif ikind != "identity":
@@ -418,7 +429,8 @@ def cmd_train(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         traj = train(model, target, inst.reg, tcfg, inst.dims, center=center)
     out = _output_dir(cfg)
-    (out / "trajectory.csv").write_text(traj.to_csv())
+    rows = zip(range(traj.n_steps), traj.f_values.tolist(), traj.grad_sq.tolist())
+    write_csv(out / "trajectory.csv", ("iter", "F", "grad_sq"), rows)
     summary = traj.summary()
     try:
         fit = estimate_linear_rate(traj)
@@ -440,7 +452,7 @@ def cmd_reproduce_s4(args) -> int:
         cfg = load_config(args.config)
     else:
         cfg = {}
-    seed = _integer(cfg, "seed", 0, "seed")
+    seed = _integer(cfg, "seed", 0, "seed", least=0)
     depths = cfg.get("depths", [2, 4, 6])
     if args.depths is not None:
         try:
@@ -451,11 +463,11 @@ def cmd_reproduce_s4(args) -> int:
         raise ConfigError(f"depths must be a non-empty list of integers >= 2; got {depths!r}")
     rows = reproduce_section4(depths=depths, seed=seed)
     out = _output_dir(cfg)
-    (out / "section4.csv").write_text(section4_rows_to_csv(rows))
-    dump_json({"rows": [r.to_dict() for r in rows]}, out / "section4.json")
+    write_csv(out / "section4.csv", tuple(vars(rows[0])), [tuple(vars(r).values()) for r in rows])
+    dump_json({"rows": [vars(r) for r in rows]}, out / "section4.json")
     for r in rows:
         print(
-            f"L={r.depth} init={r.init_kind}: F(center)={r.f_center:.6e} "
+            f"L={r.depth} init={r.init}: F(center)={r.f_center:.6e} "
             f"F(end)={r.f_end:.6e} rate={r.rate:.6f} R2={r.r_squared:.4f} "
             f"({r.termination}, {r.n_steps} steps)"
         )

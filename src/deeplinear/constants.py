@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,25 +145,6 @@ class EbConstantsLedger:
     g_max: int
     p: int
     enumeration_truncated: bool = False
-
-    def to_dict(self) -> dict:
-        out = {}
-        for name in LEDGER_COLUMNS:
-            val = getattr(self, name)
-            out[name] = int(val) if name in ("d_max", "r_sigma", "g_max", "p") else float(val)
-        out["enumeration_truncated"] = self.enumeration_truncated
-        return out
-
-    @staticmethod
-    def csv_header() -> str:
-        return ",".join(LEDGER_COLUMNS)
-
-    def csv_row(self) -> str:
-        return ",".join(repr(getattr(self, name)) for name in LEDGER_COLUMNS)
-
-
-# Every field but the truncation flag, in field order: the CSV columns.
-LEDGER_COLUMNS = tuple(f.name for f in fields(EbConstantsLedger))[:-1]
 
 
 def _zero_profile_constants(inst: Instance) -> tuple[float, float]:

@@ -20,6 +20,10 @@ import numpy as np
 from . import critical
 from .network import DimChain, RegParams, ShapeError
 
+# Consecutive target singular values closer than this, relative to the largest,
+# form one block.
+GROUPING_TOL = 1e-8
+
 
 @dataclass
 class TargetSpectrum:
@@ -80,10 +84,10 @@ class TargetSpectrum:
         return float(self.y[self.s_bounds[i]])
 
 
-def analyze_target(target: np.ndarray, grouping_tol: float = 1e-8) -> TargetSpectrum:
+def analyze_target(target: np.ndarray) -> TargetSpectrum:
     """SVD of the target plus the distinct-positive-value partition.
 
-    Consecutive singular values whose gap is at most ``grouping_tol * y_1``
+    Consecutive singular values whose gap is at most ``GROUPING_TOL * y_1``
     are merged into one block; the rank threshold is ``1e-12 * y_1`` (exact
     zeros when y_1 = 0).  Generic targets have all-distinct values, so the
     grouping only matters for designed repeated-spectrum inputs.
@@ -93,8 +97,6 @@ def analyze_target(target: np.ndarray, grouping_tol: float = 1e-8) -> TargetSpec
         raise ValueError("target must be a matrix")
     if not np.all(np.isfinite(target)):
         raise ValueError("target must have finite entries")
-    if grouping_tol < 0:
-        raise ValueError("grouping_tol must be nonnegative")
 
     u, svals, vt = np.linalg.svd(target, full_matrices=True)
     y = np.asarray(svals, dtype=float)
@@ -104,7 +106,7 @@ def analyze_target(target: np.ndarray, grouping_tol: float = 1e-8) -> TargetSpec
 
     # Partition the positive part into blocks of (numerically) equal value.
     bounds = [0]
-    gap_tol = grouping_tol * top
+    gap_tol = GROUPING_TOL * top
     for k in range(1, rank):
         if y[k - 1] - y[k] > gap_tol:
             bounds.append(k)

@@ -126,13 +126,6 @@ class Trajectory:
         f = np.asarray(self.f_values)
         return bool(np.all(np.diff(f) <= 1e-12 * (1.0 + np.abs(f[:-1]))))
 
-    def to_csv(self) -> str:
-        lines = ["iter,F,grad_sq"]
-        f_values, grad_sq = self.f_values.tolist(), self.grad_sq.tolist()
-        for k in range(self.n_steps):
-            lines.append(f"{k},{f_values[k]!r},{grad_sq[k]!r}")
-        return "\n".join(lines) + "\n"
-
     def summary(self) -> dict:
         return {
             "n_steps": self.n_steps,
@@ -442,38 +435,13 @@ def estimate_linear_rate(traj: Trajectory) -> RateFit:
 @dataclass
 class Section4Row:
     depth: int
-    init_kind: str
+    init: str
     f_center: float
     f_end: float
     rate: float
     r_squared: float
     n_steps: int
     termination: str
-
-    def to_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "init": self.init_kind,
-            "f_center": self.f_center,
-            "f_end": self.f_end,
-            "rate": self.rate,
-            "r_squared": self.r_squared,
-            "n_steps": self.n_steps,
-            "termination": self.termination,
-        }
-
-
-SECTION4_CSV_HEADER = "depth,init,f_center,f_end,rate,r_squared,n_steps,termination"
-
-
-def section4_rows_to_csv(rows: list[Section4Row]) -> str:
-    lines = [SECTION4_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.depth},{r.init_kind},{r.f_center!r},{r.f_end!r},{r.rate!r},"
-            f"{r.r_squared!r},{r.n_steps},{r.termination}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def reproduce_section4(depths=(2, 4, 6), seed: int = 0) -> list[Section4Row]:
@@ -526,7 +494,7 @@ def reproduce_section4(depths=(2, 4, 6), seed: int = 0) -> list[Section4Row]:
             rows.append(
                 Section4Row(
                     depth=depth,
-                    init_kind=name,
+                    init=name,
                     f_center=loss_f(center.stack, target, reg),
                     f_end=float(traj.f_values[-1]),
                     rate=rate,

@@ -11,7 +11,6 @@ sufficient-decrease / cost-to-go / safeguard conditions.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -82,7 +81,7 @@ class SweepSample:
     dist_lower: float
     dist_upper: float
     grad_norm: float
-    loss: float
+    F: float  # the swept objective's value: F, or G in a G sweep
     ratio: float
     in_regime: bool
 
@@ -102,41 +101,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.verdict == "PASS"
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "verdict": self.verdict,
-            "tags": list(self.tags),
-            "samples": [
-                {
-                    "radius": s.radius,
-                    "dist_lower": s.dist_lower,
-                    "dist_upper": s.dist_upper,
-                    "grad_norm": s.grad_norm,
-                    "F": s.loss,
-                    "ratio": s.ratio,
-                    "in_regime": s.in_regime,
-                }
-                for s in self.samples
-            ],
-            "per_radius": self.per_radius,
-            "fitted": self.fitted,
-            "constants": self.constants,
-            "notes": self.notes,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def to_csv(self) -> str:
-        lines = ["radius,dist_lower,dist_upper,grad_norm,F,ratio"]
-        for s in self.samples:
-            lines.append(
-                f"{s.radius!r},{s.dist_lower!r},{s.dist_upper!r},"
-                f"{s.grad_norm!r},{s.loss!r},{s.ratio!r}"
-            )
-        return "\n".join(lines) + "\n"
-
 
 def _degeneracy_tags(slope: float) -> list[str]:
     """Tags for a log-log slope within 0.05 of a cubic (3) or quadratic (2) degeneracy."""
@@ -152,7 +116,7 @@ def _grad_and_loss(stack, target_matrix, reg, target):
     return grad.norm(), value
 
 
-def _make_sampler(center: CriticalPoint, inst, cfg, direction_index):
+def _make_sampler(center: CriticalPoint, inst, cfg):
     """``draw(rng, count)``: ``count`` unit directions as one batched stack.
 
     Its stream and directions are those of ``count`` one-sample draws; each
@@ -167,9 +131,6 @@ def _make_sampler(center: CriticalPoint, inst, cfg, direction_index):
     if cfg.mode == "gaussian-all-layers":
         return lambda rng, count: unit(rng.standard_normal((count, n)))
     if cfg.mode == "singular-direction":
-        if direction_index is not None:
-            fixed = singular_direction(center, (direction_index,))
-            return lambda rng, count: fixed[np.zeros(count, dtype=int)]
         d_min = min(center.stack.dims[0], center.stack.dims[-1])
         directions = singular_direction(center, range(d_min))
         return lambda rng, count: directions[[int(rng.integers(d_min)) for _ in range(count)]]
@@ -196,7 +157,7 @@ def _regime_cutoff(cfg, inst, ledger, target) -> tuple[float, str]:
     return geometric, "separation"
 
 
-def _sweep(center, inst, cfg, target, direction_index):
+def _sweep(center, inst, cfg, target):
     """The steps both sweeps share, from the center check to the samples.
 
     The samples of every radius are drawn, projected and differentiated as
@@ -221,7 +182,7 @@ def _sweep(center, inst, cfg, target, direction_index):
     ledger = compute_ledger(inst, center.profile) if assumptions.ok else None
     cutoff, regime_source = _regime_cutoff(cfg, inst, ledger, target)
     rng = np.random.default_rng(cfg.seed)
-    draw = _make_sampler(center, inst, cfg, direction_index)
+    draw = _make_sampler(center, inst, cfg)
     # One row per sample, radius-major, with the numbers of its own 2-D call.
     radii = np.repeat(cfg.radii, cfg.samples_per_radius)
     n = center.stack.flat.shape[-1]
@@ -258,7 +219,6 @@ def verify_error_bound(
     inst: Instance,
     cfg: RadiusSweepConfig | None = None,
     target: str = "F",
-    direction_index: int | None = None,
 ) -> VerificationReport:
     """Radius sweep testing dist(W, critical set) <= kappa * ||grad||.
 
@@ -272,7 +232,7 @@ def verify_error_bound(
     """
     cfg = cfg or RadiusSweepConfig()
     assumptions, ledger, cutoff, regime_source, samples, by_radius, finish = _sweep(
-        center, inst, cfg, target, direction_index
+        center, inst, cfg, target
     )
     per_radius = []
     for radius, rs in by_radius:
@@ -364,14 +324,14 @@ def verify_pl_qg(
     """
     cfg = cfg or RadiusSweepConfig()
     assumptions, ledger, cutoff, regime_source, samples, by_radius, finish = _sweep(
-        center, inst, cfg, target, None
+        center, inst, cfg, target
     )
     loss = loss_f if target == "F" else loss_g
     y, reg = inst.target, inst.reg
     f_center = loss(center.stack, y, reg)
 
     floor = 1e-15 * (1.0 + abs(f_center))
-    min_gap = min(s.loss - f_center for s in samples)
+    min_gap = min(s.F - f_center for s in samples)
     # Random draws can miss a low-dimensional descent cone, so probe every
     # singular coordinate of the construction explicitly as well.
     d_min = min(center.stack.dims[0], center.stack.dims[-1])
@@ -383,7 +343,7 @@ def verify_pl_qg(
 
     per_radius = []
     for radius, rs in by_radius:
-        gaps = [(s.loss - f_center, s) for s in rs]
+        gaps = [(s.F - f_center, s) for s in rs]
         usable = [(g, s) for g, s in gaps if g > floor]
         mu1 = min((s.grad_norm**2 / g for g, s in usable), default=math.nan)
         mu2 = max((s.dist_upper**2 / g for g, s in usable), default=math.nan)

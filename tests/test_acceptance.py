@@ -235,7 +235,7 @@ def test_criterion_07_near_critical_descent_reproduction():
     rows = reproduce_section4(depths=(2, 4, 6), seed=0)
     elapsed = time.perf_counter() - start
 
-    by_key = {(r.depth, r.init_kind): r for r in rows}
+    by_key = {(r.depth, r.init): r for r in rows}
     details = []
     ok = True
     for depth in (2, 4, 6):

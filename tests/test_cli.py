@@ -231,8 +231,8 @@ BAD_SWEEP_VALUES = {
     "center-index-out-of-range": {"center": 99},
 }
 
-# Seeds that are not integers, by the block that carries them: each is a
-# config error, not truncated to an integer.
+# Seeds that are not integers >= 0, by the block that carries them: each is a
+# config error, not truncated to an integer nor passed on to the random streams.
 BAD_SEEDS = {
     "fractional-seed": ("config", 1.5),
     "bool-seed": ("config", True),
@@ -242,6 +242,10 @@ BAD_SEEDS = {
     "fractional-target-seed": ("target", 0.5),
     "bool-target-seed": ("target", True),
     "fractional-input-seed": ("input", 4.5),
+    "negative-seed": ("config", -1),
+    "negative-sweep-seed": ("sweep", -1),
+    "negative-target-seed": ("target", -1),
+    "negative-input-seed": ("input", -1),
 }
 
 
@@ -277,6 +281,12 @@ def _failing_call(tmp_path, case):
         sweep = {"radii": [1e-3, 1e-2], "samples_per_radius": 2}
         cfg = _base_config(tmp_path, sweep={**sweep, **BAD_SWEEP_VALUES[case]})
         return ["verify-eb", _write_config(tmp_path, cfg)]
+    if case == "negative-s4-seed":
+        return ["reproduce-s4", _write_config(tmp_path, {"seed": -1}), "--depths", "2"]
+    if case == "negative-seed-with-target-seed":
+        cfg = _base_config(tmp_path, seed=-1)
+        cfg["instance"]["target"] = {"kind": "gaussian", "seed": 3}
+        return ["check-assumptions", _write_config(tmp_path, cfg)]
     if case == "grouping-tol-key":
         cfg = _base_config(tmp_path)
         cfg["instance"]["grouping_tol"] = 0.5
@@ -320,6 +330,8 @@ def _failing_call(tmp_path, case):
         ("one-layer-roots", 2),
         ("zero-counterexample-target", 2),
         ("one-layer-s4", 2),
+        ("negative-s4-seed", 2),
+        ("negative-seed-with-target-seed", 2),
         *[(case, 2) for case in BAD_TRAIN_VALUES],
         *[(case, 2) for case in BAD_SWEEP_VALUES],
         *[(case, 2) for case in BAD_SEEDS],
@@ -331,7 +343,7 @@ def test_error_paths_exit_with_one_line(case, code, tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
-    if case in BAD_SWEEP_VALUES or case in BAD_SEEDS:
+    if case in BAD_SWEEP_VALUES or case in BAD_SEEDS or "seed" in case:
         assert err.startswith("config error: ")
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -21,7 +22,8 @@ from deeplinear import (
     profile_from_choices,
     zero_profile,
 )
-from deeplinear.constants import LEDGER_COLUMNS, PROFILE_KEYS, _profile_constants
+from deeplinear.cli import dump_json, main
+from deeplinear.constants import EbConstantsLedger, PROFILE_KEYS, _profile_constants
 from conftest import random_instance
 
 
@@ -179,14 +181,16 @@ def test_ledger_all_finite_positive_on_generic_instance(rng):
     profile = optimal_profile(inst)
     assert not profile.is_zero
     ledger = compute_ledger(inst, profile)
-    for name in LEDGER_COLUMNS:
-        value = getattr(ledger, name)
+    assert ledger.enumeration_truncated is False
+    for name, value in vars(ledger).items():
+        if name == "enumeration_truncated":
+            continue
         assert math.isfinite(value), name
         if name not in ("r_sigma", "g_max", "p"):
             assert value > 0, name
 
 
-def test_ledger_reproducible_bit_for_bit(rng):
+def test_ledger_reproducible_bit_for_bit(rng, tmp_path):
     target = rng.standard_normal((3, 3))
     dims = DimChain((3, 4, 3))
     reg = RegParams((0.7, 0.2))
@@ -194,7 +198,7 @@ def test_ledger_reproducible_bit_for_bit(rng):
     profile = optimal_profile(inst)
     a = compute_ledger(inst, profile)
     b = compute_ledger(inst, profile)
-    assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+    assert dump_json(vars(a), tmp_path / "a.json") == dump_json(vars(b), tmp_path / "b.json")
 
 
 def test_kappa_grows_toward_excluded_weight():
@@ -249,14 +253,25 @@ def test_single_block_full_rank_target_stays_finite():
     assert math.isinf(ledger.delta1)
 
 
-def test_serialization_csv_and_json():
+def test_serialization_csv_and_json(tmp_path, capsys):
     inst, dims, reg = _instance([2.0], 2, 1.0)
     ledger = compute_ledger(inst, optimal_profile(inst))
-    header = ledger.csv_header()
-    row = ledger.csv_row()
-    assert header.split(",") == list(LEDGER_COLUMNS)
-    assert len(row.split(",")) == len(LEDGER_COLUMNS)
-    text = json.dumps(ledger.to_dict(), indent=2, sort_keys=True)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "output_dir": str(tmp_path),
+        "instance": {"dims": [1, 1, 1], "lambda_uniform": 1.0, "target": {"kind": "diagonal", "values": [2.0]}},
+    }))
+    assert main(["constants", str(config)]) == 0
+    # The CSV holds every field but the truncation flag, in field order, each
+    # value the ledger's own in its shortest round-trip form.
+    columns = [f.name for f in dataclasses.fields(EbConstantsLedger)][:-1]
+    header, row = (tmp_path / "constants.csv").read_text().splitlines()
+    assert header.split(",") == columns
+    assert row.split(",") == [repr(getattr(ledger, name)) for name in columns]
+    text = capsys.readouterr().out
+    assert (tmp_path / "constants.json").read_text() == text
     payload = json.loads(text)
     assert payload["kappa_zero"] == pytest.approx(6.0)
-    assert json.dumps(payload, indent=2, sort_keys=True) == text
+    assert sorted(payload) == sorted(columns + ["enumeration_truncated"])
+    assert payload["enumeration_truncated"] is False
+    assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == text

@@ -8,9 +8,12 @@ a singular-direction verify-plqg report, the `roots --json` output at an exclude
 `counterexample --kind l2 --fit` and `--kind lge3 --y 2 --fit` reports, and
 the `reproduce-s4` tables at depths 2 and 4.  A case without a config runs its
 argv as is; its report is read from stdout when ``report`` is "-".
+`csv.json` holds, by case, the header and rows of every CSV file the case
+writes; a CSV cell is read as an int, else a float, else a string.
 
 Step counts, terminations and flags must match exactly; fitted and final
-numbers within 1e-10 relative.  A change that moves a golden value names the
+numbers within 1e-10 relative.  CSV headers, strings and ints match exactly,
+floats within 1e-10 relative.  A change that moves a golden value names the
 value and the reason in CHANGES.md and re-records the file.
 """
 
@@ -23,6 +26,7 @@ from deeplinear.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 TRAIN_CASES = json.loads((GOLDEN / "train.json").read_text())
+CSV_CASES = json.loads((GOLDEN / "csv.json").read_text())
 EXACT = ("n_steps", "termination", "monotone")
 CLOSE = ("f_final", "grad_sq_final", "rate")
 
@@ -39,6 +43,7 @@ def test_train_matches_golden(name, tmp_path):
         assert summary[key] == expect[key], key
     for key in CLOSE:
         assert summary[key] == pytest.approx(expect[key], rel=1e-10, abs=0.0), key
+    _assert_csvs_match(tmp_path, CSV_CASES["train"].get(name, {}))
 
 
 REPORT_CASES = json.loads((GOLDEN / "reports.json").read_text())
@@ -61,6 +66,25 @@ def _assert_matches(got, want, where="report"):
         assert type(got) is type(want) and got == want, where
 
 
+def _cell(text):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _assert_csvs_match(out, tables):
+    """The CSV files in ``out`` are those of ``tables``, header and rows alike."""
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(tables)
+    for name, want in tables.items():
+        header, *rows = (out / name).read_text().splitlines()
+        assert header.split(",") == want["header"], name
+        got = [[_cell(c) for c in row.split(",")] for row in rows]
+        _assert_matches(got, want["rows"], name)
+
+
 @pytest.mark.parametrize("name", sorted(REPORT_CASES))
 def test_report_matches_golden(name, tmp_path, capsys, monkeypatch):
     case = REPORT_CASES[name]
@@ -77,3 +101,4 @@ def test_report_matches_golden(name, tmp_path, capsys, monkeypatch):
     else:
         report = json.loads((tmp_path / case["report"]).read_text())
     _assert_matches(report, case["expect"])
+    _assert_csvs_match(tmp_path, CSV_CASES["reports"].get(name, {}))

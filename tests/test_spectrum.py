@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from deeplinear import DimChain, Instance, RegParams, analyze_target, build_root_value_set
+from deeplinear.spectrum import GROUPING_TOL
 
 TRIBONACCI_RECIPROCAL = 0.5436890126920764  # real root of x^3 + x^2 + x = 1
 
@@ -52,9 +53,9 @@ def test_reconstruction(rng):
 
 
 def test_partition_soundness_with_grouping(rng):
-    tol = 1e-8
+    tol = GROUPING_TOL
     base = np.array([5.0, 5.0 * (1 + 0.3 * tol), 3.0, 3.0, 1.0])
-    spec = analyze_target(np.diag(base), grouping_tol=tol)
+    spec = analyze_target(np.diag(base))
     top = base[0]
     assert spec.p_distinct == 3
     for i in range(spec.p_distinct):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from deeplinear import (
     optimal_profile,
     sample_random_params,
 )
-from deeplinear import training
+from deeplinear import cli, training
 from deeplinear.training import (
     DivergenceError,
     InsufficientDataError,
@@ -493,11 +494,20 @@ def test_model_spec_validation():
         TrainConfig(learning_rate=-1.0)
 
 
-def test_trajectory_csv_stream(rng):
-    dims, reg, target = random_instance(rng, depth=2, max_dim=3)
-    cfg = TrainConfig(learning_rate=1e-3, max_iters=20, seed=0, init="gaussian")
-    traj = train(ModelSpec(), target, reg, cfg, dims)
-    lines = traj.to_csv().splitlines()
+def test_trajectory_csv_stream(tmp_path, monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr(cli, "train", lambda *a, **k: runs.append(train(*a, **k)) or runs[-1])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "output_dir": str(tmp_path),
+        "instance": {"dims": [3, 2, 3], "lambdas": [0.4, 0.7], "target": {"kind": "gaussian"}},
+        "train": {"learning_rate": 1e-3, "max_iters": 20, "init": "gaussian"},
+    }))
+    assert cli.main(["train", str(config)]) == 0
+    capsys.readouterr()
+    (traj,) = runs
+    assert traj.n_steps == 20
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "iter,F,grad_sq"
     assert len(lines) == 1 + traj.n_steps
     # every field is a plain number, the trajectory's own value

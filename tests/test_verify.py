@@ -27,6 +27,7 @@ from deeplinear import (
     zero_profile,
 )
 from deeplinear import critical
+from deeplinear.cli import _finish_report
 from deeplinear.critical import distance_to_critical_set
 from deeplinear.training import ModelSpec, TrainConfig, Trajectory, train, train_runs
 from deeplinear.verify import CenterNotCriticalError
@@ -98,7 +99,6 @@ def test_error_bound_fails_with_cubic_tag_on_degenerate_instance():
         family.inst,
         cfg,
         target="G",
-        direction_index=0,
     )
     assert not report.passed
     assert "assumption2-violated" in report.tags
@@ -228,7 +228,7 @@ def test_batched_fit_equals_per_t_values(kind, y, t_values):
         assert np.array_equal(batch.flat[k], w.flat)
         g, up, lval = _grad_norm_at(family, t), _dist_upper_at(family, t), loss_g(w, target, reg)
         expected = (t, family.dist_lower(t), up, g, lval, up / g if g > 0 else math.inf)
-        got = (s.radius, s.dist_lower, s.dist_upper, s.grad_norm, s.loss, s.ratio)
+        got = (s.radius, s.dist_lower, s.dist_upper, s.grad_norm, s.F, s.ratio)
         assert got == expected
         assert all(type(v) is float for v in got)
         # the one-t batch of ``counterexample --t``
@@ -286,13 +286,21 @@ def test_first_order_conditions_flags_nondecreasing_tail():
     assert not rep.sufficient_decrease_held
 
 
-def test_sweeps_deterministic_given_seed():
+def _written(report, out):
+    """The JSON and CSV text the CLI writes for ``report`` into the new directory ``out``."""
+    out.mkdir()
+    _finish_report(report, out, "report")
+    return (out / "report.json").read_text(), (out / "report.csv").read_text()
+
+
+def test_sweeps_deterministic_given_seed(tmp_path, capsys):
     inst, dims, reg = _generic_instance(seed=31)
     point = _center(inst)
     cfg = RadiusSweepConfig(radii=(1e-3, 1e-2), samples_per_radius=3, seed=9)
-    a = verify_error_bound(point, inst, cfg)
-    b = verify_error_bound(point, inst, cfg)
-    assert a.to_json() == b.to_json()
+    # the written reports: NaN fitted values make the dataclasses unequal
+    assert _written(verify_error_bound(point, inst, cfg), tmp_path / "a") == _written(
+        verify_error_bound(point, inst, cfg), tmp_path / "b"
+    )
 
 
 def test_error_bound_small_weights_three_layer():
@@ -337,19 +345,29 @@ def test_descent_terminates_near_critical_set():
     assert sd.distance <= 1e-3
 
 
-def test_report_serialization_roundtrip():
+def test_report_serialization_roundtrip(tmp_path, capsys):
     inst, dims, reg = _generic_instance(seed=29)
     point = _center(inst)
     cfg = RadiusSweepConfig(
         radii=(1e-3, 1e-2), samples_per_radius=2, seed=0
     )
     report = verify_error_bound(point, inst, cfg)
-    text = report.to_json()
+    assert _finish_report(report, tmp_path, "verify-eb") == 0
+    assert "verify-eb: PASS" in capsys.readouterr().out
+    text = (tmp_path / "verify-eb.json").read_text()
     payload = json.loads(text)
-    assert json.dumps(payload, indent=2, sort_keys=True) == text
-    csv = report.to_csv()
-    assert csv.splitlines()[0] == "radius,dist_lower,dist_upper,grad_norm,F,ratio"
-    assert len(csv.splitlines()) == 1 + len(report.samples)
+    assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == text
+    assert payload["samples"] == [asdict(s) for s in report.samples]
+    assert {k: v for k, v in payload.items() if k != "samples"} == {
+        k: v for k, v in asdict(report).items() if k != "samples"
+    }
+    csv = (tmp_path / "verify-eb.csv").read_text().splitlines()
+    assert csv[0] == "radius,dist_lower,dist_upper,grad_norm,F,ratio"
+    assert len(csv) == 1 + len(report.samples)
+    # every field is the sample's own value, in its shortest round-trip form
+    for line, s in zip(csv[1:], report.samples):
+        values = (s.radius, s.dist_lower, s.dist_upper, s.grad_norm, s.F, s.ratio)
+        assert line == ",".join(repr(v) for v in values)
 
 
 def test_first_order_conditions_hand_computed_scalar_case():
@@ -427,14 +445,12 @@ def test_batched_gradient_norms_and_losses_equal_2d_calls(target):
         assert (gnorm, loss) == _grad_and_loss(stack, inst.target, reg, target)
 
 
-def _one_draw(center, inst, mode, direction_index):
+def _one_draw(center, inst, mode):
     """One unit direction drawn as the sweep drew one sample at a time."""
     from deeplinear.critical import singular_direction, tangent_basis
 
     dims = center.stack.dim_chain()
     if mode == "singular-direction":
-        if direction_index is not None:
-            return lambda rng: singular_direction(center, direction_index)
         return lambda rng: singular_direction(center, int(rng.integers(dims.d_min)))
     basis = tangent_basis(center, inst.spectrum)
 
@@ -447,9 +463,8 @@ def _one_draw(center, inst, mode, direction_index):
     return draw
 
 
-@pytest.mark.parametrize("direction_index", [None, 1])
 @pytest.mark.parametrize("mode", ["gaussian-all-layers", "singular-direction", "tangent-removed"])
-def test_batched_draw_equals_one_at_a_time_draws(mode, direction_index, monkeypatch):
+def test_batched_draw_equals_one_at_a_time_draws(mode, monkeypatch):
     from deeplinear import verify
     from deeplinear.critical import tangent_basis
 
@@ -461,8 +476,8 @@ def test_batched_draw_equals_one_at_a_time_draws(mode, direction_index, monkeypa
     monkeypatch.setattr(
         verify, "singular_direction", lambda *a: built.append(a[1]) or make_direction(*a)
     )
-    draw = verify._make_sampler(center, inst, RadiusSweepConfig(mode=mode), direction_index)
-    one = _one_draw(center, inst, mode, direction_index)
+    draw = verify._make_sampler(center, inst, RadiusSweepConfig(mode=mode))
+    one = _one_draw(center, inst, mode)
     count = 9
     batch_rng, single_rng, unit_rng = (np.random.default_rng(4) for _ in range(3))
     batch = draw(batch_rng, count)
@@ -478,7 +493,7 @@ def test_batched_draw_equals_one_at_a_time_draws(mode, direction_index, monkeypa
 
 
 @pytest.mark.parametrize("mode", ["gaussian-all-layers", "singular-direction", "tangent-removed"])
-def test_sweep_reports_do_not_depend_on_the_chunking(mode, monkeypatch):
+def test_sweep_reports_do_not_depend_on_the_chunking(mode, monkeypatch, tmp_path, capsys):
     # 5 radii x 6 samples of a 60-parameter stack: one chunk by default; then
     # one radius per chunk (the floor) with 1-row lower-bound chunks, and
     # 9-row chunks that straddle the radii.
@@ -499,10 +514,12 @@ def test_sweep_reports_do_not_depend_on_the_chunking(mode, monkeypatch):
     )
 
     def reports():
+        # the written reports: NaN fitted values make the dataclasses unequal
         calls.clear()
+        runs = len(list(tmp_path.iterdir()))
         return (
-            verify_error_bound(center, inst, cfg).to_json(),
-            verify_pl_qg(center, inst, cfg).to_json(),
+            _written(verify_error_bound(center, inst, cfg), tmp_path / f"eb{runs}"),
+            _written(verify_pl_qg(center, inst, cfg), tmp_path / f"plqg{runs}"),
         )
 
     default = reports()
