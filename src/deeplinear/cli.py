@@ -45,6 +45,7 @@ from .training import (
 )
 from .util import named_seed, named_stream
 from .verify import (
+    COUNTEREXAMPLE_KINDS,
     CenterNotCriticalError,
     RadiusSweepConfig,
     counterexample_family,
@@ -146,6 +147,14 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _gaussian_target(tblock: dict, seed: int, stream: str, d_out: int, cols: int) -> np.ndarray:
+    """Gaussian (d_out, cols) target: ``stream`` of its seed (else the config's), times its scale."""
+    rng = named_stream(_integer(tblock, "seed", seed, "instance.target.seed", least=0), stream)
+    target = rng.standard_normal((d_out, cols))
+    target *= _number(tblock.get("scale", 1.0), "instance.target.scale")
+    return target
+
+
 @_reading()
 def build_instance(cfg: dict, seed: int) -> Instance:
     block = _require(cfg, "instance", "config")
@@ -173,9 +182,7 @@ def build_instance(cfg: dict, seed: int) -> Instance:
     _check_keys(tblock, {"kind", "scale", "values", "path", "seed"}, "instance.target")
     kind = _require(tblock, "kind", "instance.target")
     if kind == "gaussian":
-        rng = named_stream(_integer(tblock, "seed", seed, "instance.target.seed", least=0), "instance")
-        target = rng.standard_normal((dims.d_out, dims.d_in))
-        target *= _number(tblock.get("scale", 1.0), "instance.target.scale")
+        target = _gaussian_target(tblock, seed, "instance", dims.d_out, dims.d_in)
     elif kind == "diagonal":
         values = _numbers(_require(tblock, "values", "instance.target"), "instance.target.values")
         if len(values) > dims.d_min:
@@ -354,7 +361,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    kind, depth = {"l2": ("l2-lambda-eq-y2", 2), "lge3": ("lge3-phi-prime-zero", 3)}[args.kind]
+    kind = next(k for k in COUNTEREXAMPLE_KINDS if k.startswith(f"{args.kind}-"))
+    depth = COUNTEREXAMPLE_KINDS[kind]
     if not (0 < args.y < math.inf and 0 < args.t < math.inf):
         raise ConfigError(f"need finite --y > 0 and --t > 0; got {args.y}, {args.t}")
     try:
@@ -386,7 +394,7 @@ def cmd_train(args) -> int:
     with _reading():
         mblock = cfg.get("model", {})
         _check_keys(mblock, {"kind", "activation", "input"}, "model")
-        input_matrix = None
+        input_matrix, target = None, inst.target
         iblock = _block(mblock, "input", "model.input")
         if iblock:
             _check_keys(iblock, {"kind", "cols", "seed"}, "model.input")
@@ -396,6 +404,11 @@ def cmd_train(args) -> int:
                 rng = named_stream(_integer(iblock, "seed", seed, "model.input.seed", least=0), "input")
                 bound = math.sqrt(6.0 / (inst.dims.d_in + cols))
                 input_matrix = rng.uniform(-bound, bound, size=(inst.dims.d_in, cols))
+                if cols != inst.dims.d_in:  # one target column per sample: redraw Y
+                    yblock = cfg["instance"]["target"]
+                    if yblock["kind"] != "gaussian":
+                        raise ConfigError(f"model.input.cols != d_in needs a gaussian target, got {yblock['kind']!r}")
+                    target = _gaussian_target(yblock, seed, "instance-target", inst.dims.d_out, cols)
             elif ikind != "identity":
                 raise ConfigError(f"unknown input kind {ikind!r}")
         model = ModelSpec(
@@ -418,12 +431,6 @@ def cmd_train(args) -> int:
     center = None
     if tcfg.init == "near-critical":
         center = _resolve_center(inst, str(tblock.get("center", "optimal")), seed, "F").stack
-    if model.input_matrix is not None and inst.target.shape[1] != model.input_matrix.shape[1]:
-        # regenerate a target matching the sample count for general inputs
-        rng = named_stream(seed, "instance-target")
-        target = rng.standard_normal((inst.dims.d_out, model.input_matrix.shape[1]))
-    else:
-        target = inst.target
 
     # Overflow on the way to a divergence is reported once, by DivergenceError.
     with np.errstate(over="ignore", invalid="ignore"):

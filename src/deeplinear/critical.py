@@ -552,12 +552,12 @@ class CriticalPoint:
 
     ``stack`` is ``assemble(left, sigma_mats, right)``; downstream code reuses
     the frames to build one-parameter perturbation families and tangent
-    directions along the component.
+    directions along the component.  The free factors live in the frames:
+    ``left[:-1]`` is ``params.inner``; ``left[-1]``, ``right[0]`` mix the blocks.
     """
 
     stack: WeightStack
     profile: SigmaProfile
-    params: CriticalParams
     target: str
     left: list[np.ndarray]
     right: list[np.ndarray]
@@ -598,7 +598,6 @@ def construct_critical_point(
     return CriticalPoint(
         stack=assemble(left, sig_mats, right),
         profile=profile,
-        params=params,
         target=target,
         left=left,
         right=right,
@@ -757,7 +756,7 @@ def distance_to_component(
     dims = stack.dim_chain()
     if stack.biases is not None:
         raise ShapeError("the critical set is one of stacks without biases")
-    if dims.dims[0] != spectrum.d_in or dims.dims[-1] != spectrum.d_out:
+    if dims.dims[0] != inst.dims.d_in or dims.dims[-1] != inst.dims.d_out:
         raise ShapeError("stack endpoints do not match the target's shape")
     if dims.depth != L:
         raise ShapeError("stack depth does not match the instance")
@@ -880,7 +879,7 @@ def distance_to_component(
             right = [right[0][keep]] + [q.swapaxes(-1, -2) for q in left[:-1]]
 
     nearest = stack.like(nearest)
-    y = spectrum.target
+    y = inst.target
     gnorm = (grad_f if target == "F" else grad_g)(nearest, y, reg).norm()
     bad = gnorm > 1e-9 * (1.0 + float(np.linalg.norm(y)))
     if bad.any():

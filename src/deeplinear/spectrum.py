@@ -27,10 +27,9 @@ GROUPING_TOL = 1e-8
 
 @dataclass
 class TargetSpectrum:
-    """Target matrix Y with its SVD and distinct-singular-value partition.
+    """SVD of a target matrix Y and its distinct-singular-value partition.
 
     Attributes:
-        target: the matrix Y itself, shape d_out x d_in
         u: left singular frame, d_out x d_out orthogonal
         v: right singular frame, d_in x d_in orthogonal
         y: all min(d_out, d_in) singular values, nonincreasing
@@ -43,7 +42,6 @@ class TargetSpectrum:
             no gap exists
     """
 
-    target: np.ndarray
     u: np.ndarray
     v: np.ndarray
     y: np.ndarray
@@ -52,18 +50,6 @@ class TargetSpectrum:
     s_bounds: tuple[int, ...]
     multiplicities: tuple[int, ...]
     delta_y: float
-
-    @property
-    def d_out(self) -> int:
-        return self.target.shape[0]
-
-    @property
-    def d_in(self) -> int:
-        return self.target.shape[1]
-
-    @property
-    def d_min(self) -> int:
-        return min(self.target.shape)
 
     @property
     def y_top(self) -> float:
@@ -123,7 +109,6 @@ def analyze_target(target: np.ndarray) -> TargetSpectrum:
     delta_y = min(gaps) if gaps else math.inf
 
     return TargetSpectrum(
-        target=target,
         u=u,
         v=vt.T,
         y=y,

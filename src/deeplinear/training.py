@@ -392,8 +392,6 @@ def train(
 class RateFit:
     rate: float
     r_squared: float
-    slope: float
-    n_points: int
 
 
 def estimate_linear_rate(traj: Trajectory) -> RateFit:
@@ -411,7 +409,7 @@ def estimate_linear_rate(traj: Trajectory) -> RateFit:
     if len(valid) < 5:
         raise InsufficientDataError("fewer than 5 iterates carry a positive gap")
 
-    def window_fit(indices) -> tuple[float, float, np.ndarray]:
+    def window_fit(indices) -> tuple[float, float]:
         take = max(20, int(len(indices) * 0.5))
         window = indices[-take:]
         window = window[:-3] if len(window) > 3 else window
@@ -419,17 +417,16 @@ def estimate_linear_rate(traj: Trajectory) -> RateFit:
             raise InsufficientDataError(
                 f"only {len(window)} usable tail points, need at least 20"
             )
-        slope, r2 = fit_line(window.astype(float), np.log(gaps[window]))
-        return slope, r2, window
+        return fit_line(window.astype(float), np.log(gaps[window]))
 
-    slope, r2, window = window_fit(valid)
+    slope, r2 = window_fit(valid)
     if slope < 0:
         # Drop the stretch where the unfitted remainder rho^(n-k) exceeds ~2%.
         cut = int(math.log(0.02) / slope) + 1
         trimmed = valid[valid <= valid[-1] - cut]
         if len(trimmed) >= 23:
-            slope, r2, window = window_fit(trimmed)
-    return RateFit(float(math.exp(slope)), r2, float(slope), len(window))
+            slope, r2 = window_fit(trimmed)
+    return RateFit(float(math.exp(slope)), r2)
 
 
 @dataclass

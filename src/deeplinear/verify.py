@@ -469,23 +469,22 @@ def check_balance_inequalities(
     )
 
 
-COUNTEREXAMPLE_KINDS = ("l2-lambda-eq-y2", "lge3-phi-prime-zero")
+# Each failure family's kind and its default depth.
+COUNTEREXAMPLE_KINDS = {"l2-lambda-eq-y2": 2, "lge3-phi-prime-zero": 3}
 
 
 @dataclass
 class CounterexampleFamily:
     """One-parameter family W(t) along which the error bound provably fails.
 
-    ``point(t)`` shifts one stationary value of every layer by t while
+    ``point(t)`` shifts the stationary value of every (1 x 1) layer by t while
     keeping the construction frames fixed; the gradient norm then collapses
     like t^3 (tangential zero root at the excluded weight, 2 layers) or t^2
     (tangential positive root, 3+ layers) while the distance stays linear.
     """
 
-    kind: str
     inst: Instance
     center: CriticalPoint
-    index: int
     expected_slope: float
 
     @property
@@ -497,13 +496,13 @@ class CounterexampleFamily:
         t = np.asarray(t, dtype=float)
         sigma_mats = [np.broadcast_to(s, t.shape + s.shape).copy() for s in self.center.sigma_mats]
         for s in sigma_mats:
-            s[..., self.index, self.index] += t
+            s[..., 0, 0] += t
         return assemble(self.center.left, sigma_mats, self.center.right)
 
     def predicted_grad_norm(self, t: float) -> float:
         lam = self.inst.reg.lambda_prod
         y = self.inst.spectrum.block_value(0)
-        base = self.center.profile.sigma_eq[self.index]
+        base = self.center.profile.sigma_eq[0]
         s = base + t
         L = self.depth
         f = s ** (2 * L - 1) - math.sqrt(lam) * y * s ** (L - 1) + lam * s
@@ -529,15 +528,12 @@ def counterexample_family(
     built with identity frames.
     """
     if kind not in COUNTEREXAMPLE_KINDS:
-        raise ValueError(f"kind must be one of {COUNTEREXAMPLE_KINDS}")
-    if kind == "l2-lambda-eq-y2":
-        depth = 2 if depth is None else depth
-        if depth != 2:
-            raise ValueError("the tangential zero-root family needs depth 2")
-    else:
-        depth = 3 if depth is None else depth
-        if depth < 3:
-            raise ValueError("the tangential positive-root family needs depth >= 3")
+        raise ValueError(f"kind must be one of {tuple(COUNTEREXAMPLE_KINDS)}")
+    depth = COUNTEREXAMPLE_KINDS[kind] if depth is None else depth
+    if kind == "l2-lambda-eq-y2" and depth != 2:
+        raise ValueError("the tangential zero-root family needs depth 2")
+    if kind == "lge3-phi-prime-zero" and depth < 3:
+        raise ValueError("the tangential positive-root family needs depth >= 3")
     lam = excluded_lambda(y, depth)
     reg = RegParams.uniform(lam ** (1.0 / depth), depth)
     inst = Instance(DimChain((1,) * (depth + 1)), reg, y * np.eye(1))
@@ -549,13 +545,7 @@ def counterexample_family(
         expected = 2.0
     profile = profile_from_choices(inst, choices)
     center = construct_critical_point(profile, identity_params(inst), inst, target="G")
-    return CounterexampleFamily(
-        kind=kind,
-        inst=inst,
-        center=center,
-        index=0,
-        expected_slope=expected,
-    )
+    return CounterexampleFamily(inst, center, expected)
 
 
 def build_counterexample(kind: str, t: float, y: float = 2.0) -> WeightStack:

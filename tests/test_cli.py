@@ -11,7 +11,8 @@ import pytest
 from deeplinear import cli, critical
 from deeplinear.cli import main
 from deeplinear.critical import InternalConsistencyError, SolverError
-from deeplinear.verify import CenterNotCriticalError
+from deeplinear.util import named_stream
+from deeplinear.verify import CenterNotCriticalError, counterexample_family
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -175,6 +176,7 @@ def test_train_command(tmp_path, monkeypatch, capsys):
 
 def test_train_command_nonlinear(tmp_path, capsys):
     cfg = _base_config(tmp_path)
+    cfg["instance"]["target"] = {"kind": "gaussian"}
     cfg["model"] = {
         "kind": "nonlinear",
         "activation": "tanh",
@@ -359,6 +361,7 @@ BAD_INPUT_COLS = {
     "fractional-cols": 2.7,
     "bool-cols": True,
     "null-cols": None,
+    "diagonal-target-cols": 5,  # only a gaussian target is redrawn with one column per sample
 }
 
 
@@ -391,10 +394,56 @@ def test_input_cols_set_the_sample_count(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "train", recorded)
     cfg = _base_config(tmp_path)
+    cfg["instance"]["target"] = {"kind": "gaussian"}
     cfg["model"] = {"input": {"kind": "uniform", "cols": 3}}
     cfg["train"] = {"learning_rate": 1e-3, "max_iters": 5, "init": "gaussian"}
     assert main(["train", _write_config(tmp_path, cfg)]) == 0
     assert shapes == [((2, 3), (2, 3))]
+
+
+def _train_target(tmp_path, monkeypatch, target):
+    """The target ``train`` receives for the instance ``target`` block and 3 input columns."""
+    train, targets = cli.train, []
+
+    def recorded(model, y, *args, **kwargs):
+        targets.append(y)
+        return train(model, y, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "train", recorded)
+    cfg = _base_config(tmp_path)
+    cfg["instance"]["target"] = target
+    cfg["model"] = {"input": {"kind": "uniform", "cols": 3}}
+    cfg["train"] = {"learning_rate": 1e-3, "max_iters": 5, "init": "gaussian"}
+    assert main(["train", _write_config(tmp_path, cfg)]) == 0
+    (y,) = targets
+    return y
+
+
+def test_input_cols_target_reads_the_scale(tmp_path, monkeypatch):
+    plain = _train_target(tmp_path, monkeypatch, {"kind": "gaussian"})
+    assert np.array_equal(plain, named_stream(3, "instance-target").standard_normal((2, 3)))
+    scaled = _train_target(tmp_path, monkeypatch, {"kind": "gaussian", "scale": 2.0})
+    assert np.array_equal(scaled, 2.0 * plain)
+
+
+def test_input_cols_target_reads_the_target_seed(tmp_path, monkeypatch):
+    seeded = _train_target(tmp_path, monkeypatch, {"kind": "gaussian", "seed": 8})
+    assert np.array_equal(seeded, named_stream(8, "instance-target").standard_normal((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "flag, kind, depth", [("l2", "l2-lambda-eq-y2", 2), ("lge3", "lge3-phi-prime-zero", 3)]
+)
+def test_counterexample_command_uses_the_family_depth(flag, kind, depth, monkeypatch, capsys):
+    excluded, family, depths, built = cli.excluded_lambda, cli.counterexample_family, [], []
+    monkeypatch.setattr(cli, "excluded_lambda", lambda y, L: depths.append(L) or excluded(y, L))
+    monkeypatch.setattr(
+        cli, "counterexample_family", lambda k, **kw: built.append((k, family(k, **kw))) or built[-1][1]
+    )
+    assert main(["counterexample", "--kind", flag, "--t", "0.1"]) == 0
+    assert depths == [depth]
+    assert [(k, f.depth) for k, f in built] == [(kind, depth)]
+    assert counterexample_family(kind).depth == depth
 
 
 def test_parser_reused_across_calls_leaks_no_option(tmp_path, capsys):

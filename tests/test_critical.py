@@ -519,22 +519,22 @@ def _seam_layers(point, a, b, s_a, s_b):
     return d
 
 
-def _inner_seam_rows(point):
+def _inner_seam_rows(point, params):
     """The directions of the seam factors Q_2, ..., Q_L, each packed on its own."""
     rows = []
     for l in range(2, point.depth + 1):
-        n = point.params.inner[l - 2].shape[0]
+        n = params.inner[l - 2].shape[0]
         for a, b in itertools.combinations(range(n), 2):
             d = _seam_layers(point, l - 2, l - 1, _skew(n, a, b), _skew(n, a, b))
             rows.append(WeightStack(d).flat)
     return rows
 
 
-def _tangent_rows_packed_one_by_one(point, spectrum):
+def _tangent_rows_packed_one_by_one(point, params, spectrum):
     """Each tangent direction as a list of layers, packed on its own, then stacked:
     the inner seams, then the target blocks as one wrap-around seam from the
     last layer to the first."""
-    rows = _inner_seam_rows(point)
+    rows = _inner_seam_rows(point, params)
     d_in, d_out = point.stack.dims[0], point.stack.dims[-1]
     for i, h in enumerate(spectrum.multiplicities):
         start = spectrum.s_bounds[i]
@@ -544,20 +544,20 @@ def _tangent_rows_packed_one_by_one(point, spectrum):
     return np.vstack(rows)
 
 
-def _mixer_tangent_rows(point, spectrum):
+def _mixer_tangent_rows(point, params, spectrum):
     """The tangent rows as first written: each block direction perturbs the
     block factor inside the mixers M_in and M_out, and is rebuilt from the
     target's singular frames."""
-    layers, rows = point.stack.layers, _inner_seam_rows(point)
+    layers, rows = point.stack.layers, _inner_seam_rows(point, params)
     for i, h in enumerate(spectrum.multiplicities):
         sl = spectrum.block_slice(i)
         for a, b in itertools.combinations(range(h), 2):
             d = [np.zeros_like(w) for w in layers]
             dm_in = np.zeros((layers[0].shape[1],) * 2)
-            dm_in[sl, sl] = point.params.blocks[i] @ _skew(h, a, b)
+            dm_in[sl, sl] = params.blocks[i] @ _skew(h, a, b)
             d[0] = point.left[0] @ point.sigma_mats[0] @ dm_in @ spectrum.v.T
             dm_out = np.zeros((layers[-1].shape[0],) * 2)
-            dm_out[sl, sl] = _skew(h, a, b).T @ point.params.blocks[i].T
+            dm_out[sl, sl] = _skew(h, a, b).T @ params.blocks[i].T
             d[-1] = spectrum.u @ dm_out @ point.sigma_mats[-1] @ point.right[-1]
             rows.append(WeightStack(d).flat)
     return np.vstack(rows) if rows else np.zeros((0, point.stack.flat.shape[-1]))
@@ -575,8 +575,9 @@ def test_seam_basis_spans_the_mixer_directions():
             continue
         profiles = inst.profiles.profiles
         for k in sorted({0, int(rng.integers(len(profiles))), len(profiles) - 1}):
-            point = construct_critical_point(profiles[k], sample_random_params(inst, seed=k), inst)
-            rows = _mixer_tangent_rows(point, inst.spectrum)
+            params = sample_random_params(inst, seed=k)
+            point = construct_critical_point(profiles[k], params, inst)
+            rows = _mixer_tangent_rows(point, params, inst.spectrum)
             basis = critical.tangent_basis(point, inst.spectrum)
             if len(rows):
                 _, s, vt = np.linalg.svd(rows, full_matrices=False)
@@ -597,9 +598,10 @@ def test_tangent_rows_equal_directions_packed_one_by_one(depth, center, monkeypa
     if center == "saddle":
         profile = profile_from_choices(inst, [-1, -1, 0])
     assert not profile.is_zero and inst.spectrum.multiplicities[0] == 2
-    point = construct_critical_point(profile, sample_random_params(inst, seed=depth), inst)
+    params = sample_random_params(inst, seed=depth)
+    point = construct_critical_point(profile, params, inst)
     assert point.stack.norm() > 0
-    want = _tangent_rows_packed_one_by_one(point, inst.spectrum)
+    want = _tangent_rows_packed_one_by_one(point, params, inst.spectrum)
     seen = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(a.copy()) or svd(a, **kw))
@@ -704,7 +706,7 @@ def test_every_member_comes_from_the_one_assembler(target, values, depth):
 
     assembled = critical.assemble(point.left, point.sigma_mats, point.right)
     assert all(np.array_equal(a, b) for a, b in zip(assembled.layers, point.stack.layers))
-    family = CounterexampleFamily("l2-lambda-eq-y2", inst, point, 0, 3.0)
+    family = CounterexampleFamily(inst, point, 3.0)
     assert all(np.array_equal(a, b) for a, b in zip(family.point(0.0).layers, point.stack.layers))
 
     e = WeightStack.gaussian(dims, rng)
@@ -715,6 +717,30 @@ def test_every_member_comes_from_the_one_assembler(target, values, depth):
         want = np.zeros(min(w.shape))
         want[: dims.d_min] = np.asarray(profile.sigma) * scale
         assert np.allclose(np.linalg.svd(w, compute_uv=False), want, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("target", ["F", "G"])
+def test_member_frames_hold_the_free_factors(target):
+    # Repeated target blocks with rectangular ends: the frames carry every free
+    # factor bit for bit, the seam factors as left[:-1] and the block factors
+    # mixed into the target's singular frames as left[-1] and right[0].
+    rng = np.random.default_rng(24)
+    repeated = 0
+    for k in range(30):
+        inst = _haar_block_instance(rng)
+        spectrum, dims = inst.spectrum, inst.dims
+        repeated += max(spectrum.multiplicities, default=1) > 1
+        params = sample_random_params(inst, seed=k)
+        point = construct_critical_point(optimal_profile(inst), params, inst, target)
+        assert len(point.left) == len(params.inner) + 1
+        assert all(np.array_equal(a, q) for a, q in zip(point.left[:-1], params.inner))
+        m_in, m_out = np.eye(dims.d_in), np.eye(dims.d_out)
+        for i, q in enumerate(params.blocks):
+            sl = spectrum.block_slice(i)
+            m_in[sl, sl], m_out[sl, sl] = q, q.T
+        assert np.array_equal(point.left[-1], spectrum.u @ m_out)
+        assert np.array_equal(point.right[0], m_in @ spectrum.v.T)
+    assert repeated >= 10
 
 
 def _assert_same_component_distance(a, b):
