@@ -33,7 +33,7 @@ from .critical import (
     zero_profile,
 )
 from .network import DimChain, RegParams
-from .spectrum import Instance
+from .spectrum import Instance, WeightRangeError
 from .training import (
     DivergenceError,
     ModelSpec,
@@ -246,6 +246,8 @@ def _sweep_config(cfg: dict, seed: int) -> tuple[RadiusSweepConfig, str, str]:
         start, stop, num = (_require(radii, k, "sweep.radii") for k in ("start", "stop", "num"))
         num = _integer(radii, "num", None, "sweep.radii.num", least=1)
         start, stop = _number(start, "sweep.radii.start"), _number(stop, "sweep.radii.stop")
+        if not (0 < start < math.inf and 0 < stop < math.inf):
+            raise ConfigError(f"sweep.radii start and stop must be finite and positive, got {start}, {stop}")
         radii = tuple(float(r) for r in np.geomspace(start, stop, num))
     elif radii is not None:
         radii = _numbers(radii, "sweep.radii")
@@ -365,10 +367,7 @@ def cmd_counterexample(args) -> int:
     depth = COUNTEREXAMPLE_KINDS[kind]
     if not (0 < args.y < math.inf and 0 < args.t < math.inf):
         raise ConfigError(f"need finite --y > 0 and --t > 0; got {args.y}, {args.t}")
-    try:
-        lam = excluded_lambda(args.y, depth)
-    except OverflowError:
-        lam = math.inf
+    lam = excluded_lambda(args.y, depth)
     if not 0 < lam < math.inf:
         raise ConfigError(f"--y {args.y} puts the excluded weight at {lam}, not a positive finite float")
     if args.fit:
@@ -543,7 +542,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, WeightRangeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except AssumptionError as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical import AssumptionError, SigmaProfile, distinct_value_starts
-from .spectrum import Instance, build_root_value_set
+from .spectrum import Instance, WeightRangeError, build_root_value_set
 
 ASSUMPTION_REL_TOL = 1e-9
 
@@ -37,7 +37,8 @@ def phi_prime(x, lam: float, depth: int):
 
 
 def excluded_lambda(y: float, depth: int) -> float:
-    """The product regularization weight at which the instance degenerates for y."""
+    """The product regularization weight at which the instance degenerates for y;
+    inf when it is past float range."""
     L = depth
     if y <= 0:
         return math.nan
@@ -45,7 +46,10 @@ def excluded_lambda(y: float, depth: int) -> float:
         return y * y
     a = ((L - 2) / L) ** (L / (2 * (L - 1)))
     b = (L / (L - 2)) ** ((L - 2) / (2 * (L - 1)))
-    return y ** (2 * (L - 1)) * (a + b) ** (-2 * (L - 1))
+    try:
+        return y ** (2 * (L - 1)) * (a + b) ** (-2 * (L - 1))
+    except OverflowError:
+        return math.inf
 
 
 def degenerate_sigma(lam: float, depth: int) -> float:
@@ -75,7 +79,8 @@ class AssumptionReport:
 
 
 def check_assumptions(inst: Instance) -> AssumptionReport:
-    """Width condition plus the non-degeneracy of lam against every y_i."""
+    """Width condition plus the non-degeneracy of lam against every y_i; an
+    excluded weight that is not a positive finite float is refused."""
     spectrum, L = inst.spectrum, inst.depth
     lam = inst.reg.lambda_prod
     violated = []
@@ -83,6 +88,10 @@ def check_assumptions(inst: Instance) -> AssumptionReport:
     excluded = []
     for i in range(spectrum.rank):
         exc = excluded_lambda(float(spectrum.y[i]), L)
+        if not 0.0 < exc < math.inf:
+            raise WeightRangeError(
+                f"y_{i + 1} = {spectrum.y[i]} puts the excluded weight at {exc}, not a positive finite float"
+            )
         excluded.append(exc)
         rel = abs(lam - exc) / exc
         margins.append(rel)

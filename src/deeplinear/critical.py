@@ -244,7 +244,6 @@ class SigmaProfile:
     sigma: tuple[float, ...]          # sorted nonincreasing, length d_min
     sigma_eq: tuple[float, ...]       # per-index chosen roots, length rank(Y)
     choice: tuple[int, ...]           # index into each equation's root list
-    degenerate: bool                  # any chosen root is a multiple root
     multiplicities: tuple[int, ...] = field(default=())
 
     @property
@@ -288,7 +287,7 @@ def distinct_value_starts(sigmas: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _make_profile(sigma_eq, choice, d_min, degenerate) -> SigmaProfile:
+def _make_profile(sigma_eq, choice, d_min) -> SigmaProfile:
     sigma = sorted((float(v) for v in sigma_eq), reverse=True)
     sigma += [0.0] * (d_min - len(sigma))
     r_sigma = sum(1 for v in sigma if v > 0.0)
@@ -298,7 +297,6 @@ def _make_profile(sigma_eq, choice, d_min, degenerate) -> SigmaProfile:
         sigma=tuple(sigma),
         sigma_eq=tuple(float(v) for v in sigma_eq),
         choice=tuple(int(c) for c in choice),
-        degenerate=bool(degenerate),
         multiplicities=mults,
     )
 
@@ -317,7 +315,6 @@ def profile_from_choices(inst: "Instance", choices) -> SigmaProfile:
         )
     sigma_eq = []
     idx = []
-    degenerate = False
     for roots, c in zip(inst.roots, choices):
         c = int(c)
         val = roots.roots[c]
@@ -325,8 +322,7 @@ def profile_from_choices(inst: "Instance", choices) -> SigmaProfile:
             c += len(roots.roots)
         sigma_eq.append(val)
         idx.append(c)
-        degenerate = degenerate or roots.degenerate[c]
-    return _make_profile(sigma_eq, idx, inst.dims.d_min, degenerate)
+    return _make_profile(sigma_eq, idx, inst.dims.d_min)
 
 
 def zero_profile(inst: "Instance") -> SigmaProfile:
@@ -350,14 +346,13 @@ def saddle_profile(inst: "Instance") -> SigmaProfile:
 class ProfileList(Sequence):
     """The profiles of an enumeration, each made when it is first indexed.
 
-    Row p of ``sigma_eq``, ``choice`` and ``degenerate`` describes profile p.
+    Row p of ``sigma_eq`` and ``choice`` describes profile p.
     Length, indexing (negative indices, ``IndexError``, slices) and iteration
     behave as on a list.
     """
 
-    def __init__(self, sigma_eq: np.ndarray, choice: np.ndarray, degenerate: np.ndarray,
-                 d_min: int):
-        self._rows = (sigma_eq, choice, degenerate)
+    def __init__(self, sigma_eq: np.ndarray, choice: np.ndarray, d_min: int):
+        self._rows = (sigma_eq, choice)
         self._d_min = d_min
         self._made: list[SigmaProfile | None] = [None] * len(choice)
 
@@ -369,8 +364,8 @@ class ProfileList(Sequence):
             return [self[i] for i in range(*k.indices(len(self)))]
         prof = self._made[k]
         if prof is None:
-            sigma_eq, choice, degenerate = self._rows
-            prof = _make_profile(sigma_eq[k], choice[k], self._d_min, degenerate[k])
+            sigma_eq, choice = self._rows
+            prof = _make_profile(sigma_eq[k], choice[k], self._d_min)
             self._made[k] = prof
         return prof
 
@@ -405,10 +400,8 @@ def enumerate_sigma_profiles(inst: "Instance", cap: int = 1024) -> ProfileEnumer
     total = math.prod(counts)
 
     roots = np.zeros((rank, max(counts, default=1)))
-    flags = np.zeros(roots.shape, dtype=bool)
     for i, r in enumerate(per_index):
         roots[i, : counts[i]] = r.roots
-        flags[i, : counts[i]] = r.degenerate
     cols = np.arange(rank)
 
     # Each run's tuples are the rows of one table (its first cap + 1 suffice).
@@ -433,11 +426,10 @@ def enumerate_sigma_profiles(inst: "Instance", cap: int = 1024) -> ProfileEnumer
     sigma_eq = roots[cols, choice]
     sigmas = np.zeros((len(choice), d_min))
     sigmas[:, :rank] = np.sort(sigma_eq, axis=1)[:, ::-1]
-    degenerate = flags[cols, choice].any(axis=1)
 
     # Deterministic order: lexicographically decreasing sorted vectors.
     order = np.lexsort(-sigmas[:, ::-1].T)
-    profiles = ProfileList(sigma_eq[order], choice[order], degenerate[order], d_min)
+    profiles = ProfileList(sigma_eq[order], choice[order], d_min)
     return ProfileEnumeration(profiles, total, truncated, sigmas[order])
 
 
@@ -903,7 +895,6 @@ class SetDistance:
     lower_bound: float
     profile_index: int
     nearest: WeightStack
-    truncated: bool
     converged: bool  # every projection run for this distance converged
 
 
@@ -954,7 +945,7 @@ def distance_to_critical_set(
                 visited[i] += 1
                 active.append(i)
     out = [
-        SetDistance(b.distance, float(lo.min()), k, b.nearest, enum.truncated, c)
+        SetDistance(b.distance, float(lo.min()), k, b.nearest, c)
         for b, lo, k, c in zip(best, lowers, best_idx, converged)
     ]
     return out if batched else out[0]

@@ -65,10 +65,6 @@ class TargetSpectrum:
         """Index range of the i-th (0-based) positive block."""
         return slice(self.s_bounds[i], self.s_bounds[i + 1])
 
-    def block_value(self, i: int) -> float:
-        """Representative singular value of the i-th (0-based) positive block."""
-        return float(self.y[self.s_bounds[i]])
-
 
 def analyze_target(target: np.ndarray) -> TargetSpectrum:
     """SVD of the target plus the distinct-positive-value partition.
@@ -131,7 +127,6 @@ class RootValueSet:
 
     values: tuple[float, ...]
     delta_sigma: float
-    degenerate: bool = False  # any value is a multiple root of its equation
 
 
 def build_root_value_set(inst: "Instance") -> RootValueSet:
@@ -143,14 +138,16 @@ def build_root_value_set(inst: "Instance") -> RootValueSet:
     """
     spectrum = inst.spectrum
     values = [0.0]
-    degenerate = False
     for i in range(spectrum.p_distinct):
-        roots = inst.roots[spectrum.s_bounds[i]]
-        degenerate = degenerate or any(roots.degenerate)
-        values.extend(r for r in roots.roots if r > 0.0)
+        values.extend(r for r in inst.roots[spectrum.s_bounds[i]].roots if r > 0.0)
     values.sort()
     delta_sigma = min((b - a for a, b in zip(values, values[1:])), default=math.inf)
-    return RootValueSet(tuple(values), float(delta_sigma), degenerate)
+    return RootValueSet(tuple(values), float(delta_sigma))
+
+
+class WeightRangeError(ValueError):
+    """A weight the root solver needs (the product of the weights, or a target
+    value's excluded weight) is not a positive finite float."""
 
 
 @dataclass(eq=False)
@@ -180,6 +177,10 @@ class Instance:
                 f"target has shape {self.target.shape}, dims need "
                 f"({self.dims.d_out}, {self.dims.d_in})"
             )
+        with np.errstate(over="ignore"):
+            lam = self.reg.lambda_prod
+        if not 0.0 < lam < math.inf:
+            raise WeightRangeError(f"the product of the weights is {lam}, not a positive finite float")
 
     @property
     def depth(self) -> int:

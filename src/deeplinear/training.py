@@ -457,11 +457,13 @@ def reproduce_section4(depths=(2, 4, 6), seed: int = 0) -> list[Section4Row]:
     """
     rng = named_stream(seed, "instance")
     target = rng.standard_normal((20, 10))
+    insts = [  # built first, so a bad depth is refused before any training
+        Instance(DimChain((10,) + (32,) * (depth - 1) + (20,)), RegParams.uniform(1e-4, depth), target)
+        for depth in depths
+    ]
     rows: list[Section4Row] = []
-    for depth in depths:
-        dims = DimChain((10,) + (32,) * (depth - 1) + (20,))
-        reg = RegParams.uniform(1e-4, depth)
-        inst = Instance(dims, reg, target)
+    for inst in insts:
+        depth, dims, reg = inst.depth, inst.dims, inst.reg
         centers = {"optimal": optimal_profile(inst), "saddle": saddle_profile(inst)}
         points, cfgs = [], []
         for name, profile in centers.items():

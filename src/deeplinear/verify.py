@@ -167,11 +167,12 @@ def _sweep(center, inst, cfg, target):
     the chunking changes no reported number.
 
     Returns the assumption report, the ledger (None when an assumption
-    fails), the regime cutoff and its source, the samples with
-    ``in_regime`` marked, the samples grouped by radius and ``finish``.
-    ``finish(verdict, tags)`` appends the closing tags and returns the
-    verdict: a sweep with an unconverged projection cannot pass, and one
-    over a truncated profile enumeration is tagged; the verdict stands.
+    fails), the samples with ``in_regime`` marked, the samples grouped by
+    radius and ``finish``.  ``finish(kind, verdict, tags, per_radius, fitted,
+    constants, notes)`` appends the closing tags and returns the report, its
+    notes extended by the regime cutoff and source, assumption 2 and the
+    mode: a sweep with an unconverged projection cannot pass, and one over a
+    truncated profile enumeration is tagged; the verdict stands.
     """
     gnorm, _ = _grad_and_loss(center.stack, inst.target, inst.reg, target)
     if gnorm > 1e-8 * (1.0 + float(np.linalg.norm(inst.target))):
@@ -203,15 +204,17 @@ def _sweep(center, inst, cfg, target):
             )
     by_radius = [(r, [s for s in samples if s.radius == r]) for r in cfg.radii]
 
-    def finish(verdict, tags):
+    def finish(kind, verdict, tags, per_radius, fitted, constants, notes):
         if not converged:
             verdict = "FAIL"
             tags.append("projection-unconverged")
         if inst.profiles.truncated:
             tags.append("profiles-truncated")
-        return verdict
+        notes.update(regime_cutoff=cutoff, regime_source=regime_source,
+                     assumption2=assumptions.assumption2, mode=cfg.mode)
+        return VerificationReport(kind, verdict, tags, samples, per_radius, fitted, constants, notes)
 
-    return assumptions, ledger, cutoff, regime_source, samples, by_radius, finish
+    return assumptions, ledger, samples, by_radius, finish
 
 
 def verify_error_bound(
@@ -231,9 +234,7 @@ def verify_error_bound(
     tagged ``profiles-truncated``; the verdict stands.
     """
     cfg = cfg or RadiusSweepConfig()
-    assumptions, ledger, cutoff, regime_source, samples, by_radius, finish = _sweep(
-        center, inst, cfg, target
-    )
+    assumptions, ledger, samples, by_radius, finish = _sweep(center, inst, cfg, target)
     per_radius = []
     for radius, rs in by_radius:
         per_radius.append(
@@ -247,7 +248,6 @@ def verify_error_bound(
 
     in_reg = [p for p in per_radius if p["in_regime"]]
     tags = []
-    fitted = {}
     verdict = "FAIL"
     stability = math.nan
     if len(in_reg) >= 2:
@@ -260,14 +260,12 @@ def verify_error_bound(
     xs = [s.dist_upper for s in samples if s.in_regime and s.grad_norm > 0]
     ys = [s.grad_norm for s in samples if s.in_regime and s.grad_norm > 0]
     slope, r2 = fit_line(np.log(xs), np.log(ys)) if len(xs) >= 2 else (math.nan, math.nan)
-    fitted.update(
-        {
-            "stability_ratio": stability,
-            "grad_vs_dist_slope": slope,
-            "grad_vs_dist_r2": r2,
-            "max_ratio_overall": max(s.ratio for s in samples),
-        }
-    )
+    fitted = {
+        "stability_ratio": stability,
+        "grad_vs_dist_slope": slope,
+        "grad_vs_dist_r2": r2,
+        "max_ratio_overall": max(s.ratio for s in samples),
+    }
 
     kappa_checked = 0
     kappa_ok = True
@@ -282,30 +280,17 @@ def verify_error_bound(
 
     if not assumptions.assumption2:
         tags += ["assumption2-violated", *_degeneracy_tags(slope)]
-    verdict = finish(verdict, tags)
 
     constants = {}
     if ledger is not None:
         constants = {"kappa1": ledger.kappa1, "eps1": ledger.eps1,
                      "kappa": ledger.kappa, "eps": ledger.eps}
-    return VerificationReport(
-        kind="error-bound",
-        verdict=verdict,
-        tags=tags,
-        samples=samples,
-        per_radius=per_radius,
-        fitted=fitted,
-        constants=constants,
-        notes={
-            "regime_cutoff": cutoff,
-            "regime_source": regime_source,
-            "assumption1": assumptions.assumption1,
-            "assumption2": assumptions.assumption2,
-            "kappa_checked_samples": kappa_checked,
-            "profile_truncated": inst.profiles.truncated,
-            "mode": cfg.mode,
-        },
-    )
+    notes = {
+        "assumption1": assumptions.assumption1,
+        "kappa_checked_samples": kappa_checked,
+        "profile_truncated": inst.profiles.truncated,
+    }
+    return finish("error-bound", verdict, tags, per_radius, fitted, constants, notes)
 
 
 def verify_pl_qg(
@@ -323,9 +308,7 @@ def verify_pl_qg(
     profile enumeration is tagged ``profiles-truncated``.
     """
     cfg = cfg or RadiusSweepConfig()
-    assumptions, ledger, cutoff, regime_source, samples, by_radius, finish = _sweep(
-        center, inst, cfg, target
-    )
+    assumptions, ledger, samples, by_radius, finish = _sweep(center, inst, cfg, target)
     loss = loss_f if target == "F" else loss_g
     y, reg = inst.target, inst.reg
     f_center = loss(center.stack, y, reg)
@@ -375,32 +358,17 @@ def verify_pl_qg(
         tags.append("no-in-regime-radii")
     if not is_minimizer:
         tags.append("not-a-minimizer")
-    verdict = finish(verdict, tags)
 
-    return VerificationReport(
-        kind="pl-qg",
-        verdict=verdict,
-        tags=tags,
-        samples=samples,
-        per_radius=per_radius,
-        fitted={
-            "mu1": mu1_fit,
-            "mu2": mu2_fit,
-            "mu1_stability_ratio": stability,
-            "f_center": f_center,
-            "min_gap_sampled": min_gap,
-        },
-        constants=(
-            {"kappa1": ledger.kappa1, "eps1": ledger.eps1} if ledger is not None else {}
-        ),
-        notes={
-            "regime_cutoff": cutoff,
-            "regime_source": regime_source,
-            "qg_applicable": is_minimizer,
-            "assumption2": assumptions.assumption2,
-            "mode": cfg.mode,
-        },
-    )
+    fitted = {
+        "mu1": mu1_fit,
+        "mu2": mu2_fit,
+        "mu1_stability_ratio": stability,
+        "f_center": f_center,
+        "min_gap_sampled": min_gap,
+    }
+    constants = {"kappa1": ledger.kappa1, "eps1": ledger.eps1} if ledger is not None else {}
+    return finish("pl-qg", verdict, tags, per_radius, fitted, constants,
+                  {"qg_applicable": is_minimizer})
 
 
 @dataclass
@@ -469,7 +437,7 @@ def check_balance_inequalities(
     )
 
 
-# Each failure family's kind and its default depth.
+# Each failure family's kind and its depth.
 COUNTEREXAMPLE_KINDS = {"l2-lambda-eq-y2": 2, "lge3-phi-prime-zero": 3}
 
 
@@ -501,7 +469,7 @@ class CounterexampleFamily:
 
     def predicted_grad_norm(self, t: float) -> float:
         lam = self.inst.reg.lambda_prod
-        y = self.inst.spectrum.block_value(0)
+        y = self.inst.spectrum.y_top
         base = self.center.profile.sigma_eq[0]
         s = base + t
         L = self.depth
@@ -519,9 +487,7 @@ class CounterexampleFamily:
         return grads, losses, (w - self.center.stack).norm()
 
 
-def counterexample_family(
-    kind: str, y: float = 2.0, depth: int | None = None
-) -> CounterexampleFamily:
+def counterexample_family(kind: str, y: float = 2.0) -> CounterexampleFamily:
     """Instance with the excluded regularization weight and its failure family.
 
     The instance is scalar (every width 1, target ``y``) and the center is
@@ -529,11 +495,7 @@ def counterexample_family(
     """
     if kind not in COUNTEREXAMPLE_KINDS:
         raise ValueError(f"kind must be one of {tuple(COUNTEREXAMPLE_KINDS)}")
-    depth = COUNTEREXAMPLE_KINDS[kind] if depth is None else depth
-    if kind == "l2-lambda-eq-y2" and depth != 2:
-        raise ValueError("the tangential zero-root family needs depth 2")
-    if kind == "lge3-phi-prime-zero" and depth < 3:
-        raise ValueError("the tangential positive-root family needs depth >= 3")
+    depth = COUNTEREXAMPLE_KINDS[kind]
     lam = excluded_lambda(y, depth)
     reg = RegParams.uniform(lam ** (1.0 / depth), depth)
     inst = Instance(DimChain((1,) * (depth + 1)), reg, y * np.eye(1))

@@ -134,6 +134,17 @@ def test_verify_plqg_command(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_g_sweep_of_a_deep_small_weight_instance(tmp_path, capsys):
+    cfg = _base_config(tmp_path)
+    cfg["instance"].update(dims=[2] * 11, lambdas=[1e-4] * 10)
+    cfg["sweep"] = {"radii": [1e-3, 1e-2], "samples_per_radius": 2, "center": "optimal", "target": "G"}
+    path = _write_config(tmp_path, cfg)
+    for command in ("verify-eb", "verify-plqg"):
+        assert main([command, path]) == 1  # every radius is past the tiny regime cutoff
+        assert "no-in-regime-radii" in capsys.readouterr().out
+        assert (tmp_path / "out" / f"{command}.json").is_file()
+
+
 def test_counterexample_command(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("DEEPLINEAR_OUT", str(tmp_path / "cex"))
     assert main(["counterexample", "--kind", "l2", "--fit"]) == 0
@@ -144,6 +155,10 @@ def test_counterexample_command(tmp_path, monkeypatch, capsys):
     assert main(["counterexample", "--kind", "l2", "--t", "0.1"]) == 0
     out = capsys.readouterr().out
     assert "grad_norm" in out
+    # The measure's G companion has product weight 1e-360; only the
+    # instance's own product, 1e-180, must be a float.
+    assert main(["counterexample", "--kind", "l2", "--y", "1e-90", "--fit"]) == 0
+    assert "PASS" in capsys.readouterr().out
 
 
 def test_train_command(tmp_path, monkeypatch, capsys):
@@ -550,6 +565,28 @@ BAD_CONFIG_VALUES = {
     "constants-key": ("constants", ("constants",), {}),
     "number-output-dir": ("check-assumptions", ("output_dir",), 5),
     "directory-target-path": ("check-assumptions", ("instance", "target"), {"kind": "file", "path": "."}),
+    # The product of the weights underflows to 0 or overflows to inf.
+    **{
+        f"underflowing-lambda-product-{command}": (command, ("instance", "lambdas"), [1e-200, 1e-200])
+        for command in ("check-assumptions", "constants", "verify-eb", "train")
+    },
+    "overflowing-lambda-product": ("constants", ("instance",),
+                                   {"dims": [2, 4, 2], "lambda_uniform": 1e300, "target": {"kind": "gaussian"}}),
+    # A target value whose excluded weight underflows to 0 or overflows.
+    "underflowing-excluded-weight": ("check-assumptions", ("instance", "target"),
+                                     {"kind": "gaussian", "scale": 1e-200}),
+    "underflowing-excluded-weight-plqg": ("verify-plqg", ("instance", "target"),
+                                          {"kind": "gaussian", "scale": 1e-200}),
+    "underflowing-excluded-weight-depth-6": (
+        "constants", ("instance",),
+        {"dims": [2, 4, 4, 4, 4, 4, 2], "lambda_uniform": 0.5, "target": {"kind": "gaussian", "scale": 1e-40}},
+    ),
+    "overflowing-excluded-weight-depth-6": (
+        "verify-eb", ("instance",),
+        {"dims": [2, 4, 4, 4, 4, 4, 2], "lambda_uniform": 0.5, "target": {"kind": "gaussian", "scale": 1e40}},
+    ),
+    "negative-radii-start": ("verify-eb", ("sweep", "radii"), {"start": -1, "stop": 1, "num": 3}),
+    "negative-radii-stop": ("verify-plqg", ("sweep", "radii"), {"start": 1e-3, "stop": -1e-2, "num": 3}),
 }
 BAD_ARGUMENTS = {
     "profile-out-of-range": ["constants", None, "--profile", "99"],
@@ -561,6 +598,7 @@ BAD_ARGUMENTS = {
     "tiny-counterexample-y": ["counterexample", "--kind", "l2", "--y", "1e-200"],
     "tiny-counterexample-y-lge3": ["counterexample", "--kind", "lge3", "--y", "1e-200"],
     "nan-counterexample-y": ["counterexample", "--kind", "lge3", "--y", "nan", "--fit"],
+    "underflowing-s4-lambda-product": ["reproduce-s4", "--depths", "90"],
 }
 CONFIG_HOLES = {
     **{
@@ -579,6 +617,8 @@ def _set(cfg, path, value):
     cfg[path[-1]] = value
 
 
+# A numpy warning on the way to the refusal would print a second stderr line.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", [*CONFIG_HOLES, *BAD_ARGUMENTS])
 def test_malformed_inputs_exit_two_with_one_line(case, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("DEEPLINEAR_OUT", str(tmp_path / "out"))

@@ -141,6 +141,15 @@ def test_grad_g_rescale_identity(rng):
         )
 
 
+def test_g_view_of_a_deep_small_weight_instance(rng):
+    # The instance's product weight 1e-40 is a float; its companion's,
+    # (1e-40) ** 10, underflows, and the G view must not need it.
+    dims, reg, target = DimChain((2,) * 11), RegParams.uniform(1e-4, 10), np.diag([2.0, 1.3])
+    Instance(dims, reg, target)
+    assert loss_g(WeightStack.zeros(dims), target, reg) == pytest.approx(1e-40 * 5.69)
+    assert math.isfinite(grad_g(WeightStack.gaussian(dims, rng), target, reg).norm())
+
+
 def test_rescale_roundtrip_and_identity(rng):
     dims, _, _ = random_instance(rng, depth=4, max_dim=5)
     stack = WeightStack.gaussian(dims, rng)

@@ -239,8 +239,6 @@ def test_counterexample_kind_checks():
     with pytest.raises(ValueError):
         counterexample_family("nope")
     with pytest.raises(ValueError):
-        counterexample_family("l2-lambda-eq-y2", depth=3)
-    with pytest.raises(ValueError):
         build_counterexample("l2-lambda-eq-y2", t=0.0)
 
 
