@@ -16,7 +16,6 @@ from .network import (
 )
 from .spectrum import (
     Instance,
-    RootValueSet,
     TargetSpectrum,
     analyze_target,
     build_root_value_set,

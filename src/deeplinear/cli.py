@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import check_assumptions, compute_ledger, excluded_lambda
+from .constants import compute_ledger, excluded_lambda
 from .critical import (
     AssumptionError,
     InternalConsistencyError,
@@ -135,7 +135,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         cfg = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int()'s digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -265,14 +265,15 @@ def _sweep_config(cfg: dict, seed: int) -> tuple[RadiusSweepConfig, str, str]:
 
 
 def _resolve_center(inst: Instance, center_spec: str, seed: int, target: str):
+    digits = center_spec.lstrip("0") or "0"  # int() refuses past 4,300 digits: read short ones only
     if center_spec == "zero":
         profile = zero_profile(inst)
     elif center_spec == "optimal":
         profile = optimal_profile(inst)
     elif center_spec == "saddle":
         profile = saddle_profile(inst)
-    elif center_spec.isdecimal() and int(center_spec) < len(inst.profiles.profiles):
-        profile = inst.profiles.profiles[int(center_spec)]
+    elif center_spec.isdecimal() and len(digits) < 19 and int(digits) < len(inst.profiles.profiles):
+        profile = inst.profiles.profiles[int(digits)]
     else:
         raise ConfigError(
             f"center must be 'zero', 'optimal', 'saddle', or a valid profile index; "
@@ -310,7 +311,7 @@ def _setup(args) -> tuple[dict, int, Instance]:
 
 def cmd_check_assumptions(args) -> int:
     cfg, _, inst = _setup(args)
-    report = check_assumptions(inst)
+    report = inst.assumptions
     print(dump_json(vars(report), _output_dir(cfg) / "assumptions.json"), end="")
     return 0 if report.ok else 1
 
@@ -358,7 +359,7 @@ def cmd_verify(args) -> int:
     sweep, center_spec, target = _sweep_config(cfg, seed)
     point = _resolve_center(inst, center_spec, seed, target)
     verify = verify_error_bound if args.command == "verify-eb" else verify_pl_qg
-    report = verify(point, inst, sweep, target=target)
+    report = verify(point, inst, sweep)
     return _finish_report(report, _output_dir(cfg), args.command)
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critical import AssumptionError, SigmaProfile, distinct_value_starts
-from .spectrum import Instance, WeightRangeError, build_root_value_set
+from .critical import AssumptionError, SigmaProfile
+from .spectrum import Instance, WeightRangeError
 
 ASSUMPTION_REL_TOL = 1e-9
 
@@ -174,31 +174,54 @@ def _zero_profile_constants(inst: Instance) -> tuple[float, float]:
     return eps0, kappa0
 
 
-def _profile_constants(
-    inst: Instance, sigmas: np.ndarray, d_max: int, delta_sigma: float
-) -> dict[str, np.ndarray]:
-    """Per-profile constants of the non-zero profiles whose sorted sigma
-    vectors are the rows of ``sigmas``: one (P,) array per name in
-    ``PROFILE_KEYS``, each constant one expression over every profile."""
+def distinct_value_starts(sigmas: np.ndarray) -> np.ndarray:
+    """Where each distinct positive value begins, along rows of sorted sigma vectors.
+
+    ``sigmas`` is (P, d), each row sorted nonincreasing.  Entry k of a row is
+    True when sigma[k] > 0 and, for k > 0, sigma[k-1] - sigma[k] exceeds
+    1e-12 * max(1, sigma[0]).  Only the same root of the equations of
+    nearly equal target values (inside one block) can come this close, so
+    grouping with this tiny tolerance is exact.
+    """
+    starts = sigmas > 0.0
+    tol = 1e-12 * np.maximum(1.0, sigmas[:, :1])
+    starts[:, 1:] &= sigmas[:, :-1] - sigmas[:, 1:] > tol
+    return starts
+
+
+def _profile_summaries(inst: Instance, sigmas: np.ndarray) -> dict[str, np.ndarray]:
+    """The six (P,) summaries every per-profile constant reads, of the non-zero
+    profiles whose sorted sigma vectors are the rows of ``sigmas``: the largest
+    and least positive entry, the counts of positive entries and of distinct
+    positive values, the largest multiplicity, and the least |phi'|."""
+    pos = sigmas > 0.0
+    starts = distinct_value_starts(sigmas)
+    k = np.arange(sigmas.shape[1])
+    place = k - np.maximum.accumulate(np.where(starts, k, 0), axis=1)  # within its group
+    phi_abs = np.abs(phi_prime(np.where(pos, sigmas, 1.0), inst.reg.lambda_prod, inst.depth))
+    return dict(
+        smax=sigmas[:, 0],
+        smin=np.where(pos, sigmas, np.inf).min(axis=1),
+        r=pos.sum(axis=1),
+        p=starts.sum(axis=1),
+        gmax=np.where(pos, place + 1, 0).max(axis=1),
+        minphi=np.where(pos, phi_abs, np.inf).min(axis=1),
+    )
+
+
+def _profile_constants(inst: Instance, smax, smin, r, p, gmax, minphi) -> dict[str, np.ndarray]:
+    """Per-profile constants over the summaries of :func:`_profile_summaries`:
+    one (P,) array per name in ``PROFILE_KEYS``, each constant one expression
+    over every profile."""
     spectrum, L = inst.spectrum, inst.depth
     lam = inst.reg.lambda_prod
     rl = math.sqrt(lam)
-    pos = sigmas > 0.0
-    starts = distinct_value_starts(sigmas)
-    smax = sigmas[:, 0]
-    smin = np.where(pos, sigmas, np.inf).min(axis=1)
-    r_sig = pos.sum(axis=1)
-    p = starts.sum(axis=1)
-    k = np.arange(sigmas.shape[1])
-    place = k - np.maximum.accumulate(np.where(starts, k, 0), axis=1)  # within its group
-    gmax = np.where(pos, place + 1, 0).max(axis=1)
+    d_max = max(inst.dims.dims)
     y1 = spectrum.y_top
     ysp = spectrum.y_smallest_positive
     py = spectrum.p_distinct
     dy = spectrum.delta_y
-    ds = delta_sigma
-    phi_abs = np.abs(phi_prime(np.where(pos, sigmas, 1.0), lam, L))
-    minphi = np.where(pos, phi_abs, np.inf).min(axis=1)
+    ds = inst.delta_sigma
     if L == 2:
         gaps = [abs(rl - float(y)) for y in spectrum.y[: spectrum.rank]]
         m2 = min(gaps + [rl])
@@ -295,9 +318,9 @@ def _profile_constants(
     eps_sigma = functools.reduce(np.fmin, radius_pieces)
     kappa_sigma = math.sqrt(L) * (
         9.0 * smax**2 / (4.0 * ds * lam * smin)
-        + c3 * np.sqrt(np.maximum(d_max - r_sig, 0))
+        + c3 * np.sqrt(np.maximum(d_max - r, 0))
         + c4 * smax
-        + c5 * np.sqrt(r_sig)
+        + c5 * np.sqrt(r)
     )
 
     return dict(zip(PROFILE_KEYS, (
@@ -310,13 +333,15 @@ def compute_ledger(inst: Instance, profile: SigmaProfile) -> EbConstantsLedger:
     """Full constant ledger for one instance and one profile.
 
     Refuses when the width or non-degeneracy assumptions fail, naming the
-    constant that becomes undefined.  ``d_max`` is taken over the whole layer
+    constant that becomes undefined, and when a constant overflows float
+    range (the +inf of ``delta_y``, ``delta_sigma`` and ``delta1`` where no
+    gap exists is not an overflow).  ``d_max`` is taken over the whole layer
     chain.  (kappa, eps) aggregate over the instance's profile enumeration.
-    One array pass over the sorted vectors gives both: the requested
-    profile's row, then the enumeration's non-zero profiles.
+    One summary pass over the sorted vectors, and the constants over its
+    arrays, give both: the requested profile's row, then the enumeration's
+    non-zero profiles.
     """
-    L = inst.depth
-    report = check_assumptions(inst)
+    report = inst.assumptions
     if not report.assumption1:
         raise AssumptionError(
             "hidden widths below min(d_0, d_L): the closed-form critical set "
@@ -324,7 +349,7 @@ def compute_ledger(inst: Instance, profile: SigmaProfile) -> EbConstantsLedger:
         )
     if not report.assumption2:
         idx = report.violated_indices
-        if L == 2:
+        if inst.depth == 2:
             detail = "min{|sqrt(lam) - y_i|, sqrt(lam)} = 0 degenerates c3, eps_zero, kappa_zero"
         else:
             detail = "min |phi'(sigma*)| = 0 degenerates c5 and delta2"
@@ -332,39 +357,44 @@ def compute_ledger(inst: Instance, profile: SigmaProfile) -> EbConstantsLedger:
             f"regularization weight hits the excluded value at indices {idx}: {detail}"
         )
 
-    root_set = build_root_value_set(inst)
-    d_max = max(inst.dims.dims)
-    eps0, kappa0 = _zero_profile_constants(inst)
-
+    reg = inst.reg
     first = 0 if profile.is_zero else 1  # the requested profile's row, if any
     sigmas = inst.profiles.sigmas
     sigmas = np.concatenate([np.array([profile.sigma])[:first], sigmas[sigmas[:, 0] > 0.0]])
-    kappa, eps, own = kappa0, eps0, dict.fromkeys(PROFILE_KEYS, math.nan)
-    if len(sigmas):  # none for a zero target
-        every = _profile_constants(inst, sigmas, d_max, root_set.delta_sigma)
-        if first:
-            own = {key: float(val[0]) for key, val in every.items()}
-        # max/min of Python floats in enumeration order: a NaN value is passed over
-        kappa = max([kappa0] + every["kappa_sigma"][first:].tolist())
-        eps = min([eps0] + every["eps_sigma"][first:].tolist())
+    # The requested profile's entries: NaN, and counts of 0, for the zero profile.
+    own = dict.fromkeys(PROFILE_KEYS + ("sigma_max", "sigma_min_pos"), math.nan)
+    own.update(r_sigma=0, p=0, g_max=0)
+    try:
+        with np.errstate(over="raise"):
+            eps0, kappa0 = _zero_profile_constants(inst)
+            kappa, eps = kappa0, eps0
+            if len(sigmas):  # none for a zero target
+                summaries = _profile_summaries(inst, sigmas)
+                every = _profile_constants(inst, **summaries)
+                if first:
+                    own = {key: float(val[0]) for key, val in every.items()}
+                    row = {key: val[0].item() for key, val in summaries.items()}
+                    own.update(sigma_max=row["smax"], sigma_min_pos=row["smin"],
+                               r_sigma=row["r"], p=row["p"], g_max=row["gmax"])
+                # max/min of Python floats in enumeration order: a NaN value is passed over
+                kappa = max([kappa0] + every["kappa_sigma"][first:].tolist())
+                eps = min([eps0] + every["eps_sigma"][first:].tolist())
+            kappa1 = kappa * reg.lambda_prod / reg.lambda_min
+            if math.isinf(kappa1):  # a product of Python floats overflows silently
+                raise OverflowError("kappa1 = kappa * lam / lambda_min")
+    except (FloatingPointError, OverflowError) as exc:
+        raise AssumptionError(f"a constant overflows float range: {exc}") from exc
 
-    reg = inst.reg
-    lam = reg.lambda_prod
     return EbConstantsLedger(
         delta_y=inst.spectrum.delta_y,
-        delta_sigma=root_set.delta_sigma,
-        d_max=d_max,
+        delta_sigma=inst.delta_sigma,
+        d_max=max(inst.dims.dims),
         eps_zero=eps0,
         kappa_zero=kappa0,
         kappa=kappa,
         eps=eps,
-        kappa1=kappa * lam / reg.lambda_min,
+        kappa1=kappa1,
         eps1=eps / math.sqrt(reg.lambda_max),
-        sigma_min_pos=profile.sigma_min_pos if not profile.is_zero else math.nan,
-        sigma_max=profile.sigma_max if not profile.is_zero else math.nan,
-        r_sigma=profile.r_sigma,
-        g_max=profile.g_max,
-        p=profile.p_distinct,
         enumeration_truncated=inst.profiles.truncated,
         **own,
     )

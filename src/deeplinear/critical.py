@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -236,27 +236,18 @@ class SigmaProfile:
     """One choice of stationary value per positive target singular value.
 
     ``sigma_eq[i]`` is the root chosen for the equation of y_{i+1} (so it is
-    aligned with the target's singular-value order, not sorted), ``sigma`` is
-    the same multiset sorted nonincreasing and zero-padded to d_min, and the
-    partition fields describe the distinct positive values of ``sigma``.
+    aligned with the target's singular-value order, not sorted), and
+    ``sigma`` is the same multiset sorted nonincreasing and zero-padded to
+    d_min.
     """
 
     sigma: tuple[float, ...]          # sorted nonincreasing, length d_min
     sigma_eq: tuple[float, ...]       # per-index chosen roots, length rank(Y)
     choice: tuple[int, ...]           # index into each equation's root list
-    multiplicities: tuple[int, ...] = field(default=())
 
     @property
     def r_sigma(self) -> int:
         return sum(1 for v in self.sigma if v > 0.0)
-
-    @property
-    def p_distinct(self) -> int:
-        return len(self.multiplicities)
-
-    @property
-    def g_max(self) -> int:
-        return max(self.multiplicities) if self.multiplicities else 0
 
     @property
     def is_zero(self) -> bool:
@@ -272,32 +263,13 @@ class SigmaProfile:
         return min(pos) if pos else 0.0
 
 
-def distinct_value_starts(sigmas: np.ndarray) -> np.ndarray:
-    """Where each distinct positive value begins, along rows of sorted sigma vectors.
-
-    ``sigmas`` is (P, d), each row sorted nonincreasing.  Entry k of a row is
-    True when sigma[k] > 0 and, for k > 0, sigma[k-1] - sigma[k] exceeds
-    1e-12 * max(1, sigma[0]).  Only the same root of the equations of
-    nearly equal target values (inside one block) can come this close, so
-    grouping with this tiny tolerance is exact.
-    """
-    starts = sigmas > 0.0
-    tol = 1e-12 * np.maximum(1.0, sigmas[:, :1])
-    starts[:, 1:] &= sigmas[:, :-1] - sigmas[:, 1:] > tol
-    return starts
-
-
 def _make_profile(sigma_eq, choice, d_min) -> SigmaProfile:
     sigma = sorted((float(v) for v in sigma_eq), reverse=True)
     sigma += [0.0] * (d_min - len(sigma))
-    r_sigma = sum(1 for v in sigma if v > 0.0)
-    bounds = np.flatnonzero(distinct_value_starts(np.array([sigma]))[0]).tolist() + [r_sigma]
-    mults = tuple(b - a for a, b in zip(bounds, bounds[1:]))
     return SigmaProfile(
         sigma=tuple(sigma),
         sigma_eq=tuple(float(v) for v in sigma_eq),
         choice=tuple(int(c) for c in choice),
-        multiplicities=mults,
     )
 
 

@@ -116,33 +116,16 @@ def analyze_target(target: np.ndarray) -> TargetSpectrum:
     )
 
 
-@dataclass
-class RootValueSet:
-    """All distinct nonnegative stationary values across every y_i.
-
-    ``values`` is sorted ascending and always contains 0.  ``delta_sigma`` is
-    the minimal pairwise gap (+inf for a singleton): it lower-bounds the
-    separation between distinct components of the critical set.
-    """
-
-    values: tuple[float, ...]
-    delta_sigma: float
-
-
-def build_root_value_set(inst: "Instance") -> RootValueSet:
-    """Union of the root sets of the scalar equation over all singular values.
+def build_root_value_set(inst: "Instance") -> tuple[float, ...]:
+    """Union of the root sets of the scalar equation over all singular values,
+    sorted ascending; it always contains 0.
 
     Each block contributes the positive roots of its value's equation.  At a
     fixed x > 0, q is strictly monotone in y, so distinct block values share
     no positive root and no value is merged with another.
     """
-    spectrum = inst.spectrum
-    values = [0.0]
-    for i in range(spectrum.p_distinct):
-        values.extend(r for r in inst.roots[spectrum.s_bounds[i]].roots if r > 0.0)
-    values.sort()
-    delta_sigma = min((b - a for a, b in zip(values, values[1:])), default=math.inf)
-    return RootValueSet(tuple(values), float(delta_sigma))
+    starts = inst.spectrum.s_bounds[:-1]  # the first index of each block
+    return tuple(sorted([0.0, *(r for i in starts for r in inst.roots[i].roots if r > 0.0)]))
 
 
 class WeightRangeError(ValueError):
@@ -156,8 +139,9 @@ class Instance:
 
     Checked once when built.  The target's spectrum, the root table (the
     nonnegative roots of the stationarity equation of every positive y_i,
-    indexed like ``spectrum.y``) and the sigma-profile enumeration are
-    computed on first use and kept, so no equation is solved twice.  The
+    indexed like ``spectrum.y``), the sigma-profile enumeration, the
+    assumption report and ``delta_sigma`` are computed on first use and
+    kept, so no equation is solved and no fact derived twice.  The
     target is not copied; do not modify it after building the instance.
     Instances compare by identity.
     """
@@ -202,3 +186,17 @@ class Instance:
     @cached_property
     def profiles(self) -> critical.ProfileEnumeration:
         return critical.enumerate_sigma_profiles(self)
+
+    @cached_property
+    def assumptions(self) -> "AssumptionReport":
+        from . import constants  # constants imports this module
+
+        return constants.check_assumptions(self)
+
+    @cached_property
+    def delta_sigma(self) -> float:
+        """Least gap of the stationary-value set (+inf for a singleton): it
+        lower-bounds the separation between distinct components of the
+        critical set."""
+        values = build_root_value_set(self)
+        return float(min((b - a for a, b in zip(values, values[1:])), default=math.inf))

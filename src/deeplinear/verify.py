@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import critical
-from .constants import check_assumptions, compute_ledger, excluded_lambda
+from .constants import compute_ledger, excluded_lambda
 from .critical import (
     CriticalPoint,
     SigmaProfile,
@@ -42,7 +42,7 @@ from .network import (
     uniform_companion,
     value_and_grad,
 )
-from .spectrum import Instance, build_root_value_set
+from .spectrum import Instance
 from .util import fit_line
 
 PERTURBATION_MODES = ("gaussian-all-layers", "singular-direction", "tangent-removed")
@@ -144,10 +144,10 @@ def _make_sampler(center: CriticalPoint, inst, cfg):
     return draw
 
 
-def _regime_cutoff(cfg, inst, ledger, target) -> tuple[float, str]:
-    geometric = build_root_value_set(inst).delta_sigma / 3.0
+def _regime_cutoff(center, inst, cfg, ledger) -> tuple[float, str]:
+    geometric = inst.delta_sigma / 3.0
     if ledger is not None:
-        eps = ledger.eps1 if target == "F" else ledger.eps
+        eps = ledger.eps1 if center.target == "F" else ledger.eps
         cut = min(eps, geometric)
         if sum(1 for r in cfg.radii if r <= cut) >= 2:
             return cut, "theory"
@@ -157,8 +157,9 @@ def _regime_cutoff(cfg, inst, ledger, target) -> tuple[float, str]:
     return geometric, "separation"
 
 
-def _sweep(center, inst, cfg, target):
-    """The steps both sweeps share, from the center check to the samples.
+def _sweep(center, inst, cfg):
+    """The steps both sweeps share, from the center check to the samples, on
+    the objective (F or G) that ``center`` was built for.
 
     The samples of every radius are drawn, projected and differentiated as
     one radius-major batch, cut into chunks of at most
@@ -166,22 +167,21 @@ def _sweep(center, inst, cfg, target):
     radius has, so a sweep makes at most one set-distance call per radius;
     the chunking changes no reported number.
 
-    Returns the assumption report, the ledger (None when an assumption
-    fails), the samples with ``in_regime`` marked, the samples grouped by
-    radius and ``finish``.  ``finish(kind, verdict, tags, per_radius, fitted,
+    Returns the ledger (None when an assumption fails), the samples with
+    ``in_regime`` marked, the samples grouped by radius and ``finish``.  ``finish(kind, verdict, tags, per_radius, fitted,
     constants, notes)`` appends the closing tags and returns the report, its
     notes extended by the regime cutoff and source, assumption 2 and the
     mode: a sweep with an unconverged projection cannot pass, and one over a
     truncated profile enumeration is tagged; the verdict stands.
     """
+    target = center.target
     gnorm, _ = _grad_and_loss(center.stack, inst.target, inst.reg, target)
     if gnorm > 1e-8 * (1.0 + float(np.linalg.norm(inst.target))):
         raise CenterNotCriticalError(
             f"sweep center has gradient norm {gnorm}, not a critical point"
         )
-    assumptions = check_assumptions(inst)
-    ledger = compute_ledger(inst, center.profile) if assumptions.ok else None
-    cutoff, regime_source = _regime_cutoff(cfg, inst, ledger, target)
+    ledger = compute_ledger(inst, center.profile) if inst.assumptions.ok else None
+    cutoff, regime_source = _regime_cutoff(center, inst, cfg, ledger)
     rng = np.random.default_rng(cfg.seed)
     draw = _make_sampler(center, inst, cfg)
     # One row per sample, radius-major, with the numbers of its own 2-D call.
@@ -211,17 +211,16 @@ def _sweep(center, inst, cfg, target):
         if inst.profiles.truncated:
             tags.append("profiles-truncated")
         notes.update(regime_cutoff=cutoff, regime_source=regime_source,
-                     assumption2=assumptions.assumption2, mode=cfg.mode)
+                     assumption2=inst.assumptions.assumption2, mode=cfg.mode)
         return VerificationReport(kind, verdict, tags, samples, per_radius, fitted, constants, notes)
 
-    return assumptions, ledger, samples, by_radius, finish
+    return ledger, samples, by_radius, finish
 
 
 def verify_error_bound(
     center: CriticalPoint,
     inst: Instance,
     cfg: RadiusSweepConfig | None = None,
-    target: str = "F",
 ) -> VerificationReport:
     """Radius sweep testing dist(W, critical set) <= kappa * ||grad||.
 
@@ -234,7 +233,7 @@ def verify_error_bound(
     tagged ``profiles-truncated``; the verdict stands.
     """
     cfg = cfg or RadiusSweepConfig()
-    assumptions, ledger, samples, by_radius, finish = _sweep(center, inst, cfg, target)
+    ledger, samples, by_radius, finish = _sweep(center, inst, cfg)
     per_radius = []
     for radius, rs in by_radius:
         per_radius.append(
@@ -269,7 +268,7 @@ def verify_error_bound(
 
     kappa_checked = 0
     kappa_ok = True
-    if ledger is not None and target == "F":
+    if ledger is not None and center.target == "F":
         for s in samples:
             if s.radius <= ledger.eps1:
                 kappa_checked += 1
@@ -278,7 +277,7 @@ def verify_error_bound(
             verdict = "FAIL"
             tags.append("kappa1-exceeded")
 
-    if not assumptions.assumption2:
+    if not inst.assumptions.assumption2:
         tags += ["assumption2-violated", *_degeneracy_tags(slope)]
 
     constants = {}
@@ -286,7 +285,7 @@ def verify_error_bound(
         constants = {"kappa1": ledger.kappa1, "eps1": ledger.eps1,
                      "kappa": ledger.kappa, "eps": ledger.eps}
     notes = {
-        "assumption1": assumptions.assumption1,
+        "assumption1": inst.assumptions.assumption1,
         "kappa_checked_samples": kappa_checked,
         "profile_truncated": inst.profiles.truncated,
     }
@@ -297,7 +296,6 @@ def verify_pl_qg(
     center: CriticalPoint,
     inst: Instance,
     cfg: RadiusSweepConfig | None = None,
-    target: str = "F",
 ) -> VerificationReport:
     """Fit the gradient-dominance and quadratic-growth constants around a center.
 
@@ -308,8 +306,8 @@ def verify_pl_qg(
     profile enumeration is tagged ``profiles-truncated``.
     """
     cfg = cfg or RadiusSweepConfig()
-    assumptions, ledger, samples, by_radius, finish = _sweep(center, inst, cfg, target)
-    loss = loss_f if target == "F" else loss_g
+    ledger, samples, by_radius, finish = _sweep(center, inst, cfg)
+    loss = loss_f if center.target == "F" else loss_g
     y, reg = inst.target, inst.reg
     f_center = loss(center.stack, y, reg)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deeplinear import cli, critical
+from deeplinear import cli, constants, critical, spectrum
 from deeplinear.cli import main
 from deeplinear.critical import InternalConsistencyError, SolverError
 from deeplinear.util import named_stream
@@ -223,6 +223,9 @@ BAD_TRAIN_VALUES = {
     "zero-log-stride": {"log_stride": 0},
     "infinite-init-scale": {"init_scale": math.inf},
     "negative-init-scale": {"init_scale": -0.1},
+    # past the 4,300 digits int() reads, zero-padded or not
+    "over-long-train-center-index": {"init": "near-critical", "center": "1" * 5000},
+    "zero-padded-train-center-index": {"init": "near-critical", "center": "0" * 5000 + "99"},
 }
 
 # Sweep blocks rejected as config errors.
@@ -246,6 +249,7 @@ BAD_SWEEP_VALUES = {
     "unknown-sweep-target": {"target": "H"},
     "negative-center-index": {"center": -1},
     "center-index-out-of-range": {"center": 99},
+    "over-long-center-index": {"center": "1" * 5000},
 }
 
 # Seeds that are not integers >= 0, by the block that carries them: each is a
@@ -263,6 +267,17 @@ BAD_SEEDS = {
     "negative-sweep-seed": ("sweep", -1),
     "negative-target-seed": ("target", -1),
     "negative-input-seed": ("input", -1),
+}
+
+
+# Instances whose ledger constants overflow float range: each is refused.
+OVERFLOWING_LEDGERS = {
+    # numpy's overflow in the per-profile constants
+    "overflowing-ledger": {"dims": [3, 4, 3], "lambda_uniform": 0.5,
+                           "target": {"kind": "gaussian", "scale": 1e100}},
+    # Python's silent one in kappa1 = kappa * lam / lambda_min
+    "overflowing-kappa1": {"dims": [3, 4, 4, 3], "lambdas": [1e-300, 1e-5, 1e300],
+                           "target": {"kind": "gaussian"}},
 }
 
 
@@ -313,6 +328,13 @@ def _failing_call(tmp_path, case):
         cfg["instance"]["dims"] = [2, 3, 2]
         cfg["instance"]["target"] = {"kind": "diagonal", "values": [2, 1, 0.5]}
         return ["check-assumptions", _write_config(tmp_path, cfg)]
+    if case in OVERFLOWING_LEDGERS:
+        cfg = _base_config(tmp_path, instance=OVERFLOWING_LEDGERS[case])
+        return ["constants", _write_config(tmp_path, cfg)]
+    if case == "over-long-json-integer":
+        path = tmp_path / "config.json"
+        path.write_text('{"sweep": {"center": ' + "1" * 5000 + "}}")
+        return ["verify-eb", str(path)]
     if case == "nan-target-file":
         target = np.diag([2.0, 1.3])
         target[0, 1] = np.nan
@@ -336,6 +358,7 @@ def _failing_call(tmp_path, case):
     "case, code",
     [
         ("divergent-train", 1),
+        ("over-long-json-integer", 2),
         ("nan-target-file", 2),
         ("grouping-tol-key", 2),
         ("too-many-diagonal-values", 2),
@@ -352,6 +375,7 @@ def _failing_call(tmp_path, case):
         *[(case, 2) for case in BAD_TRAIN_VALUES],
         *[(case, 2) for case in BAD_SWEEP_VALUES],
         *[(case, 2) for case in BAD_SEEDS],
+        *[(case, 1) for case in OVERFLOWING_LEDGERS],
     ],
 )
 def test_error_paths_exit_with_one_line(case, code, tmp_path, monkeypatch, capsys):
@@ -360,8 +384,10 @@ def test_error_paths_exit_with_one_line(case, code, tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
-    if case in BAD_SWEEP_VALUES or case in BAD_SEEDS or "seed" in case:
+    if case in BAD_SWEEP_VALUES or case in BAD_SEEDS or "seed" in case or "center" in case:
         assert err.startswith("config error: ")
+    if case in OVERFLOWING_LEDGERS:
+        assert err.startswith("constants: refused: ")
 
 
 # reproduce-s4 depths and train input columns that are config errors: a
@@ -507,15 +533,31 @@ def test_numerical_failures_exit_one(error, monkeypatch, capsys):
     assert err.strip().splitlines() == [f"roots failed: {error.__name__}: synthetic failure"]
 
 
-def test_instance_commands_solve_each_root_equation_once(tmp_path, monkeypatch, capsys):
+def _count_calls(monkeypatch, func) -> list:
+    """Wrap ``func`` at every binding of it in the loaded deeplinear modules,
+    the defining one and every importer; returns the list of call arguments."""
     calls = []
-    solve = critical.solve_scalar_equation
 
     def counted(*args):
         calls.append(args)
-        return solve(*args)
+        return func(*args)
 
-    monkeypatch.setattr(critical, "solve_scalar_equation", counted)
+    for name, module in list(sys.modules.items()):
+        if name == "deeplinear" or name.startswith("deeplinear."):
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_instance_commands_solve_each_root_equation_once(tmp_path, monkeypatch, capsys):
+    # one root solve per positive target value, and one assumption report
+    # and one stationary-value set per command
+    counts = {
+        "roots": _count_calls(monkeypatch, critical.solve_scalar_equation),
+        "assumptions": _count_calls(monkeypatch, constants.check_assumptions),
+        "root values": _count_calls(monkeypatch, spectrum.build_root_value_set),
+    }
     cfg = _base_config(tmp_path)
     cfg["instance"]["dims"] = [2, 4, 4, 3]
     cfg["instance"]["lambdas"] = [0.6, 0.7, 0.8]
@@ -523,9 +565,12 @@ def test_instance_commands_solve_each_root_equation_once(tmp_path, monkeypatch, 
     cfg["sweep"] = {"radii": [1e-3, 1e-2], "samples_per_radius": 2}
     path = _write_config(tmp_path, cfg)
     for command in ("constants", "verify-eb"):
-        calls.clear()
+        for calls in counts.values():
+            calls.clear()
         assert main([command, path]) in (0, 1)
-        assert len(calls) == 2, command  # rank of the generic 3x2 target
+        # two roots: the rank of the generic 3x2 target
+        assert {key: len(calls) for key, calls in counts.items()} == {
+            "roots": 2, "assumptions": 1, "root values": 1}, command
     capsys.readouterr()
 
 

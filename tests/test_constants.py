@@ -10,7 +10,6 @@ from deeplinear import (
     DimChain,
     Instance,
     RegParams,
-    build_root_value_set,
     check_assumptions,
     compute_ledger,
     degenerate_sigma,
@@ -23,7 +22,7 @@ from deeplinear import (
     zero_profile,
 )
 from deeplinear.cli import dump_json, main
-from deeplinear.constants import EbConstantsLedger, PROFILE_KEYS, _profile_constants
+from deeplinear.constants import EbConstantsLedger, PROFILE_KEYS, _profile_constants, _profile_summaries
 from conftest import random_instance
 
 
@@ -150,11 +149,10 @@ def test_aggregates_equal_every_profile_ledger_bit_for_bit(depth, rng):
     ledgers = [compute_ledger(inst, p) for p in inst.profiles.profiles]
     own = [led for led in ledgers if not math.isnan(led.kappa_sigma)]
     assert len(own) == len(ledgers) - 1  # the zero profile's entries are NaN
-    delta_sigma = build_root_value_set(inst).delta_sigma
     for p, led in zip(inst.profiles.profiles, ledgers):
         if p.is_zero:
             continue
-        row = _profile_constants(inst, np.array([p.sigma]), max(dims.dims), delta_sigma)
+        row = _profile_constants(inst, **_profile_summaries(inst, np.array([p.sigma])))
         for key in PROFILE_KEYS:
             assert np.array_equal(getattr(led, key), row[key][0], equal_nan=True), key
     kappas = [ledgers[0].kappa_zero] + [led.kappa_sigma for led in own]

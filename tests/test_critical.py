@@ -11,8 +11,8 @@ from deeplinear import (
     Instance,
     RegParams,
     WeightStack,
-    build_root_value_set,
     check_assumptions,
+    compute_ledger,
     construct_critical_point,
     distance_to_component,
     distance_to_critical_set,
@@ -27,6 +27,7 @@ from deeplinear import (
     sample_random_params,
     zero_profile,
 )
+from deeplinear.constants import distinct_value_starts
 from conftest import product_walk_oracle, random_instance
 
 
@@ -406,12 +407,11 @@ def test_distance_to_critical_set_zero_stack(rng):
 def test_nearest_profile_identified_within_separation():
     inst, dims, reg, target = _simple_instance([2.0], 2, 1.0)
     enum = enumerate_sigma_profiles(inst)
-    rs = build_root_value_set(inst)
     rng = np.random.default_rng(5)
     profile = optimal_profile(inst)
     params = sample_random_params(inst, seed=2)
     point = construct_critical_point(profile, params, inst, target="G")
-    radius = 0.4 * rs.delta_sigma
+    radius = 0.4 * inst.delta_sigma
     e = WeightStack.gaussian(dims, rng)
     e = e.scale(radius / e.norm())
     result = distance_to_critical_set(point.stack + e, inst, target="G")
@@ -420,7 +420,6 @@ def test_nearest_profile_identified_within_separation():
 
 def test_component_separation_at_least_delta_sigma(rng):
     inst, dims, reg, target = _simple_instance([2.0, 2.0], 2, 1.0)
-    rs = build_root_value_set(inst)
     enum = enumerate_sigma_profiles(inst)
     nonzero = [p for p in enum.profiles if not p.is_zero]
     best = math.inf
@@ -434,7 +433,7 @@ def test_component_separation_at_least_delta_sigma(rng):
                 )
                 d = distance_to_component(pt.stack, pb, inst, target="G")
                 best = min(best, d.lower_bound)
-    assert best >= rs.delta_sigma - 1e-6
+    assert best >= inst.delta_sigma - 1e-6
 
 
 def test_equal_sorted_profiles_share_a_component():
@@ -630,9 +629,10 @@ def test_profile_partition_fields():
     inst, dims, reg, target = _simple_instance([2.0, 2.0, 1.2], 2, 1.0)
     profile = optimal_profile(inst)
     assert profile.r_sigma == 3
-    assert profile.p_distinct == 2
-    assert profile.multiplicities[0] == 2
-    assert profile.g_max == 2
+    # groups of sizes (2, 1): the repeated value first
+    assert distinct_value_starts(np.array([profile.sigma]))[0].tolist() == [True, False, True]
+    ledger = compute_ledger(inst, profile)
+    assert (ledger.r_sigma, ledger.p, ledger.g_max) == (3, 2, 2)
     assert profile.sigma_max >= profile.sigma_min_pos > 0
 
 

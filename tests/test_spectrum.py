@@ -69,25 +69,22 @@ def test_partition_soundness_with_grouping(rng):
 
 def test_root_value_set_two_layer():
     inst = Instance(DimChain((1, 1, 1)), RegParams((1.0, 1.0)), np.array([[2.0]]))
-    rs = build_root_value_set(inst)
-    assert rs.values == pytest.approx((0.0, 1.0))
-    assert rs.delta_sigma == pytest.approx(1.0)
+    assert build_root_value_set(inst) == pytest.approx((0.0, 1.0))
+    assert inst.delta_sigma == pytest.approx(1.0)
 
 
 def test_root_value_set_no_positive_roots():
     inst = Instance(DimChain((1, 1, 1)), RegParams((2.0, 2.0)), np.array([[1.0]]))
-    rs = build_root_value_set(inst)
-    assert rs.values == (0.0,)
-    assert math.isinf(rs.delta_sigma)
+    assert build_root_value_set(inst) == (0.0,)
+    assert math.isinf(inst.delta_sigma)
 
 
 def test_root_value_set_three_layer_gap():
     # roots {0, u, 1} with u the tribonacci reciprocal; the minimal pairwise
     # gap is 1 - u, not u
     inst = Instance(DimChain((1, 1, 1, 1)), RegParams((1.0, 1.0, 1.0)), np.array([[2.0]]))
-    rs = build_root_value_set(inst)
-    assert rs.values == pytest.approx((0.0, TRIBONACCI_RECIPROCAL, 1.0), abs=1e-12)
-    assert rs.delta_sigma == pytest.approx(1.0 - TRIBONACCI_RECIPROCAL, abs=1e-12)
+    assert build_root_value_set(inst) == pytest.approx((0.0, TRIBONACCI_RECIPROCAL, 1.0), abs=1e-12)
+    assert inst.delta_sigma == pytest.approx(1.0 - TRIBONACCI_RECIPROCAL, abs=1e-12)
 
 
 def test_root_value_set_residuals(rng):
@@ -97,10 +94,9 @@ def test_root_value_set_residuals(rng):
         reg = RegParams(tuple(rng.uniform(1e-3, 1.0, depth)))
         inst = Instance(DimChain((4,) * (depth + 1)), reg, target)
         spec = inst.spectrum
-        rs = build_root_value_set(inst)
         lam = reg.lambda_prod
         tol = 1e-10 * (1.0 + lam + math.sqrt(lam) * spec.y_top)
-        for value in rs.values:
+        for value in build_root_value_set(inst):
             best = min(
                 abs(
                     value ** (2 * depth - 1)
@@ -122,8 +118,8 @@ def test_nearby_target_values_keep_their_distinct_roots():
     inst = Instance(DimChain((2, 2, 2, 2)), reg, np.diag([2.0, 2.0 * (1 - 1.5e-8)]))
     assert inst.spectrum.multiplicities == (1, 1) and len(inst.profiles.profiles) == 9
     positive = sorted(r for roots in inst.roots for r in roots.roots if r > 0.0)
-    rs = build_root_value_set(inst)
-    assert rs.values == (0.0, *positive)
-    gaps = np.diff(rs.values)
-    assert rs.delta_sigma == gaps.min() and 7e-11 < rs.delta_sigma < 8e-11
-    assert compute_ledger(inst, optimal_profile(inst)).delta_sigma == rs.delta_sigma
+    values = build_root_value_set(inst)
+    assert values == (0.0, *positive)
+    gaps = np.diff(values)
+    assert inst.delta_sigma == gaps.min() and 7e-11 < inst.delta_sigma < 8e-11
+    assert compute_ledger(inst, optimal_profile(inst)).delta_sigma == inst.delta_sigma

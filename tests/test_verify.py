@@ -94,12 +94,8 @@ def test_error_bound_fails_with_cubic_tag_on_degenerate_instance():
         seed=0,
         mode="singular-direction",
     )
-    report = verify_error_bound(
-        family.center,
-        family.inst,
-        cfg,
-        target="G",
-    )
+    assert family.center.target == "G"
+    report = verify_error_bound(family.center, family.inst, cfg)
     assert not report.passed
     assert "assumption2-violated" in report.tags
     assert "cubic-degeneracy" in report.tags
@@ -305,15 +301,13 @@ def test_error_bound_small_weights_three_layer():
     # three layers with lambda_l = 1e-2 each: tiny product weight, so the
     # component separation (and with it the usable radius range) shrinks;
     # sweep radii follow the instance's own scale
-    from deeplinear import build_root_value_set
-
     rng = np.random.default_rng(37)
     target = rng.standard_normal((3, 3))
     dims = DimChain((3, 4, 4, 3))
     reg = RegParams.uniform(1e-2, 3)
     inst = Instance(dims, reg, target)
     point = _center(inst)
-    delta_sigma = build_root_value_set(inst).delta_sigma
+    delta_sigma = inst.delta_sigma
     cfg = RadiusSweepConfig(
         radii=tuple(np.geomspace(delta_sigma / 1000, delta_sigma / 4, 5)),
         samples_per_radius=4,
@@ -418,9 +412,7 @@ def test_truncated_enumeration_is_tagged():
     inst = Instance(DimChain((7, 7, 7, 7)), RegParams.uniform(1e-4 ** (1 / 3), 3), target)
     assert inst.profiles.truncated
     point = _center(inst)
-    from deeplinear import build_root_value_set
-
-    delta_sigma = build_root_value_set(inst).delta_sigma
+    delta_sigma = inst.delta_sigma
     cfg = RadiusSweepConfig(
         radii=tuple(np.geomspace(delta_sigma / 1000, delta_sigma / 10, 3)),
         samples_per_radius=2, seed=0,
