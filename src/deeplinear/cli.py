@@ -277,7 +277,7 @@ def _resolve_center(inst: Instance, center_spec: str, seed: int, target: str):
     else:
         raise ConfigError(
             f"center must be 'zero', 'optimal', 'saddle', or a valid profile index; "
-            f"got {center_spec!r}"
+            f"got {center_spec[:32]!r} ({len(center_spec)} characters)"
         )
     params = sample_random_params(inst, seed=named_seed(seed, "center-params"))
     return construct_critical_point(profile, params, inst, target=target)

@@ -179,13 +179,13 @@ def distinct_value_starts(sigmas: np.ndarray) -> np.ndarray:
 
     ``sigmas`` is (P, d), each row sorted nonincreasing.  Entry k of a row is
     True when sigma[k] > 0 and, for k > 0, sigma[k-1] - sigma[k] exceeds
-    1e-12 * max(1, sigma[0]).  Only the same root of the equations of
-    nearly equal target values (inside one block) can come this close, so
-    grouping with this tiny tolerance is exact.
+    1e-12 * sigma[k-1], a gap relative to the larger of the two values, so
+    tiny roots of different blocks stay apart however small they are.  The
+    same root of equal target values (one block) agrees to rounding and
+    merges.
     """
     starts = sigmas > 0.0
-    tol = 1e-12 * np.maximum(1.0, sigmas[:, :1])
-    starts[:, 1:] &= sigmas[:, :-1] - sigmas[:, 1:] > tol
+    starts[:, 1:] &= sigmas[:, :-1] - sigmas[:, 1:] > 1e-12 * sigmas[:, :-1]
     return starts
 
 

@@ -33,10 +33,9 @@ class TargetSpectrum:
         u: left singular frame, d_out x d_out orthogonal
         v: right singular frame, d_in x d_in orthogonal
         y: all min(d_out, d_in) singular values, nonincreasing
-        rank: number of singular values above the rank threshold
-        p_distinct: number of distinct positive singular values (p_Y)
-        s_bounds: block boundaries 0 = s_0 < s_1 < ... < s_p = rank
-        multiplicities: block sizes h_i = s_i - s_{i-1}
+        s_bounds: block boundaries 0 = s_0 < s_1 < ... < s_p = rank, the one
+            record of the partition; ``rank``, ``p_distinct`` and
+            ``multiplicities`` are read from it
         delta_y: minimal gap between adjacent distinct values; the trailing
             zero counts as a distinct value whenever rank < d_min; +inf when
             no gap exists
@@ -45,11 +44,23 @@ class TargetSpectrum:
     u: np.ndarray
     v: np.ndarray
     y: np.ndarray
-    rank: int
-    p_distinct: int
     s_bounds: tuple[int, ...]
-    multiplicities: tuple[int, ...]
     delta_y: float
+
+    @property
+    def rank(self) -> int:
+        """Number of singular values above the rank threshold."""
+        return self.s_bounds[-1]
+
+    @property
+    def p_distinct(self) -> int:
+        """Number of distinct positive singular values (p_Y)."""
+        return len(self.s_bounds) - 1
+
+    @property
+    def multiplicities(self) -> tuple[int, ...]:
+        """Block sizes h_i = s_i - s_{i-1}."""
+        return tuple(b - a for a, b in zip(self.s_bounds, self.s_bounds[1:]))
 
     @property
     def y_top(self) -> float:
@@ -94,26 +105,15 @@ def analyze_target(target: np.ndarray) -> TargetSpectrum:
             bounds.append(k)
     if rank > 0:
         bounds.append(rank)
-    s_bounds = tuple(bounds) if rank > 0 else (0,)
-    mults = tuple(s_bounds[i + 1] - s_bounds[i] for i in range(len(s_bounds) - 1))
-    p = len(mults)
+    s_bounds = tuple(bounds)
 
     # Gap between block i and block i+1 compares the values at s_i and s_{i+1}.
-    gaps = [float(y[s_bounds[i] - 1] - y[s_bounds[i + 1] - 1]) for i in range(1, p)]
+    gaps = [float(y[a - 1] - y[b - 1]) for a, b in zip(s_bounds[1:], s_bounds[2:])]
     if rank < y.size and rank > 0:
         gaps.append(float(y[rank - 1]))  # trailing zero counts as the next value
     delta_y = min(gaps) if gaps else math.inf
 
-    return TargetSpectrum(
-        u=u,
-        v=vt.T,
-        y=y,
-        rank=rank,
-        p_distinct=p,
-        s_bounds=s_bounds,
-        multiplicities=mults,
-        delta_y=delta_y,
-    )
+    return TargetSpectrum(u=u, v=vt.T, y=y, s_bounds=s_bounds, delta_y=delta_y)
 
 
 def build_root_value_set(inst: "Instance") -> tuple[float, ...]:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deeplinear import cli, constants, critical, spectrum
+from deeplinear import cli, constants, critical, spectrum, verify
 from deeplinear.cli import main
 from deeplinear.critical import InternalConsistencyError, SolverError
 from deeplinear.util import named_stream
@@ -121,6 +122,36 @@ def test_verify_eb_command_and_json_roundtrip(tmp_path, capsys):
     assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == text
     csv_lines = (tmp_path / "out" / "verify-eb.csv").read_text().splitlines()
     assert csv_lines[0] == "radius,dist_lower,dist_upper,grad_norm,F,ratio"
+
+
+def _theory_regime_sweep(tmp_path):
+    """``verify-eb`` on a generic instance with radii below its eps1, so the
+    closed-form regime cutoff holds and every sample meets the kappa1 check."""
+    cfg = {
+        "seed": 7,
+        "output_dir": str(tmp_path / "out"),
+        "instance": {"dims": [5, 6, 6, 4], "lambdas": [0.6, 0.8, 0.7], "target": {"kind": "gaussian"}},
+        "sweep": {"radii": {"start": 1e-13, "stop": 1e-11, "num": 5}, "samples_per_radius": 32},
+    }
+    code = main(["verify-eb", _write_config(tmp_path, cfg)])
+    return code, json.loads((tmp_path / "out" / "verify-eb.json").read_text())
+
+
+def test_verify_eb_in_the_theory_regime(tmp_path, capsys):
+    code, report = _theory_regime_sweep(tmp_path)
+    assert code == 0 and report["verdict"] == "PASS"
+    assert report["notes"]["regime_source"] == "theory"
+    assert report["notes"]["kappa_checked_samples"] == 160
+    assert report["fitted"]["max_ratio_overall"] <= report["constants"]["kappa1"]
+
+
+def test_verify_eb_fails_past_kappa1(tmp_path, capsys, monkeypatch):
+    real = verify.compute_ledger
+    monkeypatch.setattr(verify, "compute_ledger", lambda inst, p: dataclasses.replace(real(inst, p), kappa1=0.1))
+    code, report = _theory_regime_sweep(tmp_path)
+    assert code == 1 and report["verdict"] == "FAIL"
+    assert "kappa1-exceeded" in report["tags"]
+    assert report["notes"]["regime_source"] == "theory"
 
 
 def test_verify_plqg_command(tmp_path, capsys):
@@ -386,6 +417,8 @@ def test_error_paths_exit_with_one_line(case, code, tmp_path, monkeypatch, capsy
     assert len(err.strip().splitlines()) == 1
     if case in BAD_SWEEP_VALUES or case in BAD_SEEDS or "seed" in case or "center" in case:
         assert err.startswith("config error: ")
+    if case.endswith("center-index"):
+        assert len(err.encode()) < 300
     if case in OVERFLOWING_LEDGERS:
         assert err.startswith("constants: refused: ")
 

@@ -1,9 +1,12 @@
 import dataclasses
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from deeplinear import (
     AssumptionError,
@@ -249,6 +252,44 @@ def test_single_block_full_rank_target_stays_finite():
     assert math.isfinite(ledger.c4)
     assert math.isfinite(ledger.kappa_sigma)
     assert math.isinf(ledger.delta1)
+
+
+def test_tiny_roots_of_different_blocks_stay_distinct():
+    # Two blocks 2e-7 apart at weight 1e-4 per layer: the small roots of their
+    # equations are 5e-14 apart, far below an absolute 1e-12 floor, but
+    # 1e-7 apart relative to their size.
+    inst, dims, reg = _instance([2.0 * (1.0 + 1e-7), 2.0, 1.0], 3, 1e-4, hidden=4)
+    assert inst.spectrum.multiplicities == (1, 1, 1) and inst.assumptions.ok
+    ledger = compute_ledger(inst, profile_from_choices(inst, [1, 1, 2]))
+    assert (ledger.r_sigma, ledger.p, ledger.g_max) == (3, 3, 1)
+
+
+@st.composite
+def _diagonal_instances(draw):
+    """Diagonal targets of exactly repeated values, distinct values at least
+    1e-7 * y_1 apart, and weights down to 1e-4, that pass the assumptions."""
+    depth = draw(st.integers(2, 4))
+    top = draw(st.sampled_from([0.3, 1.0, 2.0, 40.0]))
+    values, value = [], top
+    for size in draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)):
+        values += [value] * size
+        value -= top * draw(st.one_of(st.sampled_from([1e-7, 1e-6]), st.floats(1e-7, 0.6)))
+        assume(value > 0.0)
+    lam_each = draw(st.one_of(st.sampled_from([1e-4, 1e-3]), st.floats(1e-4, 3.0)))
+    inst, _, _ = _instance(values, depth, lam_each, hidden=len(values) + draw(st.integers(0, 1)))
+    assume(inst.assumptions.ok)
+    return inst
+
+
+@settings(max_examples=60, deadline=None)
+@given(_diagonal_instances())
+def test_distinct_value_counts_follow_block_and_root_index(inst):
+    spectrum, enum = inst.spectrum, inst.profiles
+    block = [b for b in range(spectrum.p_distinct) for _ in range(spectrum.multiplicities[b])]
+    summary = _profile_summaries(inst, enum.sigmas)
+    for k, profile in enumerate(enum.profiles):
+        pairs = Counter((block[i], c) for i, c in enumerate(profile.choice) if profile.sigma_eq[i] > 0.0)
+        assert (summary["p"][k], summary["gmax"][k]) == (len(pairs), max(pairs.values(), default=0))
 
 
 def test_serialization_csv_and_json(tmp_path, capsys):
