@@ -43,7 +43,7 @@ from .training import (
     reproduce_section4,
     train,
 )
-from .util import named_seed, named_stream
+from .util import is_number, named_seed, named_stream
 from .verify import (
     COUNTEREXAMPLE_KINDS,
     CenterNotCriticalError,
@@ -87,16 +87,11 @@ def _require(block: dict, key: str, context: str):
     return block[key]
 
 
-def _is_number(value, kind=(int, float)) -> bool:
-    """The one number rule of the config: a JSON number of ``kind``, not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 def _integer(block: dict, key: str, default, context: str, least: int | None = None) -> int:
     """The block's ``key`` (``default`` when absent): an integer, not a bool, and
     at least ``least`` when given; else a config error."""
     value = block.get(key, default)
-    if not _is_number(value, int) or (least is not None and value < least):
+    if not is_number(value, int) or (least is not None and value < least):
         floor = "" if least is None else f" >= {least}"
         raise ConfigError(f"{context} must be an integer{floor}, got {value!r}")
     return value
@@ -104,21 +99,16 @@ def _integer(block: dict, key: str, default, context: str, least: int | None = N
 
 def _number(value, context: str) -> float:
     """A JSON number, not a bool, as a float; else a config error."""
-    if not _is_number(value):
+    if not is_number(value):
         raise ConfigError(f"{context} must be a number, got {value!r}")
     return float(value)
 
 
-def _numbers(value, context: str, least: int | None = None) -> tuple:
-    """A JSON list of numbers, not bools, as floats; with ``least``, a list of
-    integers at least ``least``.  Else a config error."""
-    kind = (int, float) if least is None else int
-    if not isinstance(value, list) or any(
-        not _is_number(v, kind) or (least is not None and v < least) for v in value
-    ):
-        what = "numbers" if least is None else f"integers >= {least}"
-        raise ConfigError(f"{context} must be a list of {what}, got {value!r}")
-    return tuple(value) if least is not None else tuple(float(v) for v in value)
+def _numbers(value, context: str) -> tuple:
+    """A JSON list of numbers, not bools, as floats; else a config error."""
+    if not isinstance(value, list) or not all(is_number(v) for v in value):
+        raise ConfigError(f"{context} must be a list of numbers, got {value!r}")
+    return tuple(float(v) for v in value)
 
 
 def _block(parent: dict, key: str, context: str) -> dict:
@@ -165,15 +155,14 @@ def build_instance(cfg: dict, seed: int) -> Instance:
     )
     if "lambdas" in block and "lambda_uniform" in block:
         raise ConfigError("give either 'lambdas' or 'lambda_uniform', not both")
-    dims = DimChain(_numbers(_require(block, "dims", "instance"), "instance.dims", least=1))
-    depth = dims.depth
+    dims = _require(block, "dims", "instance")
+    if not isinstance(dims, list):
+        raise ConfigError(f"instance.dims must be a list, got {dims!r}")
+    dims = DimChain(dims)
     if "lambdas" in block:
-        lams = _numbers(block["lambdas"], "instance.lambdas")
-        if len(lams) != depth:
-            raise ConfigError(f"need {depth} lambdas, got {len(lams)}")
-        reg = RegParams(lams)
+        reg = RegParams(_numbers(block["lambdas"], "instance.lambdas"))
     elif "lambda_uniform" in block:
-        reg = RegParams.uniform(_number(block["lambda_uniform"], "instance.lambda_uniform"), depth)
+        reg = RegParams.uniform(_number(block["lambda_uniform"], "instance.lambda_uniform"), dims.depth)
     else:
         raise ConfigError("instance needs 'lambdas' or 'lambda_uniform'")
 
@@ -264,21 +253,23 @@ def _sweep_config(cfg: dict, seed: int) -> tuple[RadiusSweepConfig, str, str]:
     return RadiusSweepConfig(**kwargs), str(block.get("center", "optimal")), target
 
 
-def _resolve_center(inst: Instance, center_spec: str, seed: int, target: str):
-    digits = center_spec.lstrip("0") or "0"  # int() refuses past 4,300 digits: read short ones only
-    if center_spec == "zero":
-        profile = zero_profile(inst)
-    elif center_spec == "optimal":
-        profile = optimal_profile(inst)
-    elif center_spec == "saddle":
-        profile = saddle_profile(inst)
-    elif center_spec.isdecimal() and len(digits) < 19 and int(digits) < len(inst.profiles.profiles):
-        profile = inst.profiles.profiles[int(digits)]
-    else:
-        raise ConfigError(
-            f"center must be 'zero', 'optimal', 'saddle', or a valid profile index; "
-            f"got {center_spec[:32]!r} ({len(center_spec)} characters)"
-        )
+def _profile(inst: Instance, spec: str, context: str):
+    """The profile a user names: 'zero', 'optimal', 'saddle' or an index into
+    the instance's enumeration; else a config error naming ``context``."""
+    named = {"zero": zero_profile, "optimal": optimal_profile, "saddle": saddle_profile}
+    if spec in named:
+        return named[spec](inst)
+    digits = spec.lstrip("0") or "0"  # int() refuses past 4,300 digits: read short ones only
+    if spec.isdecimal() and len(digits) < 19 and int(digits) < len(inst.profiles.profiles):
+        return inst.profiles.profiles[int(digits)]
+    raise ConfigError(
+        f"{context} must be 'zero', 'optimal', 'saddle', or a valid profile index; "
+        f"got {spec[:32]!r} ({len(spec)} characters)"
+    )
+
+
+def _resolve_center(inst: Instance, spec: str, seed: int, target: str, context: str):
+    profile = _profile(inst, spec, context)
     params = sample_random_params(inst, seed=named_seed(seed, "center-params"))
     return construct_critical_point(profile, params, inst, target=target)
 
@@ -318,15 +309,7 @@ def cmd_check_assumptions(args) -> int:
 
 def cmd_constants(args) -> int:
     cfg, _, inst = _setup(args)
-    if args.profile is None:
-        profile = optimal_profile(inst)
-    else:
-        profiles = inst.profiles.profiles
-        if not 0 <= args.profile < len(profiles):
-            raise ConfigError(
-                f"profile index {args.profile} out of range (0..{len(profiles) - 1})"
-            )
-        profile = profiles[args.profile]
+    profile = _profile(inst, args.profile, "--profile")
     try:
         ledger = compute_ledger(inst, profile)
     except AssumptionError as exc:
@@ -357,7 +340,7 @@ def cmd_verify(args) -> int:
     """verify-eb or verify-plqg, by ``args.command``: one radius sweep."""
     cfg, seed, inst = _setup(args)
     sweep, center_spec, target = _sweep_config(cfg, seed)
-    point = _resolve_center(inst, center_spec, seed, target)
+    point = _resolve_center(inst, center_spec, seed, target, "sweep.center")
     verify = verify_error_bound if args.command == "verify-eb" else verify_pl_qg
     report = verify(point, inst, sweep)
     return _finish_report(report, _output_dir(cfg), args.command)
@@ -430,7 +413,7 @@ def cmd_train(args) -> int:
 
     center = None
     if tcfg.init == "near-critical":
-        center = _resolve_center(inst, str(tblock.get("center", "optimal")), seed, "F").stack
+        center = _resolve_center(inst, str(tblock.get("center", "optimal")), seed, "F", "train.center").stack
 
     # Overflow on the way to a divergence is reported once, by DivergenceError.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -509,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="error-bound constant ledger")
     p.add_argument("config")
-    p.add_argument("--profile", type=int, default=None)
+    p.add_argument("--profile", default="optimal",
+                   help="'zero', 'optimal', 'saddle' or an index into the profile enumeration")
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("verify-eb", help="error-bound radius sweep")

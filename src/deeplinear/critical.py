@@ -448,7 +448,7 @@ def sample_random_params(
 ) -> CriticalParams:
     """Haar-random orthogonal factors, deterministic for a fixed seed."""
     dims = inst.dims
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     inner = [haar_orthogonal(rng, dims.dims[l - 1]) for l in range(2, dims.depth + 1)]
     blocks = [haar_orthogonal(rng, h) for h in inst.spectrum.multiplicities]
     return CriticalParams(inner, blocks)
@@ -645,28 +645,24 @@ def layer_singular_values(stack: WeightStack) -> list[np.ndarray]:
 
 
 def mirsky_lower_bound(
-    stack: WeightStack,
-    profiles: SigmaProfile | ProfileEnumeration,
-    reg: RegParams,
-    target: str = "F",
-) -> float | np.ndarray:
-    """Certified lower bound on the distance to a profile's component.
+    stack: WeightStack, sigmas, reg: RegParams, target: str = "F"
+) -> np.ndarray:
+    """Certified lower bounds on the distances to the components of ``sigmas``.
 
-    Singular values are 1-Lipschitz under Frobenius perturbations, so the
-    per-layer gap between the stack's singular values s_k and the component's
-    fixed ones bounds the distance from below:
-    ``lower_p^2 = sum_k ||s_k - scale_k * pad(sigma_p, m_k)||^2``.  Given an
-    enumeration, one pass over the layers bounds every profile and returns
-    the vector of bounds; given one profile, it returns that profile's bound.
-    A batched stack adds a leading sample axis: (R, P) bounds, or R for one
-    profile.
+    ``sigmas`` is a (P, d_min) table whose row p is a profile's sorted
+    vector, as :attr:`ProfileEnumeration.sigmas` holds.  Singular values are
+    1-Lipschitz under Frobenius perturbations, so the per-layer gap between
+    the stack's singular values s_k and the component's fixed ones bounds
+    the distance from below:
+    ``lower_p^2 = sum_k ||s_k - scale_k * pad(sigma_p, m_k)||^2``.  One pass
+    over the layers bounds every row; the result has the stack's leading
+    axes followed by P.
 
     The (R, P, m_k) gaps are squared in place and reduced over the last axis
     in chunks of at most ``BATCH_ENTRIES`` entries: the same sums as the
     whole array gives, in O(R P) memory.
     """
-    single = isinstance(profiles, SigmaProfile)
-    sigmas = np.array([profiles.sigma]) if single else profiles.sigmas
+    sigmas = np.asarray(sigmas)
     svals = layer_singular_values(stack)
     lead = svals[0].shape[:-1]
     total = np.zeros((math.prod(lead), len(sigmas)))
@@ -680,10 +676,7 @@ def mirsky_lower_bound(
             diff = s[a : a + step, None, :] - ref
             np.multiply(diff, diff, out=diff)
             total[a : a + step] += np.add.reduce(diff, axis=-1)
-    lowers = np.sqrt(total, out=total).reshape(lead + (len(sigmas),))
-    if not single:
-        return lowers
-    return lowers[..., 0] if lowers.ndim > 1 else float(lowers[0])
+    return np.sqrt(total, out=total).reshape(lead + (len(sigmas),))
 
 
 @dataclass
@@ -727,7 +720,7 @@ def distance_to_component(
     batched = stack.flat.ndim > 1
     stack = stack if batched else WeightStack.batch([stack])
     if lower is None:
-        lower = mirsky_lower_bound(stack, profile, reg, target)
+        lower = mirsky_lower_bound(stack, [profile.sigma], reg, target)[:, 0]
     n = len(lower)
 
     def results(nearest, dist, sweeps, converged):
@@ -888,7 +881,7 @@ def distance_to_critical_set(
     batched = stack.flat.ndim > 1
     stack = stack if batched else WeightStack.batch([stack])
     enum = inst.profiles
-    lowers = mirsky_lower_bound(stack, enum, inst.reg, target)
+    lowers = mirsky_lower_bound(stack, enum.sigmas, inst.reg, target)
     order = np.argsort(lowers, axis=-1, kind="stable")
     n, n_profiles = lowers.shape
     best: list[ComponentDistance | None] = [None] * n

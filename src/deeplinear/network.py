@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .util import is_number
+
 
 class ShapeError(ValueError):
     """Matrix shapes do not chain into a valid network."""
@@ -39,7 +41,7 @@ class DimChain:
 
     def __post_init__(self):
         dims = tuple(self.dims)
-        if any(isinstance(d, bool) or not isinstance(d, numbers.Integral) for d in dims):
+        if not all(is_number(d, numbers.Integral) for d in dims):
             raise ShapeError(f"dimensions must be integers, got dims={dims}")
         dims = tuple(int(d) for d in dims)
         object.__setattr__(self, "dims", dims)
@@ -81,16 +83,16 @@ class RegParams:
     lambdas: tuple[float, ...]
 
     def __post_init__(self):
-        lams = tuple(float(x) for x in self.lambdas)
-        object.__setattr__(self, "lambdas", lams)
+        lams = tuple(self.lambdas)
         if len(lams) < 2:
             raise ValueError("need one weight per layer, at least 2 layers")
-        if any(not math.isfinite(x) or x <= 0.0 for x in lams):
-            raise ValueError(f"regularization weights must be positive, got {lams}")
+        if not all(is_number(x) and math.isfinite(x) and x > 0 for x in lams):
+            raise ValueError(f"regularization weights must be positive numbers, got {lams}")
+        object.__setattr__(self, "lambdas", tuple(float(x) for x in lams))
 
     @classmethod
     def uniform(cls, value: float, depth: int) -> "RegParams":
-        return cls((float(value),) * depth)
+        return cls((value,) * depth)
 
     @property
     def depth(self) -> int:

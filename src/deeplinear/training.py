@@ -32,7 +32,7 @@ from .network import (
     value_and_grad,
 )
 from .spectrum import Instance
-from .util import fit_line, named_seed, named_stream
+from .util import fit_line, is_number, named_seed, named_stream
 
 MODEL_KINDS = ("linear", "linear-with-bias", "nonlinear")
 INIT_SCHEMES = ("near-critical", "uniform-fan-based", "gaussian")
@@ -71,10 +71,6 @@ class ModelSpec:
         return self.kind in ("linear-with-bias", "nonlinear")
 
 
-def _finite_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
 @dataclass
 class TrainConfig:
     learning_rate: float = 4.5e-4
@@ -89,13 +85,13 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("learning_rate", "grad_sq_tol", "fval_change_tol"):
             value = getattr(self, name)
-            if not (_finite_real(value) and value > 0):
+            if not (is_number(value) and math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if not (_finite_real(self.init_scale) and self.init_scale >= 0):
+        if not (is_number(self.init_scale) and math.isfinite(self.init_scale) and self.init_scale >= 0):
             raise ValueError(f"init_scale must be finite and >= 0, got {self.init_scale!r}")
         for name, least in (("max_iters", 0), ("log_stride", 1)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            if not is_number(value, numbers.Integral) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.init not in INIT_SCHEMES:
             raise ValueError(f"init must be one of {INIT_SCHEMES}")
@@ -138,15 +134,14 @@ class Trajectory:
         }
 
 
-def _init_state(model, dims: DimChain, cfg: TrainConfig, center):
+def _init_state(model, dims: DimChain, cfg: TrainConfig, center: WeightStack | None):
     rng = named_stream(cfg.seed, "init")
     d = dims.dims
     if cfg.init == "near-critical":
         if center is None:
             raise ValueError("near-critical initialization needs a center stack")
-        stack = center if isinstance(center, WeightStack) else center.stack
-        noise = stack.like(rng.standard_normal(stack.flat.shape))
-        layers = (stack + noise.scale(cfg.init_scale)).layers
+        noise = center.like(rng.standard_normal(center.flat.shape))
+        layers = (center + noise.scale(cfg.init_scale)).layers
     elif cfg.init == "uniform-fan-based":
         layers = []
         for l in range(dims.depth):

@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import numbers
 
 import numpy as np
+
+
+def is_number(value, kind=numbers.Real) -> bool:
+    """The one number rule: an instance of ``kind`` (numpy's numbers too), not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def named_stream(seed: int, name: str) -> np.random.Generator:

@@ -43,7 +43,7 @@ from .network import (
     value_and_grad,
 )
 from .spectrum import Instance
-from .util import fit_line
+from .util import fit_line, is_number
 
 PERTURBATION_MODES = ("gaussian-all-layers", "singular-direction", "tangent-removed")
 
@@ -60,16 +60,17 @@ class RadiusSweepConfig:
     mode: str = "gaussian-all-layers"
 
     def __post_init__(self):
-        self.radii = tuple(sorted(float(r) for r in self.radii))
-        if not self.radii:
+        radii = tuple(self.radii)
+        if not radii:
             raise ValueError("radii must not be empty")
-        for r in self.radii:
-            if not (math.isfinite(r) and r > 0):
-                raise ValueError(f"radii must be finite and positive, got {r!r}")
+        for r in radii:
+            if not (is_number(r) and math.isfinite(r) and r > 0):
+                raise ValueError(f"radii must be finite and positive numbers, got {r!r}")
+        self.radii = tuple(sorted(float(r) for r in radii))
         if len(set(self.radii)) < len(self.radii):
             raise ValueError(f"radii must be distinct, got {self.radii}")
         n = self.samples_per_radius
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        if not is_number(n, numbers.Integral) or n < 1:
             raise ValueError(f"samples_per_radius must be an integer >= 1, got {n!r}")
         if self.mode not in PERTURBATION_MODES:
             raise ValueError(f"unknown perturbation mode {self.mode!r}")
@@ -144,11 +145,18 @@ def _make_sampler(center: CriticalPoint, inst, cfg):
     return draw
 
 
+def _error_bound(center, ledger) -> tuple[str, float, float]:
+    """The swept objective's error-bound constant, its value and the radius
+    within which it holds: kappa1 within eps1 for F, kappa within eps for G."""
+    if center.target == "F":
+        return "kappa1", ledger.kappa1, ledger.eps1
+    return "kappa", ledger.kappa, ledger.eps
+
+
 def _regime_cutoff(center, inst, cfg, ledger) -> tuple[float, str]:
     geometric = inst.delta_sigma / 3.0
     if ledger is not None:
-        eps = ledger.eps1 if center.target == "F" else ledger.eps
-        cut = min(eps, geometric)
+        cut = min(_error_bound(center, ledger)[2], geometric)
         if sum(1 for r in cfg.radii if r <= cut) >= 2:
             return cut, "theory"
         # The closed-form radius is far below any usable perturbation size;
@@ -267,15 +275,13 @@ def verify_error_bound(
     }
 
     kappa_checked = 0
-    kappa_ok = True
-    if ledger is not None and center.target == "F":
-        for s in samples:
-            if s.radius <= ledger.eps1:
-                kappa_checked += 1
-                kappa_ok = kappa_ok and s.ratio <= ledger.kappa1 * (1 + 1e-9)
-        if kappa_checked and not kappa_ok:
+    if ledger is not None:
+        name, kappa, eps = _error_bound(center, ledger)
+        ratios = [s.ratio for s in samples if s.radius <= eps]
+        kappa_checked = len(ratios)
+        if not all(r <= kappa * (1 + 1e-9) for r in ratios):
             verdict = "FAIL"
-            tags.append("kappa1-exceeded")
+            tags.append(f"{name}-exceeded")
 
     if not inst.assumptions.assumption2:
         tags += ["assumption2-violated", *_degeneracy_tags(slope)]
@@ -394,7 +400,7 @@ def check_balance_inequalities(
     reg, depth = inst.reg, inst.depth
     lam = reg.lambda_prod
     gnorm = grad_g(stack, inst.target, reg).norm()
-    lower = mirsky_lower_bound(stack, profile, reg, target="G")
+    lower = float(mirsky_lower_bound(stack, [profile.sigma], reg, target="G")[0])
     pre_ok = (not profile.is_zero) and lower < profile.sigma_min_pos / 2.0
 
     residuals = []

@@ -124,14 +124,16 @@ def test_verify_eb_command_and_json_roundtrip(tmp_path, capsys):
     assert csv_lines[0] == "radius,dist_lower,dist_upper,grad_norm,F,ratio"
 
 
-def _theory_regime_sweep(tmp_path):
-    """``verify-eb`` on a generic instance with radii below its eps1, so the
-    closed-form regime cutoff holds and every sample meets the kappa1 check."""
+def _theory_regime_sweep(tmp_path, target="F"):
+    """``verify-eb`` on a generic instance with radii below its eps1 (F) or
+    eps (G), so the closed-form regime cutoff holds and every sample meets
+    the kappa1 (F) or kappa (G) check."""
     cfg = {
         "seed": 7,
         "output_dir": str(tmp_path / "out"),
         "instance": {"dims": [5, 6, 6, 4], "lambdas": [0.6, 0.8, 0.7], "target": {"kind": "gaussian"}},
-        "sweep": {"radii": {"start": 1e-13, "stop": 1e-11, "num": 5}, "samples_per_radius": 32},
+        "sweep": {"radii": {"start": 1e-13, "stop": 1e-11, "num": 5}, "samples_per_radius": 32,
+                  "target": target},
     }
     code = main(["verify-eb", _write_config(tmp_path, cfg)])
     return code, json.loads((tmp_path / "out" / "verify-eb.json").read_text())
@@ -152,6 +154,45 @@ def test_verify_eb_fails_past_kappa1(tmp_path, capsys, monkeypatch):
     assert code == 1 and report["verdict"] == "FAIL"
     assert "kappa1-exceeded" in report["tags"]
     assert report["notes"]["regime_source"] == "theory"
+
+
+def test_g_verify_eb_in_the_theory_regime(tmp_path, capsys):
+    code, report = _theory_regime_sweep(tmp_path, target="G")
+    assert code == 0 and report["verdict"] == "PASS"
+    assert report["notes"]["regime_source"] == "theory"
+    assert report["notes"]["kappa_checked_samples"] == 160
+    assert report["fitted"]["max_ratio_overall"] <= report["constants"]["kappa"]
+
+
+def test_g_verify_eb_fails_past_kappa(tmp_path, capsys, monkeypatch):
+    real = verify.compute_ledger
+    monkeypatch.setattr(verify, "compute_ledger", lambda inst, p: dataclasses.replace(real(inst, p), kappa=0.1))
+    code, report = _theory_regime_sweep(tmp_path, target="G")
+    assert code == 1 and report["verdict"] == "FAIL"
+    assert "kappa-exceeded" in report["tags"]
+    assert report["notes"]["regime_source"] == "theory"
+
+
+@pytest.mark.parametrize("command, name", [("verify-eb", "zero"), ("constants", "saddle")])
+def test_named_profile_reads_like_its_index(command, name, tmp_path, capsys):
+    # sweep.center and --profile take a profile's name or its index in the
+    # enumeration, and both give the same report.
+    cfg = _base_config(tmp_path, sweep={"radii": [1e-3, 1e-2], "samples_per_radius": 2})
+    cfg["instance"] = {"dims": [2, 4, 4, 3], "lambdas": [0.3, 0.4, 0.5], "target": {"kind": "gaussian"}}
+    inst = cli.build_instance(cfg, cfg["seed"])
+    sigma = {"zero": critical.zero_profile, "saddle": critical.saddle_profile}[name](inst).sigma
+    (k,) = [k for k, p in enumerate(inst.profiles.profiles) if p.sigma == sigma]
+
+    def report(spec):
+        if command == "constants":
+            assert main(["constants", _write_config(tmp_path, cfg), "--profile", spec]) == 0
+        else:
+            cfg["sweep"]["center"] = spec
+            assert main([command, _write_config(tmp_path, cfg)]) in (0, 1)
+        capsys.readouterr()
+        return (tmp_path / "out" / f"{command}.json").read_text()
+
+    assert report(name) == report(str(k))
 
 
 def test_verify_plqg_command(tmp_path, capsys):
@@ -362,6 +403,12 @@ def _failing_call(tmp_path, case):
     if case in OVERFLOWING_LEDGERS:
         cfg = _base_config(tmp_path, instance=OVERFLOWING_LEDGERS[case])
         return ["constants", _write_config(tmp_path, cfg)]
+    if case == "narrow-hidden-layer":
+        cfg = _base_config(tmp_path, sweep={"radii": [1e-3, 1e-2], "samples_per_radius": 2})
+        cfg["instance"] = {"dims": [5, 3, 4], "lambdas": [0.6, 0.7], "target": {"kind": "gaussian"}}
+        return ["verify-eb", _write_config(tmp_path, cfg)]
+    if case == "list-config":
+        return ["check-assumptions", _write_config(tmp_path, [_base_config(tmp_path)])]
     if case == "over-long-json-integer":
         path = tmp_path / "config.json"
         path.write_text('{"sweep": {"center": ' + "1" * 5000 + "}}")
@@ -389,6 +436,8 @@ def _failing_call(tmp_path, case):
     "case, code",
     [
         ("divergent-train", 1),
+        ("narrow-hidden-layer", 1),
+        ("list-config", 2),
         ("over-long-json-integer", 2),
         ("nan-target-file", 2),
         ("grouping-tol-key", 2),
@@ -421,6 +470,10 @@ def test_error_paths_exit_with_one_line(case, code, tmp_path, monkeypatch, capsy
         assert len(err.encode()) < 300
     if case in OVERFLOWING_LEDGERS:
         assert err.startswith("constants: refused: ")
+    if case == "narrow-hidden-layer":
+        assert err.startswith("assumption violated: ")
+    if case == "list-config":
+        assert err.startswith("config error: ") and len(err.encode()) < 300
 
 
 # reproduce-s4 depths and train input columns that are config errors: a
@@ -643,6 +696,10 @@ BAD_CONFIG_VALUES = {
     "constants-key": ("constants", ("constants",), {}),
     "number-output-dir": ("check-assumptions", ("output_dir",), 5),
     "directory-target-path": ("check-assumptions", ("instance", "target"), {"kind": "file", "path": "."}),
+    "both-lambda-forms": ("check-assumptions", ("instance", "lambda_uniform"), 0.5),
+    "wrong-weight-count": ("check-assumptions", ("instance", "lambdas"), [0.6, 0.7, 0.8]),
+    "unknown-target-kind": ("check-assumptions", ("instance", "target"), {"kind": "laplace"}),
+    "unknown-input-kind": ("train", ("model", "input"), {"kind": "sphere"}),
     # The product of the weights underflows to 0 or overflows to inf.
     **{
         f"underflowing-lambda-product-{command}": (command, ("instance", "lambdas"), [1e-200, 1e-200])
@@ -717,3 +774,4 @@ def test_malformed_inputs_exit_two_with_one_line(case, tmp_path, monkeypatch, ca
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("config error: ")
     assert not (tmp_path / "out").exists()
+    assert len(err.encode()) < 300

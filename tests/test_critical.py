@@ -383,7 +383,7 @@ def test_mirsky_bound_from_singular_values(rng):
     inst = Instance(dims, reg, target)
     profile = optimal_profile(inst)
     stack = WeightStack.gaussian(dims, rng)
-    lower = mirsky_lower_bound(stack, profile, reg, target="F")
+    lower = mirsky_lower_bound(stack, [profile.sigma], reg, target="F")[0]
     total = 0.0
     sig = sorted(profile.sigma_eq, reverse=True)
     for l, w in enumerate(stack.layers):
@@ -668,12 +668,12 @@ def test_batched_lower_bounds_match_per_profile_loop(monkeypatch):
         stack = point.stack + e.scale(radius / e.norm())
         svals = [np.linalg.svd(w, compute_uv=False) for w in stack.layers]
         for target in ("F", "G"):
-            lowers = mirsky_lower_bound(stack, enum, reg, target)
+            lowers = mirsky_lower_bound(stack, enum.sigmas, reg, target)
             assert lowers.shape == (len(enum.profiles),)
             for profile, lower in zip(enum.profiles, lowers):
                 want = _mirsky_reference(svals, profile, reg, target)
                 assert abs(lower - want) <= 1e-13 * want
-                assert mirsky_lower_bound(stack, profile, reg, target) == lower
+                assert mirsky_lower_bound(stack, [profile.sigma], reg, target)[0] == lower
                 if target == "G":
                     continue
                 result = distance_to_component(stack, profile, inst)
@@ -765,10 +765,10 @@ def _batch_instance(target, values, depth):
 
 def _check_batch_matches_samples(inst, stacks, profile, target):
     batch = WeightStack.batch(stacks)
-    lowers = mirsky_lower_bound(batch, inst.profiles, inst.reg, target)
+    lowers = mirsky_lower_bound(batch, inst.profiles.sigmas, inst.reg, target)
     assert lowers.shape == (len(stacks), len(inst.profiles.profiles))
     for row, stack in zip(lowers, stacks):
-        assert np.array_equal(row, mirsky_lower_bound(stack, inst.profiles, inst.reg, target))
+        assert np.array_equal(row, mirsky_lower_bound(stack, inst.profiles.sigmas, inst.reg, target))
     sets = distance_to_critical_set(batch, inst, target=target)
     comps = distance_to_component(batch, profile, inst, target=target)
     assert len(sets) == len(comps) == len(stacks)
@@ -880,10 +880,10 @@ def test_chunked_lower_bound_equals_materialized_formula(width, monkeypatch):
     enum = inst.profiles
     for target in ("F", "G"):
         want = _materialized_lower_bound(batch, enum, reg, target)
-        assert np.array_equal(mirsky_lower_bound(batch, enum, reg, target), want)
+        assert np.array_equal(mirsky_lower_bound(batch, enum.sigmas, reg, target), want)
         for entries in (1, 3 * enum.sigmas.size * width):  # 1-row and 3-row chunks
             monkeypatch.setattr(critical, "BATCH_ENTRIES", entries)
-            assert np.array_equal(mirsky_lower_bound(batch, enum, reg, target), want)
+            assert np.array_equal(mirsky_lower_bound(batch, enum.sigmas, reg, target), want)
         monkeypatch.undo()
 
 
@@ -899,7 +899,7 @@ def test_lower_bound_memory_is_linear_in_samples_times_profiles():
     batch = WeightStack([rng.standard_normal((n_samples,) + w.shape) for w in WeightStack.zeros(inst.dims).layers])
     tracemalloc.start()
     try:
-        lowers = mirsky_lower_bound(batch, enum, inst.reg)
+        lowers = mirsky_lower_bound(batch, enum.sigmas, inst.reg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -26,6 +26,7 @@ from deeplinear import (
     value_and_grad,
 )
 from deeplinear import network
+from deeplinear.verify import RadiusSweepConfig
 from conftest import finite_difference_grad, list_kernel, random_instance
 
 
@@ -206,6 +207,33 @@ def test_dimchain_rejects_dims_that_are_not_integers(dims):
     # no truncation of 5.9 to 5, nor True read as 1
     with pytest.raises(ShapeError, match="integers"):
         DimChain(dims)
+
+
+# Each config object's numbers: a real number (numpy's too), not a bool nor a
+# string that float() would read.
+NUMBER_HOLDERS = {
+    "weights": lambda values: RegParams(values).lambdas,
+    "radii": lambda values: RadiusSweepConfig(radii=values).radii,
+}
+
+
+@pytest.mark.parametrize("holder", NUMBER_HOLDERS)
+@pytest.mark.parametrize("values", [("0.5", True), ("1e-3", 0.5), (0.5, True), (0.5, np.bool_(True))])
+def test_number_holders_refuse_strings_and_bools(holder, values):
+    with pytest.raises(ValueError):
+        NUMBER_HOLDERS[holder](values)
+
+
+@pytest.mark.parametrize("holder", NUMBER_HOLDERS)
+def test_number_holders_read_numpy_numbers_as_floats(holder):
+    numbers = NUMBER_HOLDERS[holder]((np.float32(0.5), np.int64(2), 3))
+    assert numbers == (0.5, 2.0, 3.0) and all(type(v) is float for v in numbers)
+
+
+@pytest.mark.parametrize("value", ["0.5", True])
+def test_uniform_weights_refuse_strings_and_bools(value):
+    with pytest.raises(ValueError):
+        RegParams.uniform(value, 2)
 
 
 def test_dimchain_accepts_numpy_integers():

@@ -28,6 +28,7 @@ from deeplinear.training import (
     train,
     train_runs,
 )
+from deeplinear.util import named_stream
 from conftest import list_kernel, random_instance
 
 
@@ -442,6 +443,33 @@ def test_near_critical_init_converges_close_to_center(rng):
     assert traj.termination == "converged"
     f_star = loss_f(center.stack, target, reg)
     assert abs(traj.f_values[-1] - f_star) <= 1e-2 * max(1e-12, f_star)
+
+
+def test_near_critical_bias_runs(rng):
+    # Near-critical runs of a model with biases: a batch equals each run
+    # trained alone, and the initial biases are init_scale times the init
+    # stream's draws that follow the layer noise.
+    model, target, reg, dims = _model_problem("linear-with-bias", "identity", rng)
+    center = WeightStack.gaussian(dims, rng).scale(0.5)
+    cfgs = [
+        TrainConfig(learning_rate=1e-3, max_iters=50, grad_sq_tol=1e-300, seed=seed,
+                    init="near-critical", init_scale=scale, log_stride=5)
+        for seed, scale in ((1, 0.1), (2, 0.3))
+    ]
+    trajs = train_runs(model, target, reg, cfgs, dims, [center, center])
+    for traj, cfg in zip(trajs, cfgs):
+        alone = train(model, target, reg, cfg, dims, center=center)
+        assert np.array_equal(traj.f_values, alone.f_values)
+        assert np.array_equal(traj.final.flat, alone.final.flat)
+        assert all(np.array_equal(a, b) for a, b in zip(traj.final_biases, alone.final_biases))
+
+    cfg = TrainConfig(max_iters=0, seed=7, init="near-critical", init_scale=0.25)
+    traj = train(model, target, reg, cfg, dims, center=center)
+    stream = named_stream(7, "init")
+    noise = stream.standard_normal(center.flat.shape)
+    assert np.array_equal(traj.final.flat, (center + center.like(noise).scale(0.25)).flat)
+    for bias, width in zip(traj.final_biases, dims.dims[1:]):
+        assert np.array_equal(bias, 0.25 * stream.standard_normal(width))
 
 
 def _synthetic_trajectory(f_values):
