@@ -415,9 +415,7 @@ def cmd_train(args) -> int:
     if tcfg.init == "near-critical":
         center = _resolve_center(inst, str(tblock.get("center", "optimal")), seed, "F", "train.center").stack
 
-    # Overflow on the way to a divergence is reported once, by DivergenceError.
-    with np.errstate(over="ignore", invalid="ignore"):
-        traj = train(model, target, inst.reg, tcfg, inst.dims, center=center)
+    traj = train(model, target, inst.reg, tcfg, inst.dims, center=center)
     out = _output_dir(cfg)
     rows = zip(range(traj.n_steps), traj.f_values.tolist(), traj.grad_sq.tolist())
     write_csv(out / "trajectory.csv", ("iter", "F", "grad_sq"), rows)

@@ -81,10 +81,7 @@ class ScalarRoots:
 
 
 def _bisect(q, lo: float, hi: float, qlo: float, qhi: float) -> float:
-    if qlo == 0.0:
-        return lo
-    if qhi == 0.0:
-        return hi
+    # The caller passes a strict sign change: neither end is a zero of q.
     if qlo * qhi > 0.0:
         raise SolverError(f"root not bracketed on [{lo}, {hi}]: q={qlo}, {qhi}")
     for _ in range(200):
@@ -202,19 +199,16 @@ def solve_scalar_equation(y: float, lam: float, depth: int) -> ScalarRoots:
         ):
             found.append(x_min)
 
-        polished = []
+        # Each root gets one Newton polish, then is matched only against the
+        # positive roots kept so far: a positive root below the tolerance is
+        # a root of its own, not 0.
+        dedup_tol = 1e-9 * max(1.0, bracket)
         for r in sorted(found):
             d = qp(r)
             if abs(d) > DEGENERACY_TOL * scale:
                 step = q(r) / d
                 if abs(step) < 1e-6 * max(1.0, bracket):
                     r = r - step
-            polished.append(r)
-
-        # A root is matched only against the positive roots kept so far: a
-        # positive root below the tolerance is a root of its own, not 0.
-        dedup_tol = 1e-9 * max(1.0, bracket)
-        for r in polished:
             if any(abs(r - prev) <= dedup_tol for prev in roots[1:]):
                 continue
             # q's terms at a root can dwarf lam + sqrt(lam) y (they grow like
@@ -285,15 +279,8 @@ def profile_from_choices(inst: "Instance", choices) -> SigmaProfile:
             f"need one choice per positive singular value ({len(inst.roots)}), "
             f"got {len(choices)}"
         )
-    sigma_eq = []
-    idx = []
-    for roots, c in zip(inst.roots, choices):
-        c = int(c)
-        val = roots.roots[c]
-        if c < 0:
-            c += len(roots.roots)
-        sigma_eq.append(val)
-        idx.append(c)
+    idx = [range(len(r.roots))[int(c)] for r, c in zip(inst.roots, choices)]
+    sigma_eq = [r.roots[c] for r, c in zip(inst.roots, idx)]
     return _make_profile(sigma_eq, idx, inst.dims.d_min)
 
 
@@ -428,8 +415,6 @@ class CriticalParams:
 
 def haar_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-distributed orthogonal matrix via sign-fixed QR of a Gaussian."""
-    if n == 0:
-        return np.zeros((0, 0))
     a = rng.standard_normal((n, n))
     q, r = np.linalg.qr(a)
     signs = np.where(np.diag(r) >= 0.0, 1.0, -1.0)
@@ -634,8 +619,6 @@ def tangent_basis(point: CriticalPoint, spectrum: "TargetSpectrum") -> np.ndarra
 def _polar(c: np.ndarray) -> np.ndarray:
     if c.shape[-2:] == (1, 1):  # the sign: LAPACK's u @ vt bit for bit, without the SVD
         return np.copysign(1.0, c)
-    if c.shape[-2] == 0:
-        return c
     u, _, vt = np.linalg.svd(c)
     return u @ vt
 
@@ -749,20 +732,14 @@ def distance_to_component(
     # keeps the sign/gauge conventions consistent around the loop, which
     # per-layer SVD seeds do not (their arbitrary signs can create a
     # parity-locked corner the coordinate descent cannot leave).
-    def seeded_frame(layer_idx: int) -> np.ndarray:
-        _, _, vt = np.linalg.svd(w.layers[layer_idx], full_matrices=True)
-        v_full = vt.swapaxes(-1, -2)
-        diag = sig_eq * scales[layer_idx]
-        order = np.argsort(-diag, kind="stable")
-        ranks = np.empty(len(diag), dtype=int)
-        ranks[order] = np.arange(len(diag))
-        perm = list(ranks) + list(range(len(diag), v_full.shape[-1]))
-        return v_full[..., perm]
+    _, _, vt = np.linalg.svd(w.layers[1], full_matrices=True)
+    order = np.argsort(-(sig_eq * scales[1]), kind="stable")
+    perm = list(np.argsort(order)) + list(range(len(order), vt.shape[-2]))  # order's ranks
 
     # The iterate is the member's frames: left = [Q_2, ..., Q_L, U_Y M_out],
     # right = [M_in V_Y^T, Q_2^T, ..., Q_L^T]; the outer frames are set by
     # the first block update.  Every array carries the sample axis first.
-    left = [seeded_frame(1)]
+    left = [vt.swapaxes(-1, -2)[..., perm]]
     for k in range(1, L - 1):
         left.append(_polar(w.layers[k] @ left[k - 1] @ sig_mats[k].T))
     left.append(None)

@@ -84,8 +84,8 @@ class RegParams:
 
     def __post_init__(self):
         lams = tuple(self.lambdas)
-        if len(lams) < 2:
-            raise ValueError("need one weight per layer, at least 2 layers")
+        if not lams:
+            raise ValueError("need one weight per layer, got none")
         if not all(is_number(x) and math.isfinite(x) and x > 0 for x in lams):
             raise ValueError(f"regularization weights must be positive numbers, got {lams}")
         object.__setattr__(self, "lambdas", tuple(float(x) for x in lams))

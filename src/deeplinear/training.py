@@ -211,6 +211,7 @@ class _Ring:
         return self.slots[slot].like(self.iterates[slot, row].copy())
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_runs(
     model: ModelSpec,
     target: np.ndarray,
@@ -236,6 +237,7 @@ def train_runs(
     A run whose objective becomes non-finite is dropped too; once no run
     is left, the ``DivergenceError`` of the lowest-index diverged run is
     raised, which is the error the runs trained one by one would raise.
+    numpy's overflow warnings on the way are silenced: the error is the one report.
     """
     if not cfgs or len(cfgs) != len(centers):
         raise ValueError("need one center per config, at least one run")

@@ -175,15 +175,16 @@ def _sweep(center, inst, cfg):
     radius has, so a sweep makes at most one set-distance call per radius;
     the chunking changes no reported number.
 
-    Returns the ledger (None when an assumption fails), the samples with
-    ``in_regime`` marked, the samples grouped by radius and ``finish``.  ``finish(kind, verdict, tags, per_radius, fitted,
-    constants, notes)`` appends the closing tags and returns the report, its
-    notes extended by the regime cutoff and source, assumption 2 and the
-    mode: a sweep with an unconverged projection cannot pass, and one over a
+    Returns the ledger (None when an assumption fails), the center's loss,
+    the samples with ``in_regime`` marked, the samples grouped by radius and
+    ``finish``.  ``finish(kind, verdict, tags, per_radius, fitted, constants,
+    notes)`` appends the closing tags and returns the report, its notes
+    extended by the regime cutoff and source, assumption 2 and the mode: a
+    sweep with an unconverged projection cannot pass, and one over a
     truncated profile enumeration is tagged; the verdict stands.
     """
     target = center.target
-    gnorm, _ = _grad_and_loss(center.stack, inst.target, inst.reg, target)
+    gnorm, f_center = _grad_and_loss(center.stack, inst.target, inst.reg, target)
     if gnorm > 1e-8 * (1.0 + float(np.linalg.norm(inst.target))):
         raise CenterNotCriticalError(
             f"sweep center has gradient norm {gnorm}, not a critical point"
@@ -222,7 +223,7 @@ def _sweep(center, inst, cfg):
                      assumption2=inst.assumptions.assumption2, mode=cfg.mode)
         return VerificationReport(kind, verdict, tags, samples, per_radius, fitted, constants, notes)
 
-    return ledger, samples, by_radius, finish
+    return ledger, f_center, samples, by_radius, finish
 
 
 def verify_error_bound(
@@ -241,7 +242,7 @@ def verify_error_bound(
     tagged ``profiles-truncated``; the verdict stands.
     """
     cfg = cfg or RadiusSweepConfig()
-    ledger, samples, by_radius, finish = _sweep(center, inst, cfg)
+    ledger, _, samples, by_radius, finish = _sweep(center, inst, cfg)
     per_radius = []
     for radius, rs in by_radius:
         per_radius.append(
@@ -312,10 +313,8 @@ def verify_pl_qg(
     profile enumeration is tagged ``profiles-truncated``.
     """
     cfg = cfg or RadiusSweepConfig()
-    ledger, samples, by_radius, finish = _sweep(center, inst, cfg)
+    ledger, f_center, samples, by_radius, finish = _sweep(center, inst, cfg)
     loss = loss_f if center.target == "F" else loss_g
-    y, reg = inst.target, inst.reg
-    f_center = loss(center.stack, y, reg)
 
     floor = 1e-15 * (1.0 + abs(f_center))
     min_gap = min(s.F - f_center for s in samples)
@@ -324,7 +323,7 @@ def verify_pl_qg(
     d_min = min(center.stack.dims[0], center.stack.dims[-1])
     units = singular_direction(center, range(d_min))
     signed = units.like(np.concatenate([units.flat, -units.flat]))
-    probe_losses = loss(center.stack + signed.scale(cfg.radii[0]), y, reg)
+    probe_losses = loss(center.stack + signed.scale(cfg.radii[0]), inst.target, inst.reg)
     min_gap = min(min_gap, float(probe_losses.min()) - f_center)
     is_minimizer = min_gap >= -1e-10
 
@@ -536,9 +535,7 @@ def fit_counterexample_scaling(
         SweepSample(t, family.dist_lower(t), up, g, lval, up / g if g > 0 else math.inf, True)
         for t, up, g, lval in zip(t_values, uppers.tolist(), grads.tolist(), losses.tolist())
     ]
-    xs = [s.dist_upper for s in samples]
-    ys = [s.grad_norm for s in samples]
-    slope, r2 = fit_line(np.log(xs), np.log(ys)) if len(xs) >= 2 else (math.nan, math.nan)
+    slope, r2 = fit_line(np.log(uppers), np.log(grads)) if len(samples) >= 2 else (math.nan, math.nan)
     ok = abs(slope - family.expected_slope) <= 0.05
     tags = ["fail-by-design", *_degeneracy_tags(slope)]
     return VerificationReport(

@@ -420,6 +420,11 @@ def _failing_call(tmp_path, case):
         cfg = _base_config(tmp_path)
         cfg["instance"]["target"] = {"kind": "file", "path": str(tmp_path / "target.npy")}
         return ["check-assumptions", _write_config(tmp_path, cfg)]
+    if case == "mis-shaped-target-file":
+        np.save(tmp_path / "target.npy", np.eye(3))
+        cfg = _base_config(tmp_path)
+        cfg["instance"]["target"] = {"kind": "file", "path": str(tmp_path / "target.npy")}
+        return ["check-assumptions", _write_config(tmp_path, cfg)]
     return {
         "negative-root-target": ["roots", "--y", "-1", "--lambda", "1", "--L", "2"],
         "infinite-root-target": ["roots", "--y", "inf", "--lambda", "1", "--L", "6", "--json"],
@@ -440,6 +445,7 @@ def _failing_call(tmp_path, case):
         ("list-config", 2),
         ("over-long-json-integer", 2),
         ("nan-target-file", 2),
+        ("mis-shaped-target-file", 2),
         ("grouping-tol-key", 2),
         ("too-many-diagonal-values", 2),
         ("negative-root-target", 2),
@@ -698,6 +704,13 @@ BAD_CONFIG_VALUES = {
     "directory-target-path": ("check-assumptions", ("instance", "target"), {"kind": "file", "path": "."}),
     "both-lambda-forms": ("check-assumptions", ("instance", "lambda_uniform"), 0.5),
     "wrong-weight-count": ("check-assumptions", ("instance", "lambdas"), [0.6, 0.7, 0.8]),
+    "one-weight-lambdas": ("check-assumptions", ("instance", "lambdas"), [0.6]),
+    "no-lambdas": ("check-assumptions", ("instance", "lambdas"), []),
+    "no-lambda-form": ("check-assumptions", ("instance",), {"dims": [2, 4, 2], "target": {"kind": "gaussian"}}),
+    "two-dims": ("check-assumptions", ("instance", "dims"), [2, 2]),
+    "unknown-sweep-mode": ("verify-eb", ("sweep", "mode"), "sideways"),
+    "unknown-activation": ("train", ("model", "activation"), "swish"),
+    "unknown-train-init": ("train", ("train", "init"), "zeros"),
     "unknown-target-kind": ("check-assumptions", ("instance", "target"), {"kind": "laplace"}),
     "unknown-input-kind": ("train", ("model", "input"), {"kind": "sphere"}),
     # The product of the weights underflows to 0 or overflows to inf.

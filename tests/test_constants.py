@@ -87,6 +87,19 @@ def test_phi_prime_vanishes_at_tangential_value():
     assert phi(x_star, lam, 3) == pytest.approx(2.0, rel=1e-12)
 
 
+# Refusals no other test reaches: case -> (call, error, message).
+REFUSALS = {
+    "degenerate-sigma-at-depth-2": (lambda: degenerate_sigma(1.0, 2), ValueError, "depth >= 3"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals(case):
+    call, error, match = REFUSALS[case]
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_phi_domain_error():
     with pytest.raises(ValueError):
         phi(0.0, 1.0, 2)

@@ -7,9 +7,11 @@ import pytest
 from deeplinear import critical
 from deeplinear import (
     AssumptionError,
+    CriticalParams,
     DimChain,
     Instance,
     RegParams,
+    ShapeError,
     WeightStack,
     check_assumptions,
     compute_ledger,
@@ -38,6 +40,62 @@ def _simple_instance(values, depth, lam, hidden=None):
     dims = DimChain((d,) + (hidden,) * (depth - 1) + (d,))
     reg = RegParams.uniform(lam ** (1.0 / depth), depth)
     return Instance(dims, reg, target), dims, reg, target
+
+
+# Refusals no other test reaches, on a depth-3 instance with two distinct
+# values (two 2x2 seam factors, two 1x1 block factors): case -> (call, error,
+# message).
+REFUSALS = {
+    "choice-count": (lambda inst: profile_from_choices(inst, [0]), ValueError, "one choice per"),
+    "choice-out-of-range": (lambda inst: profile_from_choices(inst, [0, 99]), IndexError, "range"),
+    "zero-cap": (lambda inst: enumerate_sigma_profiles(inst, cap=0), ValueError, "cap must be"),
+    "non-square-factor": (
+        lambda inst: construct_critical_point(
+            optimal_profile(inst), CriticalParams([np.eye(2), np.eye(2, 3)], [np.eye(1)] * 2), inst
+        ),
+        ShapeError, "not square",
+    ),
+    "non-orthogonal-factor": (
+        lambda inst: construct_critical_point(
+            optimal_profile(inst), CriticalParams([np.eye(2), 2.0 * np.eye(2)], [np.eye(1)] * 2), inst
+        ),
+        ValueError, "not orthogonal",
+    ),
+    "seam-factor-count": (
+        lambda inst: construct_critical_point(
+            optimal_profile(inst), CriticalParams([np.eye(2)], [np.eye(1)] * 2), inst
+        ),
+        ShapeError, "block structure",
+    ),
+    "block-factor-count": (
+        lambda inst: construct_critical_point(
+            optimal_profile(inst), CriticalParams([np.eye(2)] * 2, [np.eye(2)]), inst
+        ),
+        ShapeError, "block structure",
+    ),
+    "objective-H": (
+        lambda inst: construct_critical_point(
+            optimal_profile(inst), critical.identity_params(inst), inst, target="H"
+        ),
+        ValueError, "'F' or 'G'",
+    ),
+    "component-endpoints": (
+        lambda inst: distance_to_component(WeightStack.zeros((3, 2, 2, 2)), optimal_profile(inst), inst),
+        ShapeError, "endpoints",
+    ),
+    "component-depth": (
+        lambda inst: distance_to_component(WeightStack.zeros((2, 2, 2)), optimal_profile(inst), inst),
+        ShapeError, "depth does not match",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals(case):
+    inst, *_ = _simple_instance([2.0, 1.5], 3, 0.1)
+    call, error, match = REFUSALS[case]
+    with pytest.raises(error, match=match):
+        call(inst)
 
 
 def test_enumerate_single_value():

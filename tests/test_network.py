@@ -70,6 +70,20 @@ def test_shape_errors():
         WeightStack([np.zeros((3, 2)), np.zeros((2, 4))])  # 4 != 3
 
 
+# Refusals no other test reaches: case -> (call, error, message).
+REFUSALS = {
+    "one-layer-stack": (lambda: WeightStack([np.eye(2)]), ShapeError, "at least 2 layers"),
+    "no-weights": (lambda: RegParams(()), ValueError, "got none"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals(case):
+    call, error, match = REFUSALS[case]
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_product_loss_and_critical_set_reject_a_stack_with_biases(rng):
     # The one holder also carries biases, so the bias-free objectives check
     # for them: a holder with biases is a shape error, its weights() view is not.

@@ -9,6 +9,21 @@ from deeplinear.spectrum import GROUPING_TOL
 TRIBONACCI_RECIPROCAL = 0.5436890126920764  # real root of x^3 + x^2 + x = 1
 
 
+# Refusals no other test reaches: case -> (target, message).
+REFUSALS = {
+    "vector": (np.ones(3), "must be a matrix"),
+    "nan-entry": (np.array([[1.0, np.nan]]), "finite entries"),
+    "inf-entry": (np.array([[np.inf, 1.0]]), "finite entries"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals(case):
+    target, match = REFUSALS[case]
+    with pytest.raises(ValueError, match=match):
+        analyze_target(target)
+
+
 def test_zero_matrix():
     spec = analyze_target(np.zeros((3, 4)))
     assert spec.rank == 0

@@ -8,6 +8,7 @@ from deeplinear import (
     DimChain,
     Instance,
     RegParams,
+    ShapeError,
     WeightStack,
     construct_critical_point,
     grad_f,
@@ -427,6 +428,42 @@ def test_divergence_raises_with_last_finite(rng):
         step = [w - cfg.learning_rate * g for w, g in zip(last.layers, grads)]
         value, _, _ = list_kernel(step, None, None, target, reg)
     assert not math.isfinite(value)
+
+
+# The loop silences numpy's overflow itself: with no np.errstate around the
+# call, a diverging run is reported once, by its DivergenceError.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bias_divergence_is_reported_by_divergence_error():
+    rng = np.random.default_rng(0)
+    dims, reg = DimChain((3, 4, 4, 3)), RegParams.uniform(0.1, 3)
+    target = 50.0 * rng.standard_normal((3, 3))
+    center = WeightStack.gaussian(dims, rng)
+    cfg = TrainConfig(learning_rate=1e-2, max_iters=1000, seed=1, init="near-critical", init_scale=1.0)
+    with pytest.raises(DivergenceError, match="iteration 4"):
+        train(ModelSpec(kind="linear-with-bias"), target, reg, cfg, dims, center=center)
+
+
+# Refusals no other test reaches: case -> (train_runs arguments that differ
+# from a valid 2-3-2 call, error, message).
+REFUSALS = {
+    "near-critical-without-center": ({"cfgs": [TrainConfig(max_iters=1)]}, ValueError, "needs a center"),
+    "input-matrix-rows": (
+        {"model": ModelSpec(kind="linear-with-bias", input_matrix=np.ones((3, 4)))},
+        ShapeError, "rows must match",
+    ),
+    "target-shape": ({"target": np.eye(3)}, ShapeError, "does not match"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals(case):
+    changes, error, match = REFUSALS[case]
+    args = dict(
+        model=ModelSpec(), target=np.eye(2), reg=RegParams((0.5, 0.5)),
+        cfgs=[TrainConfig(max_iters=1, init="gaussian")], dims=DimChain((2, 3, 2)), centers=[None],
+    )
+    with pytest.raises(error, match=match):
+        train_runs(**{**args, **changes})
 
 
 def test_near_critical_init_converges_close_to_center(rng):

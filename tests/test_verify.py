@@ -280,6 +280,36 @@ def test_first_order_conditions_flags_nondecreasing_tail():
     assert not rep.sufficient_decrease_held
 
 
+def _two_step_trajectory():
+    return Trajectory(
+        f_values=np.array([1.0, 0.9, 0.8]),
+        grad_sq=np.full(2, 1e-2),
+        step_norm_sq=np.full(2, 1e-4),
+        snapshots=[],
+        final=WeightStack.zeros((2, 2, 2)),
+        final_biases=None,
+        termination="max-iters",
+        wall_time=0.0,
+    )
+
+
+# Refusals no other test reaches: case -> (call, error, message).
+REFUSALS = {
+    "two-step-trajectory": (
+        lambda inst: check_first_order_conditions(_two_step_trajectory(), inst),
+        ValueError, "too short",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals(case):
+    inst = Instance(DimChain((2, 2, 2)), RegParams((1.0, 1.0)), np.zeros((2, 2)))
+    call, error, match = REFUSALS[case]
+    with pytest.raises(error, match=match):
+        call(inst)
+
+
 def _written(report, out):
     """The JSON and CSV text the CLI writes for ``report`` into the new directory ``out``."""
     out.mkdir()
