@@ -21,6 +21,7 @@ inequality supplying a certified lower bound.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections.abc import Sequence
@@ -80,22 +81,87 @@ class ScalarRoots:
         return tuple(r for r in self.roots if r > 0.0)
 
 
-def _bisect(q, lo: float, hi: float, qlo: float, qhi: float) -> float:
-    # The caller passes a strict sign change: neither end is a zero of q.
+def _bisect(a: int, c: float, b: int, lam: float, lo: float, hi: float, qlo: float, qhi: float) -> float:
+    # q = x**a - c * x**b + lam grouped as the scalar q; the ends are a strict sign change.
     if qlo * qhi > 0.0:
         raise SolverError(f"root not bracketed on [{lo}, {hi}]: q={qlo}, {qhi}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        qmid = q(mid)
-        if qmid == 0.0 or hi - lo < BISECT_TOL * max(1.0, hi):
+        qmid = mid**a - c * mid**b + lam
+        if qmid == 0.0 or hi - lo < BISECT_TOL * (hi if hi > 1.0 else 1.0):  # max(1, hi), without a call
             return mid
         if (qmid < 0.0) == (qlo < 0.0):
             lo, qlo = mid, qmid
         else:
             hi, qhi = mid, qmid
-    raise SolverError(
-        f"bisection did not converge on [{lo}, {hi}] (q values {qlo}, {qhi})"
-    )
+    raise SolverError(f"bisection did not converge on [{lo}, {hi}] (q values {qlo}, {qhi})")
+
+
+def _search_cells(q, bracket: float, x_min: float, top: float):
+    """The grid scan's sign-change cells, by binary search on q's monotone pieces.
+
+    The scan's points are grid point k, k * cell, with x_min after those <= it
+    (for L = 2, x_min = 0 repeats point 0).  q falls on (0, x_min] and rises on
+    [x_min, bracket], so if every probe is beyond ``guard`` (twice q's rounding
+    in numpy's power and libm's, a few ulps of q's largest term ``top``, and a
+    floor against underflow), the scan reads the same signs and finds these
+    cells; else None.
+    """
+    cell, guard = bracket / GRID_CELLS, 256 * _EPS * top + 1e-150
+    k_min = bisect.bisect_right(range(GRID_CELLS), x_min, key=lambda k: k * cell)
+    ends = [(0, 0.0), (k_min, x_min), (GRID_CELLS + 1, bracket)]
+    cells = []
+    for (lo, x_lo), (hi, x_hi) in zip(ends, ends[1:]):
+        q_lo, q_hi = q(x_lo), q(x_hi)
+        if not (abs(q_lo) > guard and abs(q_hi) > guard):
+            return None
+        if (q_lo < 0.0) == (q_hi < 0.0):
+            continue
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            x = (mid - (mid > k_min)) * cell  # inside a piece: a grid point below the bracket
+            if not abs(q_mid := q(x)) > guard:
+                return None
+            if (q_mid < 0.0) == (q_lo < 0.0):
+                lo, x_lo, q_lo = mid, x, q_mid
+            else:
+                hi, x_hi, q_hi = mid, x, q_mid
+        cells.append((x_lo, x_hi, q_lo, q_hi))
+    return cells
+
+
+def _grid_scan(q, L: int, c: float, lam: float, bracket: float, x_min: float, interior: bool) -> list[float]:
+    """The roots at the grid's sign changes and zeros, from one array pass,
+    with near-zero values re-evaluated by the scalar q: a scalar scan's roots."""
+    grid = _GRID_STEPS * (bracket / GRID_CELLS)  # np.linspace's formula
+    grid[-1] = bracket
+    if interior:
+        k_min = np.searchsorted(grid, x_min, side="right")
+        grid = np.concatenate((grid[:k_min], [x_min], grid[k_min:]))
+    high = grid ** (2 * L - 2)
+    low = c * grid ** (L - 2)
+    qvals = high - low + lam
+    if interior:
+        qvals[k_min] = q(x_min)
+    # A value kept from the array pass is more than 64 eps of q's terms
+    # away from zero, so it has the scalar value's sign (numpy's power is
+    # within an ulp of libm's).  The 1e-150 floor keeps a product of two
+    # kept values from underflowing; the neighbours of a re-evaluated
+    # point are re-evaluated too, so a product with a tiny value uses
+    # scalar values only.  "not >" also catches a nan.
+    near = ~(np.abs(qvals) > 64 * _EPS * (high + low + lam) + 1e-150)
+    near[1:] |= near[:-1].copy()
+    near[:-1] |= near[1:].copy()
+    for k in np.flatnonzero(near).tolist():
+        qvals[k] = q(float(grid[k]))
+    qa, qb = qvals[:-1], qvals[1:]
+    found: list[float] = []
+    for k in np.flatnonzero(((qa == 0.0) & (grid[:-1] > 0.0)) | (qa * qb < 0.0)).tolist():
+        (lo, hi), (q_lo, q_hi) = grid[k : k + 2].tolist(), qvals[k : k + 2].tolist()
+        found.append(lo if q_lo == 0.0 else _bisect(2 * L - 2, c, L - 2, lam, lo, hi, q_lo, q_hi))
+    if qvals[-1] == 0.0:
+        found.append(bracket)
+    return found
 
 
 def solve_scalar_equation(y: float, lam: float, depth: int) -> ScalarRoots:
@@ -103,17 +169,14 @@ def solve_scalar_equation(y: float, lam: float, depth: int) -> ScalarRoots:
 
     Uses a 4096-cell bracketing grid on (0, (sqrt(lam) y)^(1/L)] (every
     positive root lies in that interval since x^L <= sqrt(lam) y there),
-    bisection on each sign change, and one Newton polish.  The interior
-    minimizer of q is added to the grid, and tested on its own: a tangential
-    (double) root can only sit there, so it is caught and flagged.
+    bisection on each sign change, and one Newton polish.  The minimizer of q
+    is added to the grid and tested on its own: a tangential (double) root
+    can only sit there.
 
-    q is evaluated on the whole grid in one array pass.  numpy's array power
-    can differ from libm ``pow`` by an ulp, so x_min and every point where q
-    is within 64 eps of its terms (with its two neighbours) are evaluated
-    with the scalar q: the grid's signs and exact zeros, and so the roots,
-    are those of a point-by-point scalar scan.  The scalar work runs on Python
-    floats: numpy scalars' IEEE operations and libm ``pow``, without their
-    call cost.  Inputs whose q overflows on the bracket raise ``SolverError``.
+    Binary search on q's two monotone pieces finds the sign changes from ~25
+    scalar q values; if one is within a rounding guard of zero (near excluded
+    or tiny weights, roots on grid points) an array pass scans the grid.  Both
+    find a scalar scan's cells.  q's overflow, or a root <= 0, raises SolverError.
     """
     y = float(y)
     lam = float(lam)
@@ -121,11 +184,12 @@ def solve_scalar_equation(y: float, lam: float, depth: int) -> ScalarRoots:
     if y < 0 or lam <= 0 or L < 2:
         raise ValueError(f"need y >= 0, lam > 0, depth >= 2; got {y}, {lam}, {L}")
     root_lam = math.sqrt(lam)
-    scale = lam + root_lam * y
+    c = root_lam * y
+    scale = lam + c
     res_tol = 1e-12 * scale
 
     def q(x: float) -> float:
-        return x ** (2 * L - 2) - root_lam * y * x ** (L - 2) + lam
+        return x ** (2 * L - 2) - c * x ** (L - 2) + lam
 
     def qp(x: float) -> float:
         if L == 2:
@@ -134,18 +198,14 @@ def solve_scalar_equation(y: float, lam: float, depth: int) -> ScalarRoots:
 
     def size(x: float) -> float:
         # largest term of q at x: a vanishing derivative is measured against it
-        return max(x ** (2 * L - 2), root_lam * y * x ** (L - 2), lam)
+        return max(x ** (2 * L - 2), c * x ** (L - 2), lam)
 
     # The zero root is degenerate exactly when q(0) = 0 as well (only possible
     # for L = 2 with y = sqrt(lam)), making 0 a higher-order stationary value.
-    zero_degenerate = abs(q(0.0)) <= 1e-12 * size(0.0)
-
-    roots = [0.0]
-    flags = [zero_degenerate]
-    residuals = [0.0]
+    roots, flags, residuals = [0.0], [abs(q(0.0)) <= 1e-12 * size(0.0)], [0.0]
 
     if y > 0.0:
-        bracket = (root_lam * y) ** (1.0 / L)
+        bracket = c ** (1.0 / L)
         # q's terms are largest at the bracket, and the sign test multiplies
         # two values of q: past this, overflow loses signs (a float ** raises).
         try:
@@ -154,55 +214,24 @@ def solve_scalar_equation(y: float, lam: float, depth: int) -> ScalarRoots:
             top = math.inf
         if not 4.0 * top * top < math.inf:
             raise SolverError(f"q's terms overflow on (0, {bracket}] for (y={y}, lam={lam}, L={L})")
-        grid = _GRID_STEPS * (bracket / GRID_CELLS)  # np.linspace's formula
-        grid[-1] = bracket
         # For L >= 3, q decreases then increases; x_min is its only interior
         # critical point (for L = 2 it is 0 and q only increases).
         x_min = ((L - 2) * root_lam * y / (2 * L - 2)) ** (1.0 / L)
         interior = 0.0 < x_min < bracket
-        if interior:
-            q_min = q(x_min)
-            k_min = np.searchsorted(grid, x_min, side="right")
-            grid = np.concatenate((grid[:k_min], [x_min], grid[k_min:]))
-        high = grid ** (2 * L - 2)
-        low = root_lam * y * grid ** (L - 2)
-        qvals = high - low + lam
-        if interior:
-            qvals[k_min] = q_min
-        # A value kept from the array pass is more than 64 eps of q's terms
-        # away from zero, so it has the scalar value's sign (numpy's power is
-        # within an ulp of libm's).  The 1e-150 floor keeps a product of two
-        # kept values from underflowing; the neighbours of a re-evaluated
-        # point are re-evaluated too, so a product with a tiny value uses
-        # scalar values only.  "not >" also catches a nan.
-        near = ~(np.abs(qvals) > 64 * _EPS * (high + low + lam) + 1e-150)
-        near[1:] |= near[:-1].copy()
-        near[:-1] |= near[1:].copy()
-        for k in np.flatnonzero(near).tolist():
-            qvals[k] = q(float(grid[k]))
-
-        qa, qb = qvals[:-1], qvals[1:]
-        found: list[float] = []
-        for k in np.flatnonzero(((qa == 0.0) & (grid[:-1] > 0.0)) | (qa * qb < 0.0)).tolist():
-            (lo, hi), (q_lo, q_hi) = grid[k : k + 2].tolist(), qvals[k : k + 2].tolist()
-            found.append(lo if q_lo == 0.0 else _bisect(q, lo, hi, q_lo, q_hi))
-        if qvals[-1] == 0.0:
-            found.append(bracket)
+        cells = _search_cells(q, bracket, x_min, top) if L == 2 or interior else None
+        found = (_grid_scan(q, L, c, lam, bracket, x_min, interior) if cells is None
+                 else [_bisect(2 * L - 2, c, L - 2, lam, *cell) for cell in cells])
         # A tangential root leaves no sign change and can only sit at x_min.
         # No other grid point is accepted on its residual alone: when
         # sqrt(lam) is below about 1e-12 * y, every point below the small
         # root is within res_tol of zero.
-        if (
-            interior
-            and abs(q_min) <= res_tol
-            and not any(abs(x_min - r) <= 1e-9 * max(1.0, bracket) for r in found)
-        ):
+        dedup_tol = 1e-9 * max(1.0, bracket)
+        if interior and abs(q(x_min)) <= res_tol and not any(abs(x_min - r) <= dedup_tol for r in found):
             found.append(x_min)
 
         # Each root gets one Newton polish, then is matched only against the
         # positive roots kept so far: a positive root below the tolerance is
         # a root of its own, not 0.
-        dedup_tol = 1e-9 * max(1.0, bracket)
         for r in sorted(found):
             d = qp(r)
             if abs(d) > DEGENERACY_TOL * scale:
@@ -215,9 +244,9 @@ def solve_scalar_equation(y: float, lam: float, depth: int) -> ScalarRoots:
             # (sqrt(lam) y)^(2 - 2/L)), and their rounding with them.
             res = abs(q(r))
             if res > 10 * max(res_tol, 1e-12 * size(r)):
-                raise SolverError(
-                    f"root {r} of (y={y}, lam={lam}, L={L}) has residual {res}"
-                )
+                raise SolverError(f"root {r} of (y={y}, lam={lam}, L={L}) has residual {res}")
+            if r <= 0.0:  # at tiny weights, a polish of a midpoint next to 0 can cancel past it
+                raise SolverError(f"root {r} of (y={y}, lam={lam}, L={L}) is not positive")
             roots.append(r)
             flags.append(abs(r * qp(r)) <= DEGENERACY_TOL * size(r))
             residuals.append(res)

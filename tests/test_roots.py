@@ -14,9 +14,11 @@ from deeplinear import (
     excluded_lambda,
     solve_scalar_equation,
 )
+from deeplinear import critical
 from deeplinear.cli import main
-from deeplinear.critical import DEGENERACY_TOL, GRID_CELLS, ScalarRoots, _bisect
-from conftest import grid_solver_oracle, scan_roots_oracle
+from deeplinear.critical import DEGENERACY_TOL, GRID_CELLS, ScalarRoots
+from deeplinear.util import named_stream
+from conftest import _grid_bisect, grid_solver_oracle, scan_roots_oracle
 
 
 def _scalar_scan_reference(y, lam, depth):
@@ -59,7 +61,7 @@ def _scalar_scan_reference(y, lam, depth):
             if qa == 0.0 and a > 0.0:
                 found.append(a)
             elif qa * qb < 0.0:
-                found.append(_bisect(q, a, b, qa, qb))
+                found.append(_grid_bisect(q, a, b, qa, qb))
         if qvals[-1] == 0.0:
             found.append(grid[-1])
         if (
@@ -338,6 +340,101 @@ def test_overflowing_terms_raise_solver_error(y, lam, depth):
     # sign changes (so the roots) are lost; the solver says so.
     with pytest.raises(SolverError, match="overflow"):
         solve_scalar_equation(y, lam, depth)
+
+
+def test_polished_root_at_or_below_zero_is_refused(capsys):
+    # At lam = 1e-100 the absolute bisection tolerance stops in the grid's
+    # first cell and the polish cancels to about -1.4e-32; the true roots are
+    # 1e-50 and 2.2e-17.
+    with pytest.raises(SolverError, match=r"of \(y=1.0, lam=1e-100, L=3\) is not positive"):
+        solve_scalar_equation(1.0, 1e-100, 3)
+    assert main(["roots", "--y", "1", "--lambda", "1e-100", "--L", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.strip().splitlines() == [
+        "roots failed: SolverError: root -1.4351563509415275e-32 of (y=1.0, lam=1e-100, L=3) is not positive"
+    ]
+
+
+@pytest.mark.xfail(strict=True, reason="tiny weights: the grid's absolute bisection tolerance "
+                   "and the polish return a spurious third root (L=4) or cancel past 0 (L=3)")
+@pytest.mark.parametrize("y, lam, depth", [(1.0, 1e-60, 4), (1.0, 1e-100, 3)])
+def test_tiny_weight_roots_are_two_simple_roots(y, lam, depth):
+    # q(x) = x^(2L-2) - sqrt(lam) y x^(L-2) + lam has one root where the last
+    # two terms balance, x^(L-2) = sqrt(lam) / y, and one where the first two
+    # do, x^L = sqrt(lam) y; the neglected term moves each by far below 1e-9.
+    roots = solve_scalar_equation(y, lam, depth)
+    expected = [(math.sqrt(lam) / y) ** (1.0 / (depth - 2)), (math.sqrt(lam) * y) ** (1.0 / depth)]
+    assert roots.positive() == pytest.approx(expected, rel=1e-9)
+    assert roots.degenerate == (False, False, False)
+
+
+def _outcomes(cases):
+    return [_outcome(solve_scalar_equation, y, lam, depth) for y, lam, depth in cases]
+
+
+def _fast_path_cases(rng):
+    """Section 4's instances at depths 2-6, the ledger workload's generic
+    weights, and random weights at margins of 1e-3 or more from the excluded
+    ones: inputs on which no probe of the binary search should be near zero."""
+    target = named_stream(0, "instance").standard_normal((20, 10))
+    cases = []
+    for depth in range(2, 7):
+        inst = Instance(DimChain((10,) + (32,) * (depth - 1) + (20,)), RegParams.uniform(1e-4, depth), target)
+        cases += [(float(y), inst.reg.lambda_prod, depth) for y in inst.spectrum.y[: inst.spectrum.rank]]
+    for depth in range(2, 7):
+        for r in range(3, 7):
+            values = np.linspace(1.0, 2.6, r) * (1.0 + 0.04 * rng.uniform(-1.0, 1.0, r))
+            lam = rng.uniform(0.3, 0.8) * excluded_lambda(float(values.min()), depth)
+            cases += [(float(y), lam, depth) for y in values]
+    for _ in range(1000):
+        depth, y = int(rng.integers(2, 7)), 10.0 ** rng.uniform(-2, 2)
+        margin = 10.0 ** rng.uniform(-3, 0) * rng.choice([-0.9, 1.0])
+        cases.append((y, excluded_lambda(y, depth) * (1.0 + margin), depth))
+    return cases
+
+
+def test_generic_inputs_never_reach_the_grid_scan(rng, monkeypatch):
+    def scan(*args):
+        raise AssertionError(f"grid scan reached: {args[1:]}")
+
+    cases = _fast_path_cases(rng)
+    assert len(cases) > 1100
+    monkeypatch.setattr(critical, "_grid_scan", scan)
+    for y, lam, depth in cases:
+        solve_scalar_equation(y, lam, depth)
+
+
+@pytest.mark.parametrize("depth", range(2, 7))
+def test_exact_excluded_weights_reach_the_grid_scan(depth, monkeypatch):
+    # At the excluded weight q's minimum (L >= 3) or q(0) (L = 2) is zero up
+    # to rounding, within the binary search's guard.
+    scans = []
+    scan = critical._grid_scan
+    monkeypatch.setattr(critical, "_grid_scan", lambda *args: scans.append(args) or scan(*args))
+    for y in (0.3, 1.0, 2.0, 5.0):
+        solve_scalar_equation(y, excluded_lambda(y, depth), depth)
+        assert len(scans) == 1, (y, depth)
+        scans.clear()
+
+
+def test_binary_search_finds_the_grid_scan_roots(rng, monkeypatch):
+    # The fast path against the scan alone, on generic, excluded,
+    # near-excluded and tiny weights: roots, flags, residuals and SolverError
+    # messages must be equal, not close.
+    cases = _fast_path_cases(rng)
+    for k in range(1500):
+        depth, y = int(rng.integers(2, 8)), 10.0 ** rng.uniform(-3, 3)
+        lam = [
+            excluded_lambda(y, depth) * 10.0 ** rng.uniform(-6, 1),
+            excluded_lambda(y, depth),
+            excluded_lambda(y, depth) * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, -1)),
+            10.0 ** rng.uniform(-40, 2),
+        ][k % 4]
+        cases.append((y, float(lam), depth))
+    fast = _outcomes(cases)
+    monkeypatch.setattr(critical, "_search_cells", lambda *args: None)
+    assert fast == _outcomes(cases)
 
 
 @pytest.mark.xfail(
