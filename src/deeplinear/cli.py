@@ -202,10 +202,18 @@ def _output_dir(cfg: dict) -> Path:
     return path
 
 
+def _write_report(path: Path, text: str) -> None:
+    """Write ``text`` over ``path`` in place, then cut the file to its length: on
+    ext4, closing a file truncated from non-empty to zero starts its writeback."""
+    with open(path, "r+b" if path.exists() else "wb") as f:
+        f.write(text.encode())
+        f.truncate()
+
+
 def dump_json(payload: dict, path: Path) -> str:
     """Write ``payload`` as indented, key-sorted JSON and a newline; return that text."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    path.write_text(text)
+    _write_report(path, text)
     return text
 
 
@@ -213,7 +221,7 @@ def write_csv(path: Path, columns: tuple[str, ...], rows) -> None:
     """Write the ``columns`` header and one line per row tuple, each value as
     ``str`` (a float's shortest round-trip form)."""
     line = ",".join(["%s"] * len(columns))
-    path.write_text("\n".join([",".join(columns), *(line % row for row in rows)]) + "\n")
+    _write_report(path, "\n".join([",".join(columns), *(line % row for row in rows)]) + "\n")
 
 
 # The columns of the sweep and counterexample CSVs: every sample field but in_regime.

@@ -1,5 +1,6 @@
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -192,6 +193,58 @@ def grid_solver_oracle(y, lam, depth):
         tuple(bool(flags[k]) for k in order),
         tuple(float(residuals[k]) for k in order),
     )
+
+
+# The margin a/g* - 1 within which the merging pair of roots may also come back
+# as one degenerate root.  It sits a decade below the smallest margin the
+# property test draws (1e-9), so those draws are judged by count and sign
+# change alone; inside it the pair is within about 1e-5 of its double root.
+NEAR_DOUBLE = 1e-10
+
+
+def stationarity_oracle(y, lam, depth, roots):
+    """How ``roots`` (a ``ScalarRoots``) departs from the positive roots of
+    q(x) = x^(2L-2) - sqrt(lam) y x^(L-2) + lam, judged at 80 digits.
+
+    Shares no algorithm with the library's solver.  With a = sqrt(lam) y and
+    x = e^t, q(x) / x^(L-2) = g(t) - a for g(t) = e^(Lt) + lam e^(-(L-2)t),
+    which is convex with its minimum at x^(2L-2) = (L-2) lam / L.  So for
+    L >= 3 q has 2, 1 or 0 positive roots as g's minimum is below, at or
+    above a; for L = 2, q = x^2 + lam - a has one iff lam < a.  Each returned
+    root must bracket a sign change of q on r(1 +- w): w is 1e-12, or the
+    root's rounding scale where that is larger (a float64 q errs by a few eps
+    of its terms, which moves a root by that much over |q'(r)|; at a margin
+    of 1e-9 that is up to 1.4e-5 at L = 2 and 2e-10 at L >= 3).  Within
+    ``NEAR_DOUBLE`` of the excluded weight one degenerate root also passes:
+    the one positive root for L >= 3, the root 0 (beside at most one positive
+    root) for L = 2.  Returns the departures as strings.
+    """
+    L, pos = int(depth), [(r, d) for r, d in zip(roots.roots, roots.degenerate) if r > 0.0]
+    with localcontext() as ctx:
+        ctx.prec = 80
+        lam_d = Decimal(float(lam))
+        a = lam_d.sqrt() * Decimal(float(y))
+        x_g = ((lam_d * (L - 2) / L).ln() / (2 * L - 2)).exp() if L > 2 else Decimal(0)
+        margin = a / (x_g**L + lam_d / x_g ** (L - 2) if L > 2 else lam_d) - 1
+        if abs(margin) <= NEAR_DOUBLE and (
+                len(pos) == 1 and pos[0][1] if L > 2 else len(pos) <= 1 and roots.degenerate[0]):
+            return []
+        count = (1 if L == 2 else 2) if margin > 0 else 0
+        problems = [] if len(pos) == count else [
+            f"{len(pos)} positive roots, not {count} (margin a/g* - 1 = {float(margin):.3g})"]
+        for r, _ in pos:
+            x = Decimal(r)
+            high, low = x ** (2 * L - 2), a * x ** (L - 2)
+            slope = abs((2 * L - 2) * high - (L - 2) * low)  # |x q'(x)|
+            w = max(Decimal("1e-12"), 64 * Decimal(2.0**-52) * (high + low + lam_d) / slope) if slope else 1
+            if w >= Decimal("1e-3"):
+                problems.append(f"root {r!r}: q' vanishes there (rounding scale {float(w):.3g})")
+                continue
+            ends = [x * (1 + s * w) for s in (-1, 1)]
+            q_lo, q_hi = (e ** (2 * L - 2) - a * e ** (L - 2) + lam_d for e in ends)
+            if not q_lo * q_hi < 0:
+                problems.append(f"root {r!r}: q keeps its sign on r(1 +- {float(w):.3g})")
+    return problems
 
 
 def product_walk_oracle(inst, cap=1024):

@@ -89,7 +89,11 @@ def test_constants_command(tmp_path, capsys):
     assert main(["constants", path]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["kappa_zero"] == pytest.approx(6.0)
-    assert (tmp_path / "out" / "constants.csv").exists()
+    reports = [tmp_path / "out" / "constants.json", tmp_path / "out" / "constants.csv"]
+    first = [p.read_bytes() for p in reports]
+    # A rerun into the same directory rewrites both reports in place, byte for byte.
+    assert main(["constants", path]) == 0
+    assert [p.read_bytes() for p in reports] == first
 
     assert main(["constants", path, "--profile", "99"]) == 2
 
@@ -112,16 +116,34 @@ def test_verify_eb_command_and_json_roundtrip(tmp_path, capsys):
         "center": "optimal",
     }
     path = _write_config(tmp_path, cfg)
+    # Longer files already at the report paths: a rewrite leaves no stale tail.
+    report_path, csv_path = tmp_path / "out" / "verify-eb.json", tmp_path / "out" / "verify-eb.csv"
+    report_path.parent.mkdir()
+    for stale in (report_path, csv_path):
+        stale.write_text("stale\n" * 20_000)
     code = main(["verify-eb", path])
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS" in out
-    report_path = tmp_path / "out" / "verify-eb.json"
     text = report_path.read_text()
     payload = json.loads(text)
     assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == text
-    csv_lines = (tmp_path / "out" / "verify-eb.csv").read_text().splitlines()
+    csv_lines = csv_path.read_text().splitlines()
     assert csv_lines[0] == "radius,dist_lower,dist_upper,grad_norm,F,ratio"
+    assert len(csv_lines) == 1 + 4 * 4 and "stale" not in csv_path.read_text()
+
+    # The writers alone, over a longer file and then over none.
+    for fresh in (False, True):
+        if fresh:
+            report_path.unlink()
+            csv_path.unlink()
+        else:
+            report_path.write_text(text + "stale\n")
+            csv_path.write_text("stale\n" * 100)
+        assert cli.dump_json(payload, report_path) == text
+        assert report_path.read_text() == text
+        cli.write_csv(csv_path, ("a", "b"), [(1, 0.5), (2, "x")])
+        assert csv_path.read_text() == "a,b\n1,0.5\n2,x\n"
 
 
 def _theory_regime_sweep(tmp_path, target="F"):
